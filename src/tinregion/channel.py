@@ -80,9 +80,6 @@ class TxStrategy:
     def pvar(self, k: int) -> complex:
         return self.ct1 if k == 1 else self.ct2
 
-    def is_proper(self, tol: float = 0.0) -> bool:
-        return abs(self.ct1) <= tol and abs(self.ct2) <= tol
-
 
 def validate_strategy(x: TxStrategy, tol: float = 1e-9) -> TxStrategy:
     """Check finiteness, nonnegative variances, and |ct_k| <= c_k."""

@@ -17,7 +17,6 @@ from .channel import (
     TxStrategy,
     channel_from_transform,
     check_composite_cov,
-    composite_cov_from_strategy,
     composite_real_embed,
     enhance_channel,
 )
@@ -168,16 +167,3 @@ def enhanced_upper_bound(tc: TransformedChannel, x: TxStrategy) -> RatePoint:
         c1=x.c1, c2=x.c2, ct1=abs(complex(x.ct1)), ct2=-abs(complex(x.ct2))
     )
     return rate_complex(ch2, aligned)
-
-
-def strategy_rates(ch: SimoChannel, x: TxStrategy) -> RatePoint:
-    """Convenience alias used by sweeps: rates of ``x`` on ``ch``."""
-    return rate_complex(ch, x)
-
-
-def composite_from_strategy(x: TxStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """Both users' composite real covariances for a strategy."""
-    return (
-        composite_cov_from_strategy(x.c1, complex(x.ct1)),
-        composite_cov_from_strategy(x.c2, complex(x.ct2)),
-    )

@@ -233,14 +233,6 @@ def curve_to_dict(curve: RegionCurve) -> dict:
     }
 
 
-def curve_from_dict(d: dict) -> RegionCurve:
-    samples = tuple(
-        (float(s["beta"]), RatePoint(float(s["r1"]), float(s["r2"])))
-        for s in d["samples"]
-    )
-    return RegionCurve(method=str(d["method"]), samples=samples)
-
-
 def write_curve(path, curve: RegionCurve, fmt: str = "csv") -> None:
     if fmt == "csv":
         text = "\n".join(curve_to_csv_rows(curve)) + "\n"

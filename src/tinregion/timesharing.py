@@ -4,14 +4,13 @@ The time-sharing problem (average rates and average powers over strategies)
 has zero duality gap, so it is solved through its Lagrangian dual: the
 outer minimization over multipliers runs a cutting-plane method, and each
 inner maximization is a mixed-monotonic program solved to global optimality
-by branch-and-bound over power boxes.  A restricted primal LP over the
-collected inner maximizers recovers an explicit mixture of at most four
-strategies.
+by branch-and-bound over power boxes, with the frontier held in arrays and
+split whole each round.  A restricted primal LP over the collected inner
+maximizers recovers an explicit mixture of at most four strategies.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -106,15 +105,16 @@ class Cut:
 
 
 class _InnerProblem:
-    """Scalar-form evaluation of the mixed-monotonic objective.
+    """The mixed-monotonic objective and its interference-free envelope.
 
     Uses the rank-one identity
     ``h_kk^H (I + t h_kj h_kj^H)^{-1} h_kk = g_kk - t |h_kj^H h_kk|^2 / (1 + t |h_kj|^2)``
-    so bound evaluations cost a handful of scalar operations.
+    so an evaluation costs a handful of array operations.  Every method
+    works elementwise on scalars and arrays alike; the engine and the public
+    helpers share them.
     """
 
     def __init__(self, ch: SimoChannel, dv: DualVariables):
-        self.dv = dv
         self.g = (
             float(np.linalg.norm(ch.h11) ** 2),
             float(np.linalg.norm(ch.h22) ** 2),
@@ -127,20 +127,41 @@ class _InnerProblem:
             float(np.linalg.norm(ch.h12) ** 2),
             float(np.linalg.norm(ch.h21) ** 2),
         )
-
-    def gain(self, k: int, t: float) -> float:
-        g, x, n = self.g[k], self.x[k], self.n[k]
-        val = g - t * x / (1.0 + t * n)
-        return val if val > 0.0 else 0.0
-
-    def value(self, x1: float, x2: float, y1: float, y2: float) -> float:
-        dv = self.dv
-        return (
-            dv.mu1 * math.log2(1.0 + x1 * self.gain(0, y2))
-            + dv.mu2 * math.log2(1.0 + x2 * self.gain(1, y1))
-            - dv.lam1 * y1
-            - dv.lam2 * y2
+        self.mu = (dv.mu1, dv.mu2)
+        self.lam = (dv.lam1, dv.lam2)
+        # maximizer of each user's interference-free objective; a dead direct
+        # link earns nothing, so its peak is at zero power
+        self.peak = tuple(
+            max(mu / (lam * _LN2) - 1.0 / g, 0.0) if g > 0 else 0.0
+            for mu, lam, g in zip(self.mu, self.lam, self.g)
         )
+
+    def value(self, x1, x2, y1, y2):
+        """Objective with signal powers ``x`` and penalized powers ``y``."""
+        q1 = np.maximum(self.g[0] - y2 * self.x[0] / (1.0 + y2 * self.n[0]), 0.0)
+        q2 = np.maximum(self.g[1] - y1 * self.x[1] / (1.0 + y1 * self.n[1]), 0.0)
+        return (
+            (self.mu[0] * np.log1p(x1 * q1) + self.mu[1] * np.log1p(x2 * q2)) / _LN2
+            - self.lam[0] * y1
+            - self.lam[1] * y2
+        )
+
+    def solo(self, k: int, p):
+        """Interference-free objective of user ``k`` (0-based): concave in
+        ``p``, and an upper bound on that user's share of the objective."""
+        return self.mu[k] * np.log1p(p * self.g[k]) / _LN2 - self.lam[k] * p
+
+    def bounds(self, lo, hi):
+        """Upper bound and lower-corner value on boxes ``lo, hi`` of shape
+        ``(N, 2)``.  The upper bound is the smaller of the mixed-monotonic
+        bound and the envelope maximized over the box, which is tight where
+        cross links are weak; both shrink to the objective on a point."""
+        upper = self.value(hi[:, 0], hi[:, 1], lo[:, 0], lo[:, 1])
+        envelope = sum(
+            self.solo(k, np.clip(self.peak[k], lo[:, k], hi[:, k])) for k in (0, 1)
+        )
+        corner = self.value(lo[:, 0], lo[:, 1], lo[:, 0], lo[:, 1])
+        return np.minimum(upper, envelope), corner
 
 
 def mm_objective(ch: SimoChannel, x, y, dv: DualVariables) -> float:
@@ -153,16 +174,14 @@ def mm_objective(ch: SimoChannel, x, y, dv: DualVariables) -> float:
     y1, y2 = float(y[0]), float(y[1])
     if min(x1, x2, y1, y2) < 0:
         raise ValidationError("power arguments must be nonnegative")
-    return _InnerProblem(ch, dv).value(x1, x2, y1, y2)
+    return float(_InnerProblem(ch, dv).value(x1, x2, y1, y2))
 
 
 def box_bounds(ch: SimoChannel, b: Box, dv: DualVariables) -> tuple[float, float]:
     """Upper and lower bounds on the boxed inner maximum; tight as the box
     shrinks to a point."""
-    prob = _InnerProblem(ch, dv)
-    u = prob.value(b.hi[0], b.hi[1], b.lo[0], b.lo[1])
-    low = prob.value(b.lo[0], b.lo[1], b.lo[0], b.lo[1])
-    return u, low
+    upper, corner = _InnerProblem(ch, dv).bounds(np.array([b.lo]), np.array([b.hi]))
+    return float(upper[0]), float(corner[0])
 
 
 def branch_box(b: Box) -> tuple[Box, Box]:
@@ -179,27 +198,15 @@ def branch_box(b: Box) -> tuple[Box, Box]:
     return Box(b.lo, tuple(hi1)), Box(tuple(lo2), b.hi)
 
 
-def _box_edge(prob: _InnerProblem, k: int, lam: float, mu: float) -> float:
+def _box_edge(prob: _InnerProblem, k: int) -> float:
     """Smallest power beyond which the interference-free objective of user
-    ``k`` plus the other user's best case cannot be positive."""
-    g = prob.g[k]
-
-    def f_hat(p: float, kk: int) -> float:
-        mus = (prob.dv.mu1, prob.dv.mu2)[kk]
-        lams = (prob.dv.lam1, prob.dv.lam2)[kk]
-        return mus * math.log2(1.0 + p * prob.g[kk]) - lams * p
-
+    ``k`` (0-based) plus the other user's best case cannot be positive."""
     j = 1 - k
-    pj_peak = max(
-        (prob.dv.mu1, prob.dv.mu2)[j] / ((prob.dv.lam1, prob.dv.lam2)[j] * _LN2)
-        - 1.0 / prob.g[j],
-        0.0,
-    )
-    f_max_j = f_hat(pj_peak, j)
-    pk_peak = max(mu / (lam * _LN2) - 1.0 / g, 0.0)
+    f_max_j = prob.solo(j, prob.peak[j])
+    pk_peak = prob.peak[k]
 
     def h(p: float) -> float:
-        return f_hat(p, k) + f_max_j
+        return prob.solo(k, p) + f_max_j
 
     if h(pk_peak) <= 0.0:
         return pk_peak
@@ -220,145 +227,73 @@ def init_box(ch: SimoChannel, dv: DualVariables) -> Box:
     envelope of the objective is nonpositive while the origin achieves 0.
     """
     prob = _InnerProblem(ch, dv)
-    p0 = (
-        _box_edge(prob, 0, dv.lam1, dv.mu1),
-        _box_edge(prob, 1, dv.lam2, dv.mu2),
-    )
-    b = Box((0.0, 0.0), p0)
+    b = Box((0.0, 0.0), (_box_edge(prob, 0), _box_edge(prob, 1)))
     b.U, b.L = box_bounds(ch, b, dv)
     return b
 
 
 def _branch_and_bound(ch: SimoChannel, dv: DualVariables, eps: float,
-                      max_boxes: int, batch: int = 256):
+                      max_boxes: int):
     """Shared engine: returns ``(p, L, U_cert, resolved)`` where ``U_cert``
     upper-bounds the true inner maximum even if the budget ran out.
 
-    Boxes are processed best-upper-bound-first in deterministic batches so
-    the bound arithmetic vectorizes; children whose upper bound cannot beat
-    the incumbent by more than ``eps`` are pruned, which keeps the returned
-    value within ``eps`` of the global maximum.
+    The frontier of live boxes is held in arrays, and each round splits all
+    of it at once: every box whose upper bound beats the incumbent by more
+    than ``eps`` is halved on its longest edge, the children's corner and
+    centre values sharpen the incumbent, and children that cannot beat it
+    by more than ``eps`` are pruned, which keeps the returned value within
+    ``eps`` of the global maximum.  ``max_boxes`` caps the number of kept
+    children; past it the engine stops with ``resolved=False`` and the
+    largest live upper bound as the certificate.
     """
     prob = _InnerProblem(ch, dv)
-    g1, x1, n1 = prob.g[0], prob.x[0], prob.n[0]
-    g2, x2, n2 = prob.g[1], prob.x[1], prob.n[1]
-    mu1, mu2, lam1, lam2 = dv.mu1, dv.mu2, dv.lam1, dv.lam2
-    inv_ln2 = 1.0 / _LN2
-
-    def values(xa, xb, ya, yb):
-        # F evaluated elementwise on arrays: x = signal powers, y = penalized
-        qa = g1 - yb * x1 / (1.0 + yb * n1)
-        qb = g2 - ya * x2 / (1.0 + ya * n2)
-        np.clip(qa, 0.0, None, out=qa)
-        np.clip(qb, 0.0, None, out=qb)
-        return (
-            mu1 * inv_ln2 * np.log1p(xa * qa)
-            + mu2 * inv_ln2 * np.log1p(xb * qb)
-            - lam1 * ya
-            - lam2 * yb
+    # The root is init_box's box, capped: any maximizer also satisfies
+    # mu_k * (own-rate marginal) >= lam_k because the cross term only
+    # decreases the objective, and the marginal is at most 1/(p ln 2);
+    # intersecting with that cap keeps the search box from exploding when
+    # a multiplier sits near its floor.
+    cap = [p + 1.0 / g if g > 0 else 0.0 for p, g in zip(prob.peak, prob.g)]
+    lo = np.zeros((1, 2))
+    hi = np.minimum([_box_edge(prob, 0), _box_edge(prob, 1)], cap)[None, :]
+    upper, corner = prob.bounds(lo, hi)
+    root_u = float(upper[0])
+    best_l = float(corner[0])
+    best_p = (0.0, 0.0)
+    kept = 1
+    while True:
+        live = (upper > best_l + eps) & (
+            # a box that is numerically a point has only roundoff left
+            (hi - lo).max(axis=1) > 1e-14 * (1.0 + hi.max(axis=1))
         )
-
-    peak1 = max(mu1 / (lam1 * _LN2) - 1.0 / g1, 0.0) if g1 > 0 else 0.0
-    peak2 = max(mu2 / (lam2 * _LN2) - 1.0 / g2, 0.0) if g2 > 0 else 0.0
-
-    def envelope(lo_arr, hi_arr):
-        # interference-free concave envelope maximized per box; a second
-        # valid upper bound that is tight where cross links are weak
-        p1 = np.clip(peak1, lo_arr[:, 0], hi_arr[:, 0])
-        p2 = np.clip(peak2, lo_arr[:, 1], hi_arr[:, 1])
-        return (
-            mu1 * inv_ln2 * np.log1p(p1 * g1)
-            - lam1 * p1
-            + mu2 * inv_ln2 * np.log1p(p2 * g2)
-            - lam2 * p2
-        )
-
-    root = init_box(ch, dv)
-    # Any maximizer satisfies mu_k * (own-rate marginal) >= lam_k because
-    # the cross term only decreases the objective, and the marginal is at
-    # most 1/(p ln 2); intersecting with that cap keeps the search box from
-    # exploding when a multiplier sits near its floor.
-    root.hi = (min(root.hi[0], peak1 + 1.0 / g1 if g1 > 0 else 0.0),
-               min(root.hi[1], peak2 + 1.0 / g2 if g2 > 0 else 0.0))
-    root.U, root.L = box_bounds(ch, root, dv)
-    root.U = min(
-        root.U,
-        float(
-            envelope(
-                np.array([[root.lo[0], root.lo[1]]]),
-                np.array([[root.hi[0], root.hi[1]]]),
-            )[0]
-        ),
-    )
-    best_l = root.L
-    best_p = np.array(root.lo)
-    # heap entries: (-U, counter, lo1, lo2, hi1, hi2)
-    heap = [(-root.U, 0, root.lo[0], root.lo[1], root.hi[0], root.hi[1])]
-    counter = 1
-    resolved = True
-    u_cert = root.U
-    while heap:
-        top_u = -heap[0][0]
-        if top_u - best_l <= eps:
-            u_cert = min(u_cert, max(top_u, best_l + eps))
-            break
-        batch_boxes = []
-        while heap and len(batch_boxes) < batch:
-            neg_u, _, lo1, lo2, hi1, hi2 = heapq.heappop(heap)
-            if -neg_u - best_l <= eps:
-                break  # heap is U-sorted: everything below is converged too
-            if max(hi1 - lo1, hi2 - lo2) <= 1e-14 * (1.0 + max(hi1, hi2)):
-                continue  # numerically a point; bound gap is roundoff
-            batch_boxes.append((lo1, lo2, hi1, hi2))
-        if not batch_boxes:
-            continue
-        b = np.asarray(batch_boxes)
-        lo, hi = b[:, :2], b[:, 2:]
-        widths = hi - lo
-        axis = (widths[:, 1] > widths[:, 0]).astype(int)
-        mid = 0.5 * (lo[np.arange(len(b)), axis] + hi[np.arange(len(b)), axis])
-        lo_a, hi_a = lo.copy(), hi.copy()
-        hi_a[np.arange(len(b)), axis] = mid  # lower child
-        lo_b, hi_b = lo.copy(), hi.copy()
-        lo_b[np.arange(len(b)), axis] = mid  # upper child
-        clo = np.vstack([lo_a, lo_b])
-        chi = np.vstack([hi_a, hi_b])
-        cu = values(chi[:, 0], chi[:, 1], clo[:, 0], clo[:, 1])
-        np.minimum(cu, envelope(clo, chi), out=cu)
-        cl = values(clo[:, 0], clo[:, 1], clo[:, 0], clo[:, 1])
-        imax = int(np.argmax(cl))
-        if cl[imax] > best_l:
-            best_l = float(cl[imax])
-            best_p = clo[imax].copy()
-        # box centers are feasible too; evaluating them sharpens the
+        if not live.any():
+            return best_p, best_l, min(root_u, best_l + eps), True
+        lo, hi = lo[live], hi[live]
+        rows = np.arange(len(lo))
+        axis = ((hi[:, 1] - lo[:, 1]) > (hi[:, 0] - lo[:, 0])).astype(np.intp)
+        mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
+        lo = np.concatenate([lo, lo])
+        hi = np.concatenate([hi, hi])
+        hi[rows, axis] = mid  # lower children first
+        lo[rows + len(rows), axis] = mid
+        upper, corner = prob.bounds(lo, hi)
+        # box centres are feasible too; evaluating them sharpens the
         # incumbent faster than corner values alone
-        cmid = 0.5 * (clo + chi)
-        cm = values(cmid[:, 0], cmid[:, 1], cmid[:, 0], cmid[:, 1])
-        imax = int(np.argmax(cm))
-        if cm[imax] > best_l:
-            best_l = float(cm[imax])
-            best_p = cmid[imax].copy()
-        for i in range(len(cu)):
-            if cu[i] > best_l + eps:
-                heapq.heappush(
-                    heap,
-                    (-float(cu[i]), counter, clo[i, 0], clo[i, 1],
-                     chi[i, 0], chi[i, 1]),
-                )
-                counter += 1
-        if counter > max_boxes:
-            live = max((-h[0] for h in heap), default=best_l)
-            u_cert = max(live, best_l + eps)
-            resolved = False
-            break
-    else:
-        u_cert = best_l + eps
-    return (
-        (float(best_p[0]), float(best_p[1])),
-        float(best_l),
-        float(u_cert),
-        resolved,
-    )
+        centre = 0.5 * (lo + hi)
+        for vals, pts in (
+            (corner, lo),
+            (prob.value(centre[:, 0], centre[:, 1], centre[:, 0], centre[:, 1]),
+             centre),
+        ):
+            i = int(np.argmax(vals))
+            if vals[i] > best_l:
+                best_l = float(vals[i])
+                best_p = (float(pts[i, 0]), float(pts[i, 1]))
+        keep = upper > best_l + eps
+        lo, hi, upper = lo[keep], hi[keep], upper[keep]
+        kept += len(upper)
+        if kept > max_boxes:
+            u_cert = max(float(upper.max(initial=best_l)), best_l + eps)
+            return best_p, best_l, u_cert, False
 
 
 def solve_inner(
@@ -367,8 +302,9 @@ def solve_inner(
     """Branch-and-bound maximization of the penalized proper sum rate.
 
     Returns a power vector and a value within ``eps`` of the global
-    maximum.  Boxes are explored best-upper-bound-first; a box list blowup
-    beyond the memory cap raises with the best bounds found so far.
+    maximum.  The whole frontier of live boxes is split each round; if the
+    kept boxes exceed the memory cap, this raises with the best bounds
+    found so far.
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")

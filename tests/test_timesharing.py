@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tinregion import (
     Box,
+    ConvergenceError,
     DualVariables,
     RateProfile,
     ValidationError,
@@ -16,8 +19,10 @@ from tinregion import (
     primal_recovery,
     rate_proper,
     solve_inner,
+    sweep_region,
 )
-from tinregion.timesharing import LAMBDA_FLOOR
+from tinregion import timesharing
+from tinregion.timesharing import LAMBDA_FLOOR, _branch_and_bound
 
 
 def _grid_oracle(ch, dv, width=None):
@@ -195,6 +200,29 @@ class TestSolveInner:
             assert abs(val - oracle) <= 1e-3
 
 
+class TestEngine:
+    @pytest.mark.parametrize("max_boxes", [10, 100, 1000])
+    def test_exhausted_budget_still_certifies(self, fig1, max_boxes):
+        dv = DualVariables(1.0, 1.0, 0.05, 0.05)
+        p, low, u_cert, resolved = _branch_and_bound(fig1, dv, 1e-4, max_boxes)
+        assert not resolved
+        assert abs(mm_objective(fig1, p, p, dv) - low) <= 1e-12
+        oracle = _grid_oracle(fig1, dv)
+        assert low <= oracle + 1e-3  # the oracle is accurate to 1e-3
+        assert oracle <= u_cert
+
+    def test_solve_inner_raises_past_the_cap(self, fig1, monkeypatch):
+        monkeypatch.setattr(timesharing, "_MAX_BOXES", 100)
+        with pytest.raises(ConvergenceError):
+            solve_inner(fig1, DualVariables(1.0, 1.0, 0.05, 0.05), eps=1e-4)
+
+    @pytest.mark.parametrize("max_boxes", [100, 400_000])
+    def test_deterministic(self, fig1, max_boxes):
+        dv = DualVariables(0.7, 1.3, 0.04, 0.2)
+        first = _branch_and_bound(fig1, dv, 1e-4, max_boxes)
+        assert _branch_and_bound(fig1, dv, 1e-4, max_boxes) == first
+
+
 class TestDualValue:
     def test_weak_duality(self, fig1):
         prof = RateProfile(0.5, 0.5)
@@ -281,3 +309,18 @@ class TestPrimalRecovery:
             assert abs(sum(t for t, _, _ in sol.entries) - 1.0) <= 1e-9
             p1, p2 = sol.average_powers()
             assert p1 <= ch.p1 + 1e-6 and p2 <= ch.p2 + 1e-6
+
+
+class TestZeroDirectLink:
+    # A dead direct link leaves its user at rate 0: a balanced profile
+    # collapses to the origin and only the other user's corner
+    # log2(1 + P |h_kk|^2) survives.
+    @pytest.mark.parametrize("dead, beta, want", [
+        ("h22", 0.5, (0.0, 0.0)), ("h22", 1.0, (4.22659234751577, 0.0)),
+        ("h11", 0.5, (0.0, 0.0)), ("h11", 0.0, (0.0, 4.77542888580219)),
+    ])
+    def test_timesharing_sweep(self, fig1, dead, beta, want):
+        ch = replace(fig1, **{dead: np.zeros_like(getattr(fig1, dead))})
+        curve = sweep_region(ch, "proper-timesharing", [beta], eps=1e-2)
+        got = curve.samples[0][1]
+        assert abs(got.r1 - want[0]) <= 1e-2 and abs(got.r2 - want[1]) <= 1e-2
