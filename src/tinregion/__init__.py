@@ -51,16 +51,11 @@ from .region import (
     sweep_region,
 )
 from .timesharing import (
-    Box,
     Cut,
     DualVariables,
     TimeSharingSolution,
-    box_bounds,
-    branch_box,
     cutting_plane,
     dual_value,
-    init_box,
-    mm_objective,
     primal_recovery,
     solve_inner,
 )
@@ -75,7 +70,6 @@ __all__ = [
     "RateProfile",
     "BalanceResult",
     "DualVariables",
-    "Box",
     "Cut",
     "TimeSharingSolution",
     "GpResult",
@@ -101,10 +95,6 @@ __all__ = [
     "dominant_eigenpair",
     "gamma_of_R",
     "balance_pure_proper",
-    "mm_objective",
-    "box_bounds",
-    "branch_box",
-    "init_box",
     "solve_inner",
     "dual_value",
     "cutting_plane",

@@ -8,14 +8,12 @@ Subcommands:
   the published reference values.
 
 Exit codes: 0 success, 1 tolerance/check failure, 2 usage or IO error.
-``TINREGION_THREADS`` caps sweep parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -44,6 +42,7 @@ from .region import (
     PRESETS,
     contains,
     convex_hull_2d,
+    curve_to_csv_rows,
     curve_to_dict,
     preset_scenario,
     sweep_region,
@@ -60,14 +59,6 @@ _METHOD_ALIASES = {
     "hull": "convex-hull",
     "convex-hull": "convex-hull",
 }
-
-
-def _threads() -> int:
-    raw = os.environ.get("TINREGION_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _resolve_scenario(name: str, seed: int) -> SimoChannel:
@@ -122,7 +113,7 @@ def cmd_region(args) -> int:
         curves.append(
             sweep_region(
                 ch, method, betas, eps=args.eps, seed=args.seed,
-                n_starts=args.starts, threads=_threads(),
+                n_starts=args.starts,
             )
         )
     elapsed = time.perf_counter() - t0
@@ -132,12 +123,9 @@ def cmd_region(args) -> int:
         if len(curves) == 1:
             write_curve(out, curves[0], fmt=args.format)
         elif args.format == "csv":
-            rows = ["method,beta,r1,r2"]
-            for c in curves:
-                rows.extend(
-                    f"{c.method},{b:.12g},{p.r1:.12g},{p.r2:.12g}"
-                    for b, p in c.samples
-                )
+            rows = curve_to_csv_rows(curves[0])
+            for c in curves[1:]:
+                rows.extend(curve_to_csv_rows(c)[1:])  # one header only
             out.write_text("\n".join(rows) + "\n", encoding="utf-8")
         else:
             out.write_text(
@@ -303,14 +291,12 @@ def cmd_reproduce(args) -> int:
     outdir = Path(args.out) if args.out else Path(f"reproduce_{name}")
     outdir.mkdir(parents=True, exist_ok=True)
     grid = list(np.linspace(0.0, 1.0, args.betas))
-    threads = _threads()
 
     curves = {}
     for method in METHODS:
         eps = 2e-2 if method == "proper-timesharing" else 1e-6
         curves[method] = sweep_region(
-            ch, method, grid, eps=eps, seed=args.seed,
-            n_starts=args.starts, threads=threads,
+            ch, method, grid, eps=eps, seed=args.seed, n_starts=args.starts
         )
         write_curve(outdir / f"{method}.csv", curves[method], fmt="csv")
 

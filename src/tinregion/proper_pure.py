@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import SimoChannel, validate_channel
 from .errors import ConvergenceError, ValidationError
-from .rates import RatePoint, mmse_filter, rate_proper
+from .rates import RatePoint, _proper_gains, mmse_filter, rate_proper
 
 __all__ = [
     "RateProfile",
@@ -124,8 +124,7 @@ def _single_user_gamma(ch: SimoChannel, k: int, target: float):
     """Feasibility margin when only user ``k`` has a nonzero rate target."""
     if target <= 0.0:
         return GAMMA_CAP, (0.0, 0.0)
-    gain = float(np.linalg.norm(ch.direct(k)) ** 2)
-    gamma = ch.power(k) * gain / target
+    gamma = ch.power(k) * _proper_gains(ch)[0][k - 1] / target
     powers = (ch.power(1), 0.0) if k == 1 else (0.0, ch.power(2))
     return gamma, powers
 
@@ -182,19 +181,15 @@ def gamma_of_R(
     return gamma
 
 
-def _upper_bracket(ch: SimoChannel) -> float:
-    g1 = float(np.linalg.norm(ch.h11) ** 2)
-    g2 = float(np.linalg.norm(ch.h22) ** 2)
-    return np.log2(1.0 + ch.p1 * g1) + np.log2(1.0 + ch.p2 * g2)
-
-
 def balance_pure_proper(
     ch: SimoChannel, profile: RateProfile, eps: float = 1e-8
 ) -> BalanceResult:
     """Solve the rate balancing problem by bisection on the scaling ``R``.
 
     Returns the feasible endpoint of the final bracket, so the reported
-    powers achieve rates of at least ``rho_k * R - eps``.
+    powers achieve rates of at least ``rho_k * R - eps``.  If a user with a
+    positive weight can reach no rate (a dead direct link or a zero power
+    budget), the balanced point is ``R = 0`` at zero powers.
     """
     validate_channel(ch)
     if eps <= 0:
@@ -203,15 +198,16 @@ def balance_pure_proper(
     # Degenerate single-user profiles skip the bisection entirely.
     if profile.rho2 == 0.0 or profile.rho1 == 0.0:
         k = 1 if profile.rho2 == 0.0 else 2
-        gain = float(np.linalg.norm(ch.direct(k)) ** 2)
-        r = float(np.log2(1.0 + ch.power(k) * gain))
         powers = (ch.p1, 0.0) if k == 1 else (0.0, ch.p2)
-        return BalanceResult(
-            R=r, p1=powers[0], p2=powers[1], rates=rate_proper(ch, *powers)
-        )
+        rates = rate_proper(ch, *powers)
+        return BalanceResult(R=rates[k - 1], p1=powers[0], p2=powers[1], rates=rates)
+    g, _, _ = _proper_gains(ch)
+    if ch.p1 * g[0] == 0.0 or ch.p2 * g[1] == 0.0:
+        return BalanceResult(R=0.0, p1=0.0, p2=0.0, rates=RatePoint(0.0, 0.0))
 
-    lo, hi = 0.0, _upper_bracket(ch)
-    # The bracket top is infeasible by construction; widen defensively anyway.
+    # The bracket top, the sum of the interference-free single-user rates, is
+    # infeasible by construction; widen defensively anyway.
+    lo, hi = 0.0, np.log2(1.0 + ch.p1 * g[0]) + np.log2(1.0 + ch.p2 * g[1])
     for _ in range(4):
         if gamma_of_R(ch, profile, hi) < 1.0:
             break

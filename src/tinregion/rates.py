@@ -3,6 +3,11 @@ special case, filter-SINR form, and the enhanced-channel upper bound.
 
 All rates are in bits per channel use.  Each receiver treats the other
 user's signal as additional Gaussian noise.
+
+With proper inputs and MMSE receivers the rate has a closed form for any
+number of receive antennas, ``r_k = log2(1 + p_k q_k(p_j))``.  Its one copy,
+:func:`_proper_gains` and :func:`_reduced_gain`, also serves the
+time-sharing inner problem and the single-user shortcuts of pure balancing.
 """
 
 from __future__ import annotations
@@ -47,6 +52,25 @@ def _clip_rate(r: float) -> float:
             raise TinRegionError(f"rate evaluation produced negative value {r}")
         return 0.0
     return float(r)
+
+
+def _proper_gains(ch: SimoChannel):
+    """Per-user gains ``(g, x, n)`` of the closed-form proper rate, each a
+    pair indexed by user (0-based): ``g_k = |h_kk|^2``,
+    ``x_k = |h_kj^H h_kk|^2`` and ``n_k = |h_kj|^2``."""
+    links = ((ch.h11, ch.h12), (ch.h22, ch.h21))  # (h_kk, h_kj) per user
+    g = tuple(float(np.linalg.norm(hkk) ** 2) for hkk, _ in links)
+    x = tuple(float(abs(np.vdot(hkj, hkk)) ** 2) for hkk, hkj in links)
+    n = tuple(float(np.linalg.norm(hkj) ** 2) for _, hkj in links)
+    return g, x, n
+
+
+def _reduced_gain(g, x, n, p_j):
+    """MMSE gain ``q_k(p_j) = g_k - p_j x_k / (1 + p_j n_k)`` of a user under
+    interferer power ``p_j``, elementwise on arrays.  By the rank-one identity
+    it equals ``h_kk^H (I + p_j h_kj h_kj^H)^{-1} h_kk``, which is
+    nonnegative; the clamp only removes roundoff."""
+    return np.maximum(g - p_j * x / (1.0 + p_j * n), 0.0)
 
 
 def _rate_complex_one(hkk, hkj, ck, cj, ctk, ctj) -> float:
@@ -104,8 +128,11 @@ def rate_composite(ch: SimoChannel, m1, m2) -> RatePoint:
 
 def rate_proper(ch: SimoChannel, p1: float, p2: float) -> RatePoint:
     """Rate pair for proper signaling with transmit powers ``(p1, p2)``."""
-    r1 = _rate_complex_one(ch.h11, ch.h12, p1, p2, 0.0, 0.0)
-    r2 = _rate_complex_one(ch.h22, ch.h21, p2, p1, 0.0, 0.0)
+    if not (np.isfinite(p1) and np.isfinite(p2) and p1 >= 0 and p2 >= 0):
+        raise ValidationError(f"powers must be finite and nonnegative, got {p1}, {p2}")
+    g, x, n = _proper_gains(ch)
+    r1 = np.log2(1.0 + p1 * _reduced_gain(g[0], x[0], n[0], p2))
+    r2 = np.log2(1.0 + p2 * _reduced_gain(g[1], x[1], n[1], p1))
     return RatePoint(_clip_rate(r1), _clip_rate(r2))
 
 

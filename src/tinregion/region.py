@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .channel import SimoChannel, load_scenario, validate_channel
@@ -105,7 +104,6 @@ def sweep_region(
     eps: float | None = None,
     seed: int = 0,
     n_starts: int = 20,
-    threads: int = 1,
 ) -> RegionCurve:
     """One solver call per profile weight; results are keyed by beta so the
     outcome does not depend on evaluation order.
@@ -125,8 +123,7 @@ def sweep_region(
         raise ValidationError("betas must lie in [0, 1]")
     if method == "convex-hull":
         pure = sweep_region(
-            ch, "proper-pure", betas, eps=eps, seed=seed,
-            n_starts=n_starts, threads=threads,
+            ch, "proper-pure", betas, eps=eps, seed=seed, n_starts=n_starts
         )
         return convex_hull_2d(pure.points())
     if method not in METHODS:
@@ -145,16 +142,7 @@ def sweep_region(
             samples.append((b, sol.rates))
         return RegionCurve(method=method, samples=tuple(samples))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pts = list(
-                pool.map(
-                    lambda b: _solve_beta(ch, method, b, eps, seed, n_starts), betas
-                )
-            )
-    else:
-        pts = [_solve_beta(ch, method, b, eps, seed, n_starts) for b in betas]
-    samples = tuple((b, p) for b, p in zip(betas, pts))
+    samples = tuple((b, _solve_beta(ch, method, b, eps, seed, n_starts)) for b in betas)
     return RegionCurve(method=method, samples=samples)
 
 

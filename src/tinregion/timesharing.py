@@ -5,14 +5,17 @@ has zero duality gap, so it is solved through its Lagrangian dual: the
 outer minimization over multipliers runs a cutting-plane method, and each
 inner maximization is a mixed-monotonic program solved to global optimality
 by branch-and-bound over power boxes, with the frontier held in arrays and
-split whole each round.  A restricted primal LP over the collected inner
-maximizers recovers an explicit mixture of at most four strategies.
+split whole each round.  The inner problem is the mixed-monotonic program
+of Matthiesen, Hellings, Jorswieck and Utschick (IEEE TSP 2020); its
+objective is the closed-form proper rate of :mod:`tinregion.rates`.  A
+restricted primal LP over the collected inner maximizers recovers an
+explicit mixture of at most four strategies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, linprog
@@ -20,16 +23,11 @@ from scipy.optimize import brentq, linprog
 from .channel import SimoChannel, validate_channel
 from .errors import ConvergenceError, ValidationError
 from .proper_pure import RateProfile
-from .rates import RatePoint, rate_proper
+from .rates import RatePoint, _proper_gains, _reduced_gain, rate_proper
 
 __all__ = [
     "DualVariables",
-    "Box",
     "TimeSharingSolution",
-    "mm_objective",
-    "box_bounds",
-    "branch_box",
-    "init_box",
     "solve_inner",
     "dual_value",
     "cutting_plane",
@@ -60,17 +58,12 @@ class DualVariables:
             raise ValidationError("power multipliers must be >= the lambda floor")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Box:
-    """Axis-aligned power box with cached objective bounds."""
+    """Axis-aligned power box."""
 
     lo: tuple[float, float]
     hi: tuple[float, float]
-    U: float = field(default=math.inf)
-    L: float = field(default=-math.inf)
-
-    def widths(self) -> tuple[float, float]:
-        return (self.hi[0] - self.lo[0], self.hi[1] - self.lo[1])
 
 
 @dataclass(frozen=True)
@@ -107,26 +100,14 @@ class Cut:
 class _InnerProblem:
     """The mixed-monotonic objective and its interference-free envelope.
 
-    Uses the rank-one identity
-    ``h_kk^H (I + t h_kj h_kj^H)^{-1} h_kk = g_kk - t |h_kj^H h_kk|^2 / (1 + t |h_kj|^2)``
-    so an evaluation costs a handful of array operations.  Every method
-    works elementwise on scalars and arrays alike; the engine and the public
-    helpers share them.
+    The objective is the weighted closed-form proper rate of
+    :mod:`tinregion.rates` minus the power penalty, so an evaluation costs a
+    handful of array operations.  Every method works elementwise on scalars
+    and arrays alike.
     """
 
     def __init__(self, ch: SimoChannel, dv: DualVariables):
-        self.g = (
-            float(np.linalg.norm(ch.h11) ** 2),
-            float(np.linalg.norm(ch.h22) ** 2),
-        )
-        self.x = (
-            float(abs(np.vdot(ch.h12, ch.h11)) ** 2),
-            float(abs(np.vdot(ch.h21, ch.h22)) ** 2),
-        )
-        self.n = (
-            float(np.linalg.norm(ch.h12) ** 2),
-            float(np.linalg.norm(ch.h21) ** 2),
-        )
+        self.g, self.x, self.n = _proper_gains(ch)
         self.mu = (dv.mu1, dv.mu2)
         self.lam = (dv.lam1, dv.lam2)
         # maximizer of each user's interference-free objective; a dead direct
@@ -137,9 +118,11 @@ class _InnerProblem:
         )
 
     def value(self, x1, x2, y1, y2):
-        """Objective with signal powers ``x`` and penalized powers ``y``."""
-        q1 = np.maximum(self.g[0] - y2 * self.x[0] / (1.0 + y2 * self.n[0]), 0.0)
-        q2 = np.maximum(self.g[1] - y1 * self.x[1] / (1.0 + y1 * self.n[1]), 0.0)
+        """Objective with signal powers ``x`` and penalized powers ``y``:
+        nondecreasing in ``x``, nonincreasing in ``y``, and on the diagonal
+        ``x == y`` the weighted proper sum rate minus the power penalty."""
+        q1 = _reduced_gain(self.g[0], self.x[0], self.n[0], y2)
+        q2 = _reduced_gain(self.g[1], self.x[1], self.n[1], y1)
         return (
             (self.mu[0] * np.log1p(x1 * q1) + self.mu[1] * np.log1p(x2 * q2)) / _LN2
             - self.lam[0] * y1
@@ -164,72 +147,50 @@ class _InnerProblem:
         return np.minimum(upper, envelope), corner
 
 
-def mm_objective(ch: SimoChannel, x, y, dv: DualVariables) -> float:
-    """Mixed-monotonic surrogate: nondecreasing in ``x``, nonincreasing in ``y``.
+def _root_corner(prob: _InnerProblem) -> tuple[float, float]:
+    """Upper corner of a box holding the global maximizer of the inner
+    problem: beyond edge ``k``, user ``k``'s concave interference-free
+    objective plus the other user's best case is negative, while the origin
+    achieves 0."""
+    corner = []
+    for k in (0, 1):
+        f_max_j = prob.solo(1 - k, prob.peak[1 - k])
+        pk_peak = prob.peak[k]
 
-    On the diagonal ``x == y`` it equals the weighted proper sum rate minus
-    the power penalty.
-    """
-    x1, x2 = float(x[0]), float(x[1])
-    y1, y2 = float(y[0]), float(y[1])
-    if min(x1, x2, y1, y2) < 0:
-        raise ValidationError("power arguments must be nonnegative")
-    return float(_InnerProblem(ch, dv).value(x1, x2, y1, y2))
+        def h(p: float) -> float:
+            return prob.solo(k, p) + f_max_j
 
-
-def box_bounds(ch: SimoChannel, b: Box, dv: DualVariables) -> tuple[float, float]:
-    """Upper and lower bounds on the boxed inner maximum; tight as the box
-    shrinks to a point."""
-    upper, corner = _InnerProblem(ch, dv).bounds(np.array([b.lo]), np.array([b.hi]))
-    return float(upper[0]), float(corner[0])
-
-
-def branch_box(b: Box) -> tuple[Box, Box]:
-    """Split a box at the midpoint of its longest edge (ties: first axis)."""
-    w = b.widths()
-    if max(w) <= 0.0:
-        raise ValidationError("cannot branch a degenerate box")
-    k = 0 if w[0] >= w[1] else 1
-    mid = 0.5 * (b.lo[k] + b.hi[k])
-    hi1 = list(b.hi)
-    hi1[k] = mid
-    lo2 = list(b.lo)
-    lo2[k] = mid
-    return Box(b.lo, tuple(hi1)), Box(tuple(lo2), b.hi)
-
-
-def _box_edge(prob: _InnerProblem, k: int) -> float:
-    """Smallest power beyond which the interference-free objective of user
-    ``k`` (0-based) plus the other user's best case cannot be positive."""
-    j = 1 - k
-    f_max_j = prob.solo(j, prob.peak[j])
-    pk_peak = prob.peak[k]
-
-    def h(p: float) -> float:
-        return prob.solo(k, p) + f_max_j
-
-    if h(pk_peak) <= 0.0:
-        return pk_peak
-    hi = max(pk_peak, 1.0)
-    for _ in range(200):
-        hi *= 2.0
-        if h(hi) < 0.0:
-            break
-    else:
-        raise ConvergenceError("could not bracket the box-sizing root")
-    return float(brentq(h, pk_peak, hi, xtol=1e-9, rtol=1e-12))
+        if h(pk_peak) <= 0.0:
+            corner.append(pk_peak)
+            continue
+        hi = max(pk_peak, 1.0)
+        for _ in range(200):
+            hi *= 2.0
+            if h(hi) < 0.0:
+                break
+        else:
+            raise ConvergenceError("could not bracket the box-sizing root")
+        corner.append(float(brentq(h, pk_peak, hi, xtol=1e-9, rtol=1e-12)))
+    return corner[0], corner[1]
 
 
 def init_box(ch: SimoChannel, dv: DualVariables) -> Box:
-    """Box guaranteed to contain the global maximizer of the inner problem.
+    """Box guaranteed to contain the global maximizer of the inner problem."""
+    return Box((0.0, 0.0), _root_corner(_InnerProblem(ch, dv)))
 
-    Beyond the returned corner, the concave interference-free upper
-    envelope of the objective is nonpositive while the origin achieves 0.
-    """
-    prob = _InnerProblem(ch, dv)
-    b = Box((0.0, 0.0), (_box_edge(prob, 0), _box_edge(prob, 1)))
-    b.U, b.L = box_bounds(ch, b, dv)
-    return b
+
+def _split(lo, hi):
+    """Halve boxes ``lo, hi`` of shape ``(N, 2)`` at the midpoint of their
+    longest edge (ties: first axis); returns ``2N`` children, lower halves
+    first."""
+    rows = np.arange(len(lo))
+    axis = ((hi[:, 1] - lo[:, 1]) > (hi[:, 0] - lo[:, 0])).astype(np.intp)
+    mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
+    lo = np.concatenate([lo, lo])
+    hi = np.concatenate([hi, hi])
+    hi[rows, axis] = mid
+    lo[rows + len(rows), axis] = mid
+    return lo, hi
 
 
 def _branch_and_bound(ch: SimoChannel, dv: DualVariables, eps: float,
@@ -254,7 +215,7 @@ def _branch_and_bound(ch: SimoChannel, dv: DualVariables, eps: float,
     # a multiplier sits near its floor.
     cap = [p + 1.0 / g if g > 0 else 0.0 for p, g in zip(prob.peak, prob.g)]
     lo = np.zeros((1, 2))
-    hi = np.minimum([_box_edge(prob, 0), _box_edge(prob, 1)], cap)[None, :]
+    hi = np.minimum(_root_corner(prob), cap)[None, :]
     upper, corner = prob.bounds(lo, hi)
     root_u = float(upper[0])
     best_l = float(corner[0])
@@ -267,14 +228,7 @@ def _branch_and_bound(ch: SimoChannel, dv: DualVariables, eps: float,
         )
         if not live.any():
             return best_p, best_l, min(root_u, best_l + eps), True
-        lo, hi = lo[live], hi[live]
-        rows = np.arange(len(lo))
-        axis = ((hi[:, 1] - lo[:, 1]) > (hi[:, 0] - lo[:, 0])).astype(np.intp)
-        mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
-        lo = np.concatenate([lo, lo])
-        hi = np.concatenate([hi, hi])
-        hi[rows, axis] = mid  # lower children first
-        lo[rows + len(rows), axis] = mid
+        lo, hi = _split(lo[live], hi[live])
         upper, corner = prob.bounds(lo, hi)
         # box centres are feasible too; evaluating them sharpens the
         # incumbent faster than corner values alone
@@ -324,11 +278,9 @@ def dual_value(ch: SimoChannel, dv: DualVariables, eps: float) -> float:
 
 
 def _lambda_max(ch: SimoChannel, profile: RateProfile) -> float:
-    mu_max = []
-    for rho, h in ((profile.rho1, ch.h11), (profile.rho2, ch.h22)):
-        if rho > 0:
-            mu_max.append(float(np.linalg.norm(h) ** 2) / rho)
-    return 10.0 * max(mu_max) / _LN2
+    g, _, _ = _proper_gains(ch)
+    rho = (profile.rho1, profile.rho2)
+    return 10.0 * max(g[k] / rho[k] for k in (0, 1) if rho[k] > 0) / _LN2
 
 
 def cutting_plane(

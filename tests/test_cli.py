@@ -40,6 +40,20 @@ def test_region_hull_method(tmp_path):
     assert all(line.startswith("convex-hull,") for line in lines[1:])
 
 
+def test_region_multi_method_csv(tmp_path):
+    # one header, then each method's rows exactly as its own file has them
+    base = ["region", "--scenario", "fig1", "--betas", "0.2,0.5,0.9"]
+    files = {}
+    for method in ("proper-pure,hull", "proper-pure", "hull"):
+        files[method] = tmp_path / f"{method.replace(',', '+')}.csv"
+        assert main(base + ["--method", method, "--out", str(files[method])]) == 0
+    header = b"method,beta,r1,r2\n"
+    singles = [files[m].read_bytes() for m in ("proper-pure", "hull")]
+    assert all(s.startswith(header) for s in singles)
+    want = header + b"".join(s[len(header):] for s in singles)
+    assert files["proper-pure,hull"].read_bytes() == want
+
+
 def test_region_deterministic_bytes(tmp_path):
     args = [
         "region", "--scenario", "fig3", "--method", "improper",

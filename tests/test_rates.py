@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from tinregion import (
     TxStrategy,
+    ValidationError,
     composite_cov_from_strategy,
     enhance_channel,
     enhanced_upper_bound,
@@ -60,13 +62,27 @@ class TestFormulaEquivalence:
             assert abs(ra.r2 - rb.r2) <= 1e-10
 
     def test_proper_equals_complex(self, fig2):
+        # the closed form against the determinant formula, on fig2 and on
+        # random channels with 1 to 4 receive antennas per user
         rng = np.random.default_rng(12)
-        for _ in range(50):
-            p1, p2 = 10 * rng.uniform(), 10 * rng.uniform()
-            ra = rate_proper(fig2, p1, p2)
-            rb = rate_complex(fig2, TxStrategy(p1, p2))
-            assert abs(ra.r1 - rb.r1) <= 1e-12
-            assert abs(ra.r2 - rb.r2) <= 1e-12
+        channels = [fig2] + [
+            random_channel(rng, n1=rng.integers(1, 5), n2=rng.integers(1, 5))
+            for _ in range(20)
+        ]
+        for ch in channels:
+            for _ in range(50):
+                p1, p2 = 10 * rng.uniform(), 10 * rng.uniform()
+                ra = rate_proper(ch, p1, p2)
+                rb = rate_complex(ch, TxStrategy(p1, p2))
+                assert abs(ra.r1 - rb.r1) <= 1e-12
+                assert abs(ra.r2 - rb.r2) <= 1e-12
+
+    @pytest.mark.parametrize("p1, p2", [
+        (-1.0, 2.0), (2.0, -1e-300), (np.inf, 2.0), (2.0, np.nan),
+    ])
+    def test_proper_rejects_bad_powers(self, fig1, p1, p2):
+        with pytest.raises(ValidationError, match="powers"):
+            rate_proper(fig1, p1, p2)
 
 
 class TestComposite:

@@ -60,12 +60,6 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep_region(fig1, "proper-pure", [1.5])
 
-    def test_threads_match_serial(self, fig1):
-        betas = [0.2, 0.5, 0.8]
-        serial = sweep_region(fig1, "proper-pure", betas, threads=1)
-        threaded = sweep_region(fig1, "proper-pure", betas, threads=3)
-        assert serial.samples == threaded.samples
-
 
 class TestHull:
     def test_collinear_dropped(self):

@@ -4,31 +4,30 @@ import numpy as np
 import pytest
 
 from tinregion import (
-    Box,
     ConvergenceError,
     DualVariables,
     RateProfile,
-    ValidationError,
+    TxStrategy,
     balance_pure_proper,
-    box_bounds,
-    branch_box,
     cutting_plane,
     dual_value,
-    init_box,
-    mm_objective,
     primal_recovery,
-    rate_proper,
+    rate_complex,
     solve_inner,
     sweep_region,
 )
 from tinregion import timesharing
-from tinregion.timesharing import LAMBDA_FLOOR, _branch_and_bound
+from tinregion.timesharing import (
+    LAMBDA_FLOOR,
+    _branch_and_bound,
+    _InnerProblem,
+    _split,
+    init_box,
+)
 
 
 def _grid_oracle(ch, dv, width=None):
     """400x400 grid plus staged refinement of the penalized sum rate."""
-    from tinregion.timesharing import _InnerProblem
-
     prob = _InnerProblem(ch, dv)
     if width is None:
         root = init_box(ch, dv)
@@ -58,76 +57,97 @@ def _grid_oracle(ch, dv, width=None):
 
 
 class TestMmObjective:
+    # the mixed-monotonic objective of the inner problem, _InnerProblem.value
     def test_zero(self, fig1):
-        dv = DualVariables(1.0, 1.0, 0.1, 0.1)
-        assert mm_objective(fig1, (0, 0), (0, 0), dv) == 0.0
+        prob = _InnerProblem(fig1, DualVariables(1.0, 1.0, 0.1, 0.1))
+        assert prob.value(0.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_no_interference_no_penalty(self, fig1):
-        dv = DualVariables(1.0, 1.0, LAMBDA_FLOOR, LAMBDA_FLOOR)
-        x = (4.0, 7.0)
-        got = mm_objective(fig1, x, (0.0, 0.0), dv)
+        prob = _InnerProblem(fig1, DualVariables(1.0, 1.0, LAMBDA_FLOOR, LAMBDA_FLOOR))
+        got = prob.value(4.0, 7.0, 0.0, 0.0)
         want = np.log2(1 + 4.0 * np.linalg.norm(fig1.h11) ** 2) + np.log2(
             1 + 7.0 * np.linalg.norm(fig1.h22) ** 2
         )
         assert abs(got - want) <= 1e-9
 
     def test_diagonal_matches_penalized_rates(self, fig1):
-        dv = DualVariables(1.0, 1.0, 0.1, 0.1)
-        p = (10.0, 10.0)
-        got = mm_objective(fig1, p, p, dv)
-        r = rate_proper(fig1, *p)
-        want = r.r1 + r.r2 - 0.1 * p[0] - 0.1 * p[1]
-        assert abs(got - want) <= 1e-10
+        # against the determinant formula, which shares no code with it
+        rng = np.random.default_rng(29)
+        powers = [(10.0, 10.0)] + [tuple(rng.uniform(0, 10, 2)) for _ in range(20)]
+        for dv in (
+            DualVariables(1.0, 1.0, 0.1, 0.1), DualVariables(0.6, 1.4, 0.1, 0.3)
+        ):
+            prob = _InnerProblem(fig1, dv)
+            for p in powers:
+                r = rate_complex(fig1, TxStrategy(*p))
+                want = dv.mu1 * r.r1 + dv.mu2 * r.r2 - dv.lam1 * p[0] - dv.lam2 * p[1]
+                assert abs(prob.value(*p, *p) - want) <= 1e-10
 
     def test_monotonicity(self, fig1):
-        dv = DualVariables(1.0, 0.7, 0.05, 0.08)
+        prob = _InnerProblem(fig1, DualVariables(1.0, 0.7, 0.05, 0.08))
         rng = np.random.default_rng(30)
-        for _ in range(50):
-            x = rng.uniform(0, 10, 2)
-            y = rng.uniform(0, 10, 2)
-            dx = rng.uniform(0, 2, 2)
-            up = mm_objective(fig1, x + dx, y, dv)
-            assert up >= mm_objective(fig1, x, y, dv) - 1e-12
-            down = mm_objective(fig1, x, y + dx, dv)
-            assert down <= mm_objective(fig1, x, y, dv) + 1e-12
+        x, y = rng.uniform(0, 10, (2, 2, 200))
+        dx = rng.uniform(0, 2, (2, 200))
+        base = prob.value(*x, *y)
+        # the array form is the scalar form elementwise
+        np.testing.assert_array_equal(
+            [prob.value(*x[:, i], *y[:, i]) for i in range(200)], base
+        )
+        for k in (0, 1):
+            step = np.zeros_like(dx)
+            step[k] = dx[k]
+            assert (prob.value(*(x + step), *y) >= base - 1e-12).all()
+            assert (prob.value(*x, *(y + step)) <= base + 1e-12).all()
 
 
 class TestBoxOps:
+    # _InnerProblem.bounds on the children that _split produces
     def test_singleton_tight(self, fig1):
-        dv = DualVariables(1.0, 1.0, 0.1, 0.1)
-        b = Box((3.0, 4.0), (3.0, 4.0))
-        u, low = box_bounds(fig1, b, dv)
-        assert abs(u - low) <= 1e-12
+        prob = _InnerProblem(fig1, DualVariables(1.0, 1.0, 0.1, 0.1))
+        u, low = prob.bounds(np.array([[3.0, 4.0]]), np.array([[3.0, 4.0]]))
+        assert abs(u[0] - low[0]) <= 1e-12
 
     def test_gap_and_nesting(self, fig1):
-        dv = DualVariables(1.0, 1.0, 0.05, 0.05)
-        parent = Box((0.0, 0.0), (10.0, 10.0))
-        u, low = box_bounds(fig1, parent, dv)
+        prob = _InnerProblem(fig1, DualVariables(1.0, 1.0, 0.05, 0.05))
+        lo, hi = np.array([[0.0, 0.0]]), np.array([[10.0, 10.0]])
+        (u,), (low,) = prob.bounds(lo, hi)
         assert u >= low
-        c1, c2 = branch_box(parent)
-        for child in (c1, c2):
-            cu, _ = box_bounds(fig1, child, dv)
-            assert cu <= u + 1e-12
+        rng = np.random.default_rng(34)
+        for _ in range(4):  # two levels of children, then two more
+            lo, hi = _split(lo, hi)
+            cu, clow = prob.bounds(lo, hi)
+            assert (cu <= u + 1e-12).all() and (clow <= cu).all()
+            for a, b, bound in zip(lo, hi, cu):
+                p = a[:, None] + rng.uniform(0, 1, (2, 50)) * (b - a)[:, None]
+                assert (prob.value(*p, *p) <= bound + 1e-12).all()
 
     def test_branch_longest_edge(self):
-        c1, c2 = branch_box(Box((0.0, 0.0), (4.0, 2.0)))
-        assert c1.lo == (0.0, 0.0) and c1.hi == (2.0, 2.0)
-        assert c2.lo == (2.0, 0.0) and c2.hi == (4.0, 2.0)
+        lo, hi = _split(np.array([[0.0, 0.0], [0.0, 0.0]]),
+                        np.array([[4.0, 2.0], [1.0, 3.0]]))
+        # lower halves first, each box cut across its own longest edge
+        np.testing.assert_array_equal(lo, [[0, 0], [0, 0], [2, 0], [0, 1.5]])
+        np.testing.assert_array_equal(hi, [[2, 2], [1, 1.5], [4, 2], [1, 3]])
 
     def test_branch_tie_breaks_first_axis(self):
-        c1, c2 = branch_box(Box((0.0, 0.0), (2.0, 2.0)))
-        assert c1.hi == (1.0, 2.0) and c2.lo == (1.0, 0.0)
+        lo, hi = _split(np.array([[0.0, 0.0]]), np.array([[2.0, 2.0]]))
+        np.testing.assert_array_equal(hi[0], [1.0, 2.0])
+        np.testing.assert_array_equal(lo[1], [1.0, 0.0])
 
     def test_branch_volumes(self):
-        parent = Box((1.0, 2.0), (5.0, 3.0))
-        c1, c2 = branch_box(parent)
-        vol = lambda b: (b.hi[0] - b.lo[0]) * (b.hi[1] - b.lo[1])
-        assert abs(vol(c1) - vol(parent) / 2) <= 1e-12
-        assert abs(vol(c2) - vol(parent) / 2) <= 1e-12
-
-    def test_branch_degenerate(self):
-        with pytest.raises(ValidationError):
-            branch_box(Box((1.0, 1.0), (1.0, 1.0)))
+        rng = np.random.default_rng(35)
+        plo = rng.uniform(0, 5, (40, 2))
+        phi = plo + rng.uniform(0.1, 5, (40, 2))
+        lo, hi = _split(plo, phi)
+        vol = np.prod(hi - lo, axis=1)
+        np.testing.assert_allclose(vol, np.tile(np.prod(phi - plo, axis=1) / 2, 2),
+                                   rtol=1e-12)
+        # the halves tile the parent: they meet on one edge's midpoint
+        np.testing.assert_array_equal(lo[:40], plo)
+        np.testing.assert_array_equal(hi[40:], phi)
+        moved = hi[:40] != phi
+        np.testing.assert_array_equal(moved, lo[40:] != plo)
+        assert (moved.sum(axis=1) == 1).all()
+        np.testing.assert_array_equal(hi[:40][moved], lo[40:][moved])
 
 
 class TestInitBox:
@@ -174,7 +194,7 @@ class TestInitBox:
                     )
                 )
             )
-            assert fhat >= mm_objective(fig1, p, p, dv) - 1e-10
+            assert fhat >= _InnerProblem(fig1, dv).value(*p, *p) - 1e-10
 
 
 class TestSolveInner:
@@ -206,7 +226,7 @@ class TestEngine:
         dv = DualVariables(1.0, 1.0, 0.05, 0.05)
         p, low, u_cert, resolved = _branch_and_bound(fig1, dv, 1e-4, max_boxes)
         assert not resolved
-        assert abs(mm_objective(fig1, p, p, dv) - low) <= 1e-12
+        assert abs(_InnerProblem(fig1, dv).value(*p, *p) - low) <= 1e-12
         oracle = _grid_oracle(fig1, dv)
         assert low <= oracle + 1e-3  # the oracle is accurate to 1e-3
         assert oracle <= u_cert
@@ -324,3 +344,25 @@ class TestZeroDirectLink:
         curve = sweep_region(ch, "proper-timesharing", [beta], eps=1e-2)
         got = curve.samples[0][1]
         assert abs(got.r1 - want[0]) <= 1e-2 and abs(got.r2 - want[1]) <= 1e-2
+
+
+class TestPureZeroLinkOrBudget:
+    # A user with a positive weight that can reach no rate, through a dead
+    # direct link or a zero budget, pins pure balancing to the origin; the
+    # single-user corners keep the interference-free rate.
+    @pytest.mark.parametrize("zeroed, beta, want", [
+        ("h22", 0.5, (0.0, 0.0)), ("h11", 0.5, (0.0, 0.0)),
+        ("p1", 0.5, (0.0, 0.0)), ("p2", 0.5, (0.0, 0.0)),
+        ("h22", 1.0, (4.226591335969697, 0.0)),
+        ("h11", 0.0, (0.0, 4.775428885802185)),
+    ])
+    def test_pure_balancing(self, fig1, zeroed, beta, want):
+        old = getattr(fig1, zeroed)
+        ch = replace(fig1, **{zeroed: old * 0})
+        res = balance_pure_proper(ch, RateProfile.from_beta(beta))
+        assert abs(res.rates.r1 - want[0]) <= 1e-12
+        assert abs(res.rates.r2 - want[1]) <= 1e-12
+        if want == (0.0, 0.0):
+            assert (res.R, res.p1, res.p2) == (0.0, 0.0, 0.0)
+        ts = sweep_region(ch, "proper-timesharing", [beta], eps=1e-2).samples[0][1]
+        assert res.rates.r1 <= ts.r1 + 1e-2 and res.rates.r2 <= ts.r2 + 1e-2
