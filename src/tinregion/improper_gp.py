@@ -116,9 +116,10 @@ def project_psd_trace(m, p: float) -> np.ndarray:
 
     Water-filling on the eigenvalues: shift all by a common level (possibly
     negative), clip at zero, so the surviving eigenvalues sum to ``p``.
+    A zero target (a zero power budget) clips every eigenvalue to zero.
     """
-    if p <= 0:
-        raise ValidationError("trace target must be positive")
+    if p < 0:
+        raise ValidationError("trace target must be nonnegative")
     arr = np.asarray(m, dtype=float)
     arr = 0.5 * (arr + arr.T)
     xi, omega = np.linalg.eigh(arr)

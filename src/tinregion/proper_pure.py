@@ -2,11 +2,11 @@
 
 For a rate profile ``(rho1, rho2)`` the balancing problem maximizes the
 common scaling ``R`` such that ``r_k >= rho_k * R`` subject to per-user
-power caps.  A bisection over ``R`` reduces it to feasibility checks that
-are solved by alternating MMSE filter updates with a dominant-eigenpair
-computation of a 3x3 nonnegative matrix; one user's power constraint is
-active at the eigen fixed point, and the other user's power is checked for
-admissibility.
+power caps.  A bisection over ``R`` reduces it to feasibility checks, each
+a fixed point of MMSE filter updates and the Perron root of the extended
+3x3 nonnegative coupling matrix (Schubert and Boche), computed directly
+from its eigenvalues.  One user's power constraint is active at the fixed
+point, and the other user's power is checked for admissibility.
 """
 
 from __future__ import annotations
@@ -58,39 +58,34 @@ class BalanceResult:
     rates: RatePoint
 
 
-def dominant_eigenpair(a, tol: float = 1e-12, max_iter: int = 20000):
-    """Dominant eigenpair of a 3x3 entrywise-nonnegative matrix.
+def dominant_eigenpair(a):
+    """Perron root and a nonnegative Perron vector of a 3x3 nonnegative matrix.
 
-    Power iteration with a tiny diagonal shift (breaks ties for reducible
-    matrices such as one-sided channels).  If convergence stalls, the shift
-    is enlarged: for a nonnegative matrix any positive shift keeps the
-    spectral-radius eigenpair dominant while separating it from negative or
-    complex eigenvalues of similar magnitude.  The eigenvector is scaled so
-    its last entry is 1 when that entry is nonzero, otherwise to unit norm.
+    The root is the eigenvalue of largest real part.  ``(mu I - a)^-1`` is
+    entrywise nonnegative for any ``mu`` above it, so two inverse-iteration
+    steps from the all-ones vector at a shift just above the root give a
+    nonnegative eigenvector, also for a repeated root (reducible matrices).
+    It is scaled to last entry 1 when that entry is nonzero, otherwise to
+    unit norm.  The zero matrix gives the root 0 and the all-ones vector.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3):
         raise ValidationError(f"expected 3x3 matrix, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix entries must be finite")
     if (a < 0).any():
         raise ValidationError("matrix must be entrywise nonnegative")
-    tr = float(np.trace(a))
-    v = np.full(3, 1.0 / np.sqrt(3.0))
-    for shift in (tr * 1e-12, max(tr, 1.0)):
-        b = a + shift * np.eye(3)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = b @ v
-            lam = float(np.linalg.norm(w))
-            if lam == 0.0:
-                return 0.0, v  # zero matrix: every vector is an eigenvector
-            w /= lam
-            if np.linalg.norm(b @ w - lam * w) <= tol * max(lam, 1e-300):
-                lam -= shift
-                if abs(w[2]) > 1e-12:
-                    w = w / w[2]
-                return lam, w
-            v = w
-    raise ConvergenceError("power iteration did not converge")
+    scale = float(a.max())
+    if scale == 0.0:
+        return 0.0, np.ones(3)
+    b = a / scale
+    lam = max(float(np.linalg.eigvals(b).real.max()), 0.0)
+    inv = np.linalg.inv((lam + 1e-12 * (lam or 1.0)) * np.eye(3) - b)
+    v = inv @ inv.sum(axis=1)
+    v = np.maximum(v / v[np.argmax(np.abs(v))], 0.0)
+    if v[2] > 1e-12:
+        return lam * scale, v / v[2]
+    return lam * scale, v / np.linalg.norm(v)
 
 
 def _balance_matrix(ch: SimoChannel, profile: RateProfile, R: float, p, i: int):
@@ -137,6 +132,9 @@ def _gamma_powers(ch: SimoChannel, profile: RateProfile, R: float, eps: float):
         return _single_user_gamma(ch, 1, 2.0 ** (profile.rho1 * R) - 1.0)
     if profile.rho1 == 0.0:
         return _single_user_gamma(ch, 2, 2.0 ** (profile.rho2 * R) - 1.0)
+    g, _, _ = _proper_gains(ch)
+    if ch.p1 * g[0] == 0.0 or ch.p2 * g[1] == 0.0:
+        return 0.0, (0.0, 0.0)  # a weighted user can reach no rate
 
     budget = np.array([ch.p1, ch.p2])
     for i in (1, 2):
@@ -151,7 +149,7 @@ def _gamma_powers(ch: SimoChannel, profile: RateProfile, R: float, eps: float):
                 raise ConvergenceError(
                     "balance fixed point degenerated (zero eigenvalue)"
                 )
-            p = np.clip(v[:2], 0.0, None)
+            p = v[:2]
             if lam_prev is not None and abs(lam - lam_prev) <= eps * max(
                 1.0, abs(lam)
             ):
@@ -174,8 +172,9 @@ def gamma_of_R(
 ) -> float:
     """Largest common SINR margin for the rate targets ``rho_k * R``.
 
-    Values >= 1 mean the targets are feasible; the function is nonincreasing
-    in ``R``.  ``R = 0`` reports :data:`GAMMA_CAP`.
+    Values >= 1 mean the targets are feasible; nonincreasing in ``R``.
+    ``R = 0`` reports :data:`GAMMA_CAP`.  If a user with a positive weight
+    can reach no rate (a dead direct link or a zero budget), it is 0.
     """
     gamma, _ = _gamma_powers(ch, profile, R, eps)
     return gamma

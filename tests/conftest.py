@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from tinregion import preset_scenario
 from tinregion.channel import SimoChannel, validate_channel
@@ -39,3 +40,50 @@ def random_strategy(rng, p1=10.0, p2=10.0):
         ct1=c1 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
         ct2=c2 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
     )
+
+
+def proper_rates(ch, p1, p2):
+    """Closed-form proper TIN rates, vectorized over power arrays.
+
+    With an MMSE receiver the SINR of user k is
+    ``p_k (g_k - p_j x_k / (1 + p_j n_k))`` where ``g_k = |h_kk|^2``,
+    ``x_k = |h_kj^H h_kk|^2`` and ``n_k = |h_kj|^2``, for any number of
+    receive antennas.  It shares no code with the library, so tests can
+    use it as an oracle.
+    """
+    g1, g2 = np.linalg.norm(ch.h11) ** 2, np.linalg.norm(ch.h22) ** 2
+    x1 = abs(np.vdot(ch.h12, ch.h11)) ** 2
+    x2 = abs(np.vdot(ch.h21, ch.h22)) ** 2
+    n1, n2 = np.linalg.norm(ch.h12) ** 2, np.linalg.norm(ch.h21) ** 2
+    r1 = np.log2(1 + p1 * np.clip(g1 - p2 * x1 / (1 + p2 * n1), 0, None))
+    r2 = np.log2(1 + p2 * np.clip(g2 - p1 * x2 / (1 + p1 * n2), 0, None))
+    return r1, r2
+
+
+def pure_balanced_oracle(ch):
+    """Max-min pure proper point by root finding on the full-power edges.
+
+    Scaling both powers up raises both MMSE SINRs, so at the max-min point
+    one user transmits at full power.  Along the edge ``p_k = P_k`` the
+    rate gap ``r_k - r_j`` falls strictly in ``p_j``, so ``r1 = r2`` has at
+    most one root there; the better of the two edge roots is the optimum.
+    Returns the balanced rate and its powers.
+    """
+    best = None
+    for k in (1, 2):
+        top = ch.p2 if k == 1 else ch.p1
+
+        def powers(p, k=k):
+            return (ch.p1, p) if k == 1 else (p, ch.p2)
+
+        def gap(p, k=k):
+            r1, r2 = proper_rates(ch, *powers(p))
+            return (r1 - r2) if k == 1 else (r2 - r1)
+
+        if gap(top) > 0:  # this user stays ahead on the whole edge
+            continue
+        pw = powers(brentq(gap, 0.0, top, xtol=1e-14))
+        value = float(proper_rates(ch, *pw)[0])
+        if best is None or value > best[0]:
+            best = (value, pw)
+    return best

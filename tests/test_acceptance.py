@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq, linprog
+from scipy.optimize import linprog
 
 from tinregion import (
     DualVariables,
@@ -50,7 +50,12 @@ from tinregion import (
 )
 from tinregion.timesharing import _InnerProblem
 
-from conftest import random_channel, random_strategy
+from conftest import (
+    proper_rates,
+    pure_balanced_oracle,
+    random_channel,
+    random_strategy,
+)
 
 PRESET_NAMES = ("fig1", "fig2", "fig3")
 
@@ -58,52 +63,6 @@ PRESET_NAMES = ("fig1", "fig2", "fig3")
 def _report(cid: str, ok: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {cid}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
-
-
-def _proper_rates(ch, p1, p2):
-    """Closed-form proper TIN rates, vectorized over power arrays.
-
-    With an MMSE receiver the SINR of user k is
-    ``p_k (g_k - p_j x_k / (1 + p_j n_k))`` where ``g_k = |h_kk|^2``,
-    ``x_k = |h_kj^H h_kk|^2`` and ``n_k = |h_kj|^2``, for any number of
-    receive antennas.  The library evaluates determinants instead.
-    """
-    g1, g2 = np.linalg.norm(ch.h11) ** 2, np.linalg.norm(ch.h22) ** 2
-    x1 = abs(np.vdot(ch.h12, ch.h11)) ** 2
-    x2 = abs(np.vdot(ch.h21, ch.h22)) ** 2
-    n1, n2 = np.linalg.norm(ch.h12) ** 2, np.linalg.norm(ch.h21) ** 2
-    r1 = np.log2(1 + p1 * np.clip(g1 - p2 * x1 / (1 + p2 * n1), 0, None))
-    r2 = np.log2(1 + p2 * np.clip(g2 - p1 * x2 / (1 + p1 * n2), 0, None))
-    return r1, r2
-
-
-def _pure_balanced_oracle(ch):
-    """Max-min pure proper point by root finding on the full-power edges.
-
-    Scaling both powers up raises both MMSE SINRs, so at the max-min point
-    one user transmits at full power.  Along the edge ``p_k = P_k`` the
-    rate gap ``r_k - r_j`` falls strictly in ``p_j``, so ``r1 = r2`` has at
-    most one root there; the better of the two edge roots is the optimum.
-    Returns the balanced rate and its powers.
-    """
-    best = None
-    for k in (1, 2):
-        top = ch.p2 if k == 1 else ch.p1
-
-        def powers(p, k=k):
-            return (ch.p1, p) if k == 1 else (p, ch.p2)
-
-        def gap(p, k=k):
-            r1, r2 = _proper_rates(ch, *powers(p))
-            return (r1 - r2) if k == 1 else (r2 - r1)
-
-        if gap(top) > 0:  # this user stays ahead on the whole edge
-            continue
-        pw = powers(brentq(gap, 0.0, top, xtol=1e-14))
-        value = float(_proper_rates(ch, *pw)[0])
-        if best is None or value > best[0]:
-            best = (value, pw)
-    return best
 
 
 def _timesharing_lp_oracle(ch):
@@ -114,7 +73,7 @@ def _timesharing_lp_oracle(ch):
     """
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 200.0, 160)])
     a, b = (m.ravel() for m in np.meshgrid(grid, grid, indexing="ij"))
-    r1, r2 = _proper_rates(ch, a, b)
+    r1, r2 = proper_rates(ch, a, b)
     m = a.size
     # variables [tau_1..tau_m, r]; maximize r
     c = np.zeros(m + 1)
@@ -142,7 +101,7 @@ def _proper_grid_max_sum(ch):
     anchored to the library rate path at its maximizer."""
     p = np.linspace(0.0, 10.0, 401)
     a, b = np.meshgrid(p, p, indexing="ij")
-    r1, r2 = _proper_rates(ch, a, b)
+    r1, r2 = proper_rates(ch, a, b)
     i = np.unravel_index(np.argmax(r1 + r2), r1.shape)
     grid_max = float((r1 + r2)[i])
     check = rate_proper(ch, float(a[i]), float(b[i]))
@@ -238,7 +197,7 @@ def test_criterion_2_pure_balanced(channels, name, ref):
     res = balance_pure_proper(ch, RateProfile(0.5, 0.5), eps=1e-8)
     elapsed = time.perf_counter() - t0
 
-    oracle, powers = _pure_balanced_oracle(ch)
+    oracle, powers = pure_balanced_oracle(ch)
     witness = rate_proper(ch, *powers)
     assert abs(witness.r1 - oracle) <= 1e-9 and abs(witness.r2 - oracle) <= 1e-9
     dev = max(abs(res.rates.r1 - oracle), abs(res.rates.r2 - oracle))
@@ -412,14 +371,12 @@ def test_criterion_7_nesting(channels, pure_curves, ts_curves):
     # no point of a dense proper power grid lies above that segment.
     ch = _collinear_channel(channels["fig1"])
     p = np.linspace(0.0, 10.0, 401)
-    r1, r2 = _proper_rates(ch, *np.meshgrid(p, p, indexing="ij"))
+    r1, r2 = proper_rates(ch, *np.meshgrid(p, p, indexing="ij"))
     oracle_above = float(
         _above_corner_segment(r1, r2, r1.max(), r2.max()).max()
     )
     oracle_ok = oracle_above <= 1e-2
-    # a bracket of 1e-4 is a hundredth of the collapse tolerance, and its
-    # bisection takes a quarter less time than 1e-6 on this channel
-    pure = sweep_region(ch, "proper-pure", np.linspace(0.0, 1.0, 21), eps=1e-4)
+    pure = sweep_region(ch, "proper-pure", np.linspace(0.0, 1.0, 21), eps=1e-6)
     dev = hull_deviation(pure.points())
     collapse_ok = dev <= 1e-2
     ok = nesting_ok and oracle_ok and collapse_ok

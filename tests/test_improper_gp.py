@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,13 @@ class TestProjection:
             atol=1e-12,
         )
 
+    def test_zero_target(self):
+        m = np.array([[2.0, 0.5], [0.5, -1.0]])
+        zero = project_psd_trace(m, 0.0)
+        np.testing.assert_array_equal(zero, np.zeros((2, 2)))
+        with pytest.raises(ValidationError):
+            project_psd_trace(m, -1e-12)
+
     def test_trace_exact_and_psd(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
@@ -192,3 +201,17 @@ class TestMultistart:
             for r in runs
         )
         assert hit
+
+    @pytest.mark.parametrize("zeroed", ["p1", "p2"])
+    def test_zero_budget(self, fig1, zeroed):
+        # the other user sees no interference, so its best rate is the
+        # interference-free full-power rate
+        ch = replace(fig1, **{zeroed: 0.0})
+        best, _ = multistart(ch, (0.5, 0.5), n_starts=5, seed=0)
+        if zeroed == "p1":
+            silent, other, h, p = best.rates.r1, best.rates.r2, ch.h22, ch.p2
+        else:
+            silent, other, h, p = best.rates.r2, best.rates.r1, ch.h11, ch.p1
+        single = np.log2(1 + p * np.linalg.norm(h) ** 2)
+        assert silent == 0.0
+        assert single - 1e-4 <= other <= single + 1e-12

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from tinregion import (
 )
 from tinregion.proper_pure import GAMMA_CAP
 
-from conftest import random_channel
+from conftest import pure_balanced_oracle, random_channel
 
 
 def _char_poly_dominant_root(a):
@@ -64,6 +66,39 @@ class TestDominantEigenpair:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValidationError):
             dominant_eigenpair(-np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        a = np.ones((3, 3))
+        a[1, 2] = bad
+        with pytest.raises(ValidationError):
+            dominant_eigenpair(a)
+
+    def test_zero_matrix(self):
+        lam, v = dominant_eigenpair(np.zeros((3, 3)))
+        assert lam == 0.0
+        assert np.isfinite(v).all() and (v >= 0).all() and v.any()
+
+    # Block-diagonal and reducible matrices with their Perron roots.  The
+    # first four have a repeated Perron root (the fourth a Jordan block);
+    # the sixth has the zero first column of a one-sided balance matrix.
+    @pytest.mark.parametrize("a, root", [
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 1.0),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 1.0),
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 2.0),
+        ([[1, 1, 0], [0, 1, 0], [0, 0, 0.5]], 1.0),
+        ([[1, 2, 0], [2, 1, 0], [0, 0, 5]], 5.0),
+        ([[0, 3, 0.2], [0, 0, 0.1], [0, 0.03, 0.02]], 0.01 + np.sqrt(0.0031)),
+        ([[0, 0, 1], [0, 0, 1], [0, 0, 1]], 1.0),
+    ])
+    def test_reducible_nonnegative_vector(self, a, root):
+        a = np.array(a, dtype=float)
+        lam, v = dominant_eigenpair(a)
+        assert abs(lam - root) <= 1e-12 * max(1.0, root)
+        assert (v >= 0).all() and v.any()
+        assert np.linalg.norm(a @ v - lam * v) <= 1e-10 * max(
+            1.0, lam
+        ) * np.linalg.norm(v)
 
 
 class TestGamma:
@@ -128,6 +163,13 @@ class TestBalance:
             span = span * 0.25
             lo = np.clip(center - span / 2, 0, 10)
         assert abs(res.R - best) <= 2e-3
+
+    @pytest.mark.parametrize("power", [1e2, 1e3, 1e4])
+    def test_high_snr_against_edge_oracle(self, fig1, power):
+        ch = replace(fig1, p1=power, p2=power)
+        res = balance_pure_proper(ch, RateProfile(0.5, 0.5))
+        oracle, _ = pure_balanced_oracle(ch)
+        assert abs(res.R - 2.0 * oracle) <= 1e-6
 
     def test_z_channel(self, fig3):
         res = balance_pure_proper(fig3, RateProfile(0.5, 0.5), eps=1e-7)

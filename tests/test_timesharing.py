@@ -11,6 +11,7 @@ from tinregion import (
     balance_pure_proper,
     cutting_plane,
     dual_value,
+    gamma_of_R,
     primal_recovery,
     rate_complex,
     solve_inner,
@@ -366,3 +367,13 @@ class TestPureZeroLinkOrBudget:
             assert (res.R, res.p1, res.p2) == (0.0, 0.0, 0.0)
         ts = sweep_region(ch, "proper-timesharing", [beta], eps=1e-2).samples[0][1]
         assert res.rates.r1 <= ts.r1 + 1e-2 and res.rates.r2 <= ts.r2 + 1e-2
+
+    @pytest.mark.parametrize("zeroed", ["h11", "h22", "p1", "p2"])
+    def test_gamma_of_R(self, fig1, zeroed):
+        # every R > 0 is infeasible, with the margin P g / target = 0 that
+        # the dead user's single-user profile gives
+        ch = replace(fig1, **{zeroed: getattr(fig1, zeroed) * 0})
+        dead = RateProfile.from_beta(1.0 if zeroed in ("h11", "p1") else 0.0)
+        with np.errstate(all="raise"):
+            assert gamma_of_R(ch, RateProfile(0.5, 0.5), 1.0) == 0.0
+            assert gamma_of_R(ch, dead, 1.0) == 0.0
