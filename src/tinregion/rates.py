@@ -24,6 +24,7 @@ from .channel import (
     check_composite_cov,
     composite_real_embed,
     enhance_channel,
+    validate_strategy,
 )
 from .errors import TinRegionError, ValidationError
 
@@ -95,8 +96,10 @@ def rate_complex(ch: SimoChannel, x: TxStrategy) -> RatePoint:
 
     The first term is the proper-signal determinant ratio; the second
     corrects for the pseudocovariances of the receive and interference
-    signals and vanishes for proper inputs.
+    signals and vanishes for proper inputs.  Raises ``ValidationError`` for
+    a strategy that :func:`~tinregion.channel.validate_strategy` rejects.
     """
+    validate_strategy(x)
     r1 = _rate_complex_one(ch.h11, ch.h12, x.c1, x.c2, complex(x.ct1), complex(x.ct2))
     r2 = _rate_complex_one(ch.h22, ch.h21, x.c2, x.c1, complex(x.ct2), complex(x.ct1))
     return RatePoint(_clip_rate(r1), _clip_rate(r2))
@@ -176,7 +179,7 @@ def transformed_rates(
     ch2 = channel_from_transform(tc, p1=0.0, p2=0.0)  # budgets unused here
     if original_coords:
         x = tc.map_strategy(x)
-    return rate_complex(ch2, x)
+    return rate_complex(ch2, x)  # validates x: the map keeps every magnitude
 
 
 def enhanced_upper_bound(tc: TransformedChannel, x: TxStrategy) -> RatePoint:
@@ -193,4 +196,4 @@ def enhanced_upper_bound(tc: TransformedChannel, x: TxStrategy) -> RatePoint:
     aligned = TxStrategy(
         c1=x.c1, c2=x.c2, ct1=abs(complex(x.ct1)), ct2=-abs(complex(x.ct2))
     )
-    return rate_complex(ch2, aligned)
+    return rate_complex(ch2, aligned)  # validates x: magnitudes are kept

@@ -3,19 +3,18 @@
 The time-sharing problem (average rates and average powers over strategies)
 has zero duality gap, so it is solved through its Lagrangian dual: the
 outer minimization over multipliers runs a cutting-plane method, and each
-inner maximization is a mixed-monotonic program solved to global optimality
-by branch-and-bound over power boxes, with the frontier held in arrays and
-split whole each round.  The inner problem is the mixed-monotonic program
-of Matthiesen, Hellings, Jorswieck and Utschick (IEEE TSP 2020); its
-objective is the closed-form proper rate of :mod:`tinregion.rates`.  A
-restricted primal LP over the collected inner maximizers recovers an
-explicit mixture of at most four strategies.
+inner maximization of the penalized proper sum rate is solved globally:
+exactly over user 1's power (roots of a cubic), and by branch-and-bound
+over intervals of user 2's power with the mixed-monotonic bound of
+Matthiesen, Hellings, Jorswieck and Utschick (IEEE TSP 2020).  A restricted
+primal LP over the collected inner maximizers recovers an explicit mixture
+of at most four strategies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.optimize import brentq, linprog
@@ -37,7 +36,7 @@ __all__ = [
 
 LAMBDA_FLOOR = 1e-9
 _LN2 = math.log(2.0)
-_MAX_BOXES = 2_000_000
+_MAX_INTERVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -98,12 +97,9 @@ class Cut:
 
 
 class _InnerProblem:
-    """The mixed-monotonic objective and its interference-free envelope.
-
-    The objective is the weighted closed-form proper rate of
-    :mod:`tinregion.rates` minus the power penalty, so an evaluation costs a
-    handful of array operations.  Every method works elementwise on scalars
-    and arrays alike.
+    """The mixed-monotonic objective of the inner problem: the weighted
+    closed-form proper rate of :mod:`tinregion.rates` minus the power
+    penalty.  ``value`` and ``solo`` work elementwise on scalars and arrays.
     """
 
     def __init__(self, ch: SimoChannel, dv: DualVariables):
@@ -134,17 +130,51 @@ class _InnerProblem:
         ``p``, and an upper bound on that user's share of the objective."""
         return self.mu[k] * np.log1p(p * self.g[k]) / _LN2 - self.lam[k] * p
 
-    def bounds(self, lo, hi):
-        """Upper bound and lower-corner value on boxes ``lo, hi`` of shape
-        ``(N, 2)``.  The upper bound is the smaller of the mixed-monotonic
-        bound and the envelope maximized over the box, which is tight where
-        cross links are weak; both shrink to the objective on a point."""
-        upper = self.value(hi[:, 0], hi[:, 1], lo[:, 0], lo[:, 1])
-        envelope = sum(
-            self.solo(k, np.clip(self.peak[k], lo[:, k], hi[:, k])) for k in (0, 1)
-        )
-        corner = self.value(lo[:, 0], lo[:, 1], lo[:, 0], lo[:, 1])
-        return np.minimum(upper, envelope), corner
+    def p1_max(self, a, b, cap1: float):
+        """Maximizers and maxima of ``value(p1, b, p1, a)`` over ``p1`` in
+        ``[0, cap1]`` for 1-D arrays ``a <= b`` of user 2's power: exact at
+        ``p2 = a`` where ``a == b``, else (by monotonicity) an upper bound on
+        ``[0, cap1] x [a, b]``.  With ``A = q_1(a)``, ``B = 1 + b g_2``,
+        ``C = n_2 + b (g_2 n_2 - x_2)`` and ``N = n_2`` it maximizes
+        ``[mu1 ln(1 + A p1) + mu2 ln((B + C p1)/(1 + N p1))]/ln 2 - lam1 p1
+        - lam2 a``, whose derivative times its three positive denominators
+        is a cubic.  The cubic's roots and both ends are feasible candidates,
+        so a spurious root can only lose.
+        """
+        g, x, N = self.g[1], self.x[1], self.n[1]
+        mu1, mu2 = self.mu
+        lam = self.lam[0] * _LN2
+        A = _reduced_gain(self.g[0], self.x[0], self.n[0], a)
+        B = 1.0 + b * g
+        C = N + b * max(g * N - x, 0.0)  # g n >= x by Cauchy-Schwarz
+        # coefficients of t^0 .. t^3 in the scaled power t = p1 / cap1
+        c = cap1 ** np.arange(4) * np.stack([
+            mu1 * A * B + mu2 * (C - N * B) - lam * B,
+            mu1 * A * (B * N + C) + mu2 * A * (C - N * B)
+            - lam * (A * B + C + B * N),
+            mu1 * A * C * N - lam * (A * C + A * B * N + C * N),
+            -lam * A * C * N,
+        ], axis=1)
+        # A dead cross link (N = 0), a silenced user 1 (A = 0) or a cubic term
+        # negligible on [0, cap1] leaves a quadratic or linear derivative: the
+        # stable quadratic formula, whose root c0/q also solves the linear case.
+        deg = np.abs(c[:, 3]) <= 1e-12 * np.abs(c[:, :3]).sum(axis=1)
+        t = np.tile([0.0, 0.0, 0.0, 0.0, 1.0], (len(c), 1))  # 3 roots, 2 ends
+        comp = np.zeros((np.count_nonzero(~deg), 3, 3))
+        comp[:, 0] = -c[~deg, 2::-1] / c[~deg, 3:]
+        comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+        t[~deg, :3] = np.linalg.eigvals(comp).real
+        c0, c1, c2 = c[deg, 0], c[deg, 1], c[deg, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+            t[deg, 0] = q / c2
+            t[deg, 1] = c0 / q
+        # NaN or infinite roots (no real root, no quadratic) land in [0, 1]
+        t = np.clip(np.nan_to_num(t, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
+        vals = self.value(cap1 * t, b[:, None], cap1 * t, a[:, None])
+        best = np.argmax(vals, axis=1)
+        rows = np.arange(len(c))
+        return cap1 * t[rows, best], vals[rows, best]
 
 
 def _root_corner(prob: _InnerProblem) -> tuple[float, float]:
@@ -179,73 +209,58 @@ def init_box(ch: SimoChannel, dv: DualVariables) -> Box:
     return Box((0.0, 0.0), _root_corner(_InnerProblem(ch, dv)))
 
 
-def _split(lo, hi):
-    """Halve boxes ``lo, hi`` of shape ``(N, 2)`` at the midpoint of their
-    longest edge (ties: first axis); returns ``2N`` children, lower halves
-    first."""
-    rows = np.arange(len(lo))
-    axis = ((hi[:, 1] - lo[:, 1]) > (hi[:, 0] - lo[:, 0])).astype(np.intp)
-    mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
-    lo = np.concatenate([lo, lo])
-    hi = np.concatenate([hi, hi])
-    hi[rows, axis] = mid
-    lo[rows + len(rows), axis] = mid
-    return lo, hi
-
-
 def _branch_and_bound(ch: SimoChannel, dv: DualVariables, eps: float,
-                      max_boxes: int):
+                      max_intervals: int):
     """Shared engine: returns ``(p, L, U_cert, resolved)`` where ``U_cert``
-    upper-bounds the true inner maximum even if the budget ran out.
+    upper-bounds the true inner maximum even if the cap was reached.
 
-    The frontier of live boxes is held in arrays, and each round splits all
-    of it at once: every box whose upper bound beats the incumbent by more
-    than ``eps`` is halved on its longest edge, the children's corner and
-    centre values sharpen the incumbent, and children that cannot beat it
-    by more than ``eps`` are pruned, which keeps the returned value within
-    ``eps`` of the global maximum.  ``max_boxes`` caps the number of kept
-    children; past it the engine stops with ``resolved=False`` and the
-    largest live upper bound as the certificate.
+    The maximum over ``p1`` is exact (:meth:`_InnerProblem.p1_max`), so the
+    search runs over intervals of ``p2``, held in arrays and all halved each
+    round.  Midpoint values sharpen the incumbent, and halves whose bound
+    cannot beat it by more than ``eps`` are pruned.  Past ``max_intervals``
+    kept halves the engine stops with ``resolved=False`` and the largest
+    live bound as the certificate.
     """
     prob = _InnerProblem(ch, dv)
     # The root is init_box's box, capped: any maximizer also satisfies
     # mu_k * (own-rate marginal) >= lam_k because the cross term only
     # decreases the objective, and the marginal is at most 1/(p ln 2);
-    # intersecting with that cap keeps the search box from exploding when
-    # a multiplier sits near its floor.
+    # intersecting with that cap keeps the search from exploding when a
+    # multiplier sits near its floor.
     cap = [p + 1.0 / g if g > 0 else 0.0 for p, g in zip(prob.peak, prob.g)]
-    lo = np.zeros((1, 2))
-    hi = np.minimum(_root_corner(prob), cap)[None, :]
-    upper, corner = prob.bounds(lo, hi)
-    root_u = float(upper[0])
-    best_l = float(corner[0])
-    best_p = (0.0, 0.0)
+    cap1, cap2 = (float(c) for c in np.minimum(_root_corner(prob), cap))
+    # the bound on [0, cap2], then the exact values at both ends
+    p1, vals = prob.p1_max(np.array([0.0, 0.0, cap2]),
+                           np.array([cap2, 0.0, cap2]), cap1)
+    root_u = float(vals[0])
+    i = 1 + int(np.argmax(vals[1:]))
+    best_l = float(vals[i])
+    best_p = (float(p1[i]), (0.0, cap2)[i - 1])
+    lo, hi, upper = np.zeros(1), np.array([cap2]), vals[:1]
     kept = 1
     while True:
         live = (upper > best_l + eps) & (
-            # a box that is numerically a point has only roundoff left
-            (hi - lo).max(axis=1) > 1e-14 * (1.0 + hi.max(axis=1))
+            # an interval that is numerically a point has only roundoff left
+            hi - lo > 1e-14 * (1.0 + hi)
         )
         if not live.any():
             return best_p, best_l, min(root_u, best_l + eps), True
-        lo, hi = _split(lo[live], hi[live])
-        upper, corner = prob.bounds(lo, hi)
-        # box centres are feasible too; evaluating them sharpens the
-        # incumbent faster than corner values alone
-        centre = 0.5 * (lo + hi)
-        for vals, pts in (
-            (corner, lo),
-            (prob.value(centre[:, 0], centre[:, 1], centre[:, 0], centre[:, 1]),
-             centre),
-        ):
-            i = int(np.argmax(vals))
-            if vals[i] > best_l:
-                best_l = float(vals[i])
-                best_p = (float(pts[i, 0]), float(pts[i, 1]))
-        keep = upper > best_l + eps
-        lo, hi, upper = lo[keep], hi[keep], upper[keep]
+        lo, hi = lo[live], hi[live]
+        mid = 0.5 * (lo + hi)
+        k = 2 * len(mid)
+        # one batch: the bounds on both halves, then the midpoint values
+        p1, vals = prob.p1_max(np.concatenate([lo, mid, mid]),
+                               np.concatenate([mid, hi, mid]), cap1)
+        i = k + int(np.argmax(vals[k:]))
+        if vals[i] > best_l:
+            best_l = float(vals[i])
+            best_p = (float(p1[i]), float(mid[i - k]))
+        keep = vals[:k] > best_l + eps
+        lo = np.concatenate([lo, mid])[keep]
+        hi = np.concatenate([mid, hi])[keep]
+        upper = vals[:k][keep]
         kept += len(upper)
-        if kept > max_boxes:
+        if kept > max_intervals:
             u_cert = max(float(upper.max(initial=best_l)), best_l + eps)
             return best_p, best_l, u_cert, False
 
@@ -256,16 +271,15 @@ def solve_inner(
     """Branch-and-bound maximization of the penalized proper sum rate.
 
     Returns a power vector and a value within ``eps`` of the global
-    maximum.  The whole frontier of live boxes is split each round; if the
-    kept boxes exceed the memory cap, this raises with the best bounds
-    found so far.
+    maximum.  If the kept intervals of ``p2`` exceed the cap, this raises
+    with the best bounds found so far.
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    p, low, u_cert, resolved = _branch_and_bound(ch, dv, eps, _MAX_BOXES)
+    p, low, u_cert, resolved = _branch_and_bound(ch, dv, eps, _MAX_INTERVALS)
     if not resolved:
         raise ConvergenceError(
-            f"box list exceeded {_MAX_BOXES} entries "
+            f"interval list exceeded {_MAX_INTERVALS} entries "
             f"(best bounds: U={u_cert:.6g}, L={low:.6g})"
         )
     return p, low
@@ -313,15 +327,10 @@ def cutting_plane(
     for rho in (profile.rho1, profile.rho2):
         mu_bounds.append((0.0, 1.0 / rho) if rho > 0 else (0.0, 0.0))
 
-    # Box budget per inner solve.  Budget exhaustion still yields a valid
-    # cut (from the incumbent) and a valid dual upper bound (from the live
-    # bound), so probes at extreme multipliers stay cheap.  When the master
-    # stalls on an unresolved point the budget is escalated there.
-    inner_budget = 400_000
-
-    def evaluate(dv: DualVariables, budget=None) -> tuple[Cut, float, bool]:
+    def evaluate(dv: DualVariables) -> tuple[Cut, float, bool]:
+        # an unresolved solve still gives a valid cut and dual upper bound
         p_star, low, u_cert, resolved = _branch_and_bound(
-            ch, dv, inner_eps, budget or inner_budget
+            ch, dv, inner_eps, _MAX_INTERVALS
         )
         rates = rate_proper(ch, *p_star)
         base = dv.lam1 * ch.p1 + dv.lam2 * ch.p2
@@ -349,7 +358,6 @@ def cutting_plane(
                 best_upper, best_dv = upper, cut.dv
 
     prev_dv = None
-    budget = inner_budget
     for _ in range(max_iter):
         n = len(cuts)
         # variables z = [t, mu1, mu2, lam1, lam2]
@@ -389,27 +397,14 @@ def cutting_plane(
             lam1=min(max(res.x[3], LAMBDA_FLOOR), lam_max),
             lam2=min(max(res.x[4], LAMBDA_FLOOR), lam_max),
         )
-        stalled = prev_dv is not None and all(
-            abs(a - b) <= 1e-12 * max(1.0, abs(a))
-            for a, b in zip(
-                (dv.mu1, dv.mu2, dv.lam1, dv.lam2),
-                (prev_dv.mu1, prev_dv.mu2, prev_dv.lam1, prev_dv.lam2),
-            )
-        )
-        if stalled:
-            budget = min(budget * 4, 16 * inner_budget)
-        else:
-            budget = inner_budget
-        prev_dv = dv
-        cut, upper, resolved = evaluate(dv, budget)
+        cut, upper, resolved = evaluate(dv)
         cuts.append(cut)
         if upper < best_upper:
             best_upper, best_dv = upper, dv
-        if stalled and not resolved and budget >= 16 * inner_budget:
-            raise ConvergenceError(
-                "cutting-plane stalled on an unresolved inner problem "
-                f"(gap {best_upper - t_model:.4g} > {eps})"
-            )
+        if not resolved and prev_dv is not None and np.allclose(
+                astuple(dv), astuple(prev_dv), rtol=1e-12, atol=0.0):  # same cut again
+            raise ConvergenceError("cutting-plane stalled at an unresolved inner solve")
+        prev_dv = dv
     raise ConvergenceError(
         f"cutting-plane method did not reach gap {eps} in {max_iter} iterations"
     )

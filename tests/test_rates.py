@@ -84,6 +84,21 @@ class TestFormulaEquivalence:
         with pytest.raises(ValidationError, match="powers"):
             rate_proper(fig1, p1, p2)
 
+    @pytest.mark.parametrize("x", [
+        TxStrategy(-1.0, 2.0),                # negative variance
+        TxStrategy(2.0, 3.0, 0.0, 3.5j),      # |ct| > c
+        TxStrategy(2.0, 3.0, np.nan, 0.0),    # NaN entry
+    ], ids=["negative", "pseudovariance", "nan"])
+    def test_strategy_formulas_reject_bad_strategies(self, fig1, x):
+        tc = transform_channel(fig1)
+        for rates in (
+            lambda: rate_complex(fig1, x),
+            lambda: transformed_rates(tc, x),
+            lambda: enhanced_upper_bound(tc, x),
+        ):
+            with pytest.raises(ValidationError, match="strategy user"):
+                rates()
+
 
 class TestComposite:
     def test_zero_signal(self, fig1):

@@ -18,11 +18,12 @@ from tinregion import (
     sweep_region,
 )
 from tinregion import timesharing
+from tinregion.channel import SimoChannel
+from tinregion.rates import _proper_gains
 from tinregion.timesharing import (
     LAMBDA_FLOOR,
     _branch_and_bound,
     _InnerProblem,
-    _split,
     init_box,
 )
 
@@ -101,54 +102,79 @@ class TestMmObjective:
             assert (prob.value(*x, *(y + step)) <= base + 1e-12).all()
 
 
-class TestBoxOps:
-    # _InnerProblem.bounds on the children that _split produces
-    def test_singleton_tight(self, fig1):
-        prob = _InnerProblem(fig1, DualVariables(1.0, 1.0, 0.1, 0.1))
-        u, low = prob.bounds(np.array([[3.0, 4.0]]), np.array([[3.0, 4.0]]))
-        assert abs(u[0] - low[0]) <= 1e-12
+def _swap_users(ch):
+    return SimoChannel(h11=ch.h22, h12=ch.h21, h21=ch.h12, h22=ch.h11,
+                       p1=ch.p2, p2=ch.p1)
 
-    def test_gap_and_nesting(self, fig1):
-        prob = _InnerProblem(fig1, DualVariables(1.0, 1.0, 0.05, 0.05))
-        lo, hi = np.array([[0.0, 0.0]]), np.array([[10.0, 10.0]])
-        (u,), (low,) = prob.bounds(lo, hi)
-        assert u >= low
-        rng = np.random.default_rng(34)
-        for _ in range(4):  # two levels of children, then two more
-            lo, hi = _split(lo, hi)
-            cu, clow = prob.bounds(lo, hi)
-            assert (cu <= u + 1e-12).all() and (clow <= cu).all()
-            for a, b, bound in zip(lo, hi, cu):
-                p = a[:, None] + rng.uniform(0, 1, (2, 50)) * (b - a)[:, None]
-                assert (prob.value(*p, *p) <= bound + 1e-12).all()
 
-    def test_branch_longest_edge(self):
-        lo, hi = _split(np.array([[0.0, 0.0], [0.0, 0.0]]),
-                        np.array([[4.0, 2.0], [1.0, 3.0]]))
-        # lower halves first, each box cut across its own longest edge
-        np.testing.assert_array_equal(lo, [[0, 0], [0, 0], [2, 0], [0, 1.5]])
-        np.testing.assert_array_equal(hi, [[2, 2], [1, 1.5], [4, 2], [1, 3]])
+def _direct_objective(ch, dv, p1, x2, y2):
+    """``mu1 r1 + mu2 r2 - lam1 p1 - lam2 y2`` on the grid ``p1 x x2``,
+    where user 2 sends at ``x2`` but interferes at ``y2`` (a 1-D array like
+    ``x2``); the MMSE gains ``h_kk^H (I + p_j h_kj h_kj^H)^{-1} h_kk`` are
+    solved directly."""
 
-    def test_branch_tie_breaks_first_axis(self):
-        lo, hi = _split(np.array([[0.0, 0.0]]), np.array([[2.0, 2.0]]))
-        np.testing.assert_array_equal(hi[0], [1.0, 2.0])
-        np.testing.assert_array_equal(lo[1], [1.0, 0.0])
+    def gain(hkk, hkj, pj):
+        cov = np.eye(len(hkk)) + pj[:, None, None] * np.outer(hkj, hkj.conj())
+        w = np.linalg.solve(cov, np.broadcast_to(hkk, (len(pj), len(hkk)))[..., None])
+        return np.einsum("i,ki->k", hkk.conj(), w[..., 0]).real
 
-    def test_branch_volumes(self):
-        rng = np.random.default_rng(35)
-        plo = rng.uniform(0, 5, (40, 2))
-        phi = plo + rng.uniform(0.1, 5, (40, 2))
-        lo, hi = _split(plo, phi)
-        vol = np.prod(hi - lo, axis=1)
-        np.testing.assert_allclose(vol, np.tile(np.prod(phi - plo, axis=1) / 2, 2),
-                                   rtol=1e-12)
-        # the halves tile the parent: they meet on one edge's midpoint
-        np.testing.assert_array_equal(lo[:40], plo)
-        np.testing.assert_array_equal(hi[40:], phi)
-        moved = hi[:40] != phi
-        np.testing.assert_array_equal(moved, lo[40:] != plo)
-        assert (moved.sum(axis=1) == 1).all()
-        np.testing.assert_array_equal(hi[:40][moved], lo[40:][moved])
+    p1, x2, y2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (p1, x2, y2))
+    q1 = gain(ch.h11, ch.h12, y2)[None, :]
+    q2 = gain(ch.h22, ch.h21, p1)[:, None]
+    a = p1[:, None]
+    return (dv.mu1 * np.log2(1 + a * q1) + dv.mu2 * np.log2(1 + x2[None, :] * q2)
+            - dv.lam1 * a - dv.lam2 * y2[None, :])
+
+
+def _p1_grid_max(ch, dv, x2, y2, cap1):
+    """Maximum over ``p1`` in ``[0, cap1]`` of :func:`_direct_objective` at
+    one ``(x2, y2)`` on a 4001-point grid, refined four times around its
+    best point."""
+    lo, hi = 0.0, cap1
+    for _ in range(5):
+        grid = np.linspace(lo, hi, 4001)
+        f = _direct_objective(ch, dv, grid, x2, y2)[:, 0]
+        i = int(np.argmax(f))
+        step = grid[1] - grid[0]
+        lo, hi = max(grid[i] - 2 * step, 0.0), min(grid[i] + 2 * step, cap1)
+    return float(f[i])
+
+
+class TestP1Max:
+    # _InnerProblem.p1_max against grids of the objective written out from
+    # log2 and the MMSE gains, sharing no code with the kernel
+    @staticmethod
+    def _cases(fig1, fig2, fig3):
+        rng = np.random.default_rng(36)
+        for ch in (fig1, fig2, fig3, _swap_users(fig3)):
+            for _ in range(5):
+                mu1 = rng.uniform(0, 2)
+                dv = DualVariables(mu1, 2 - mu1, *rng.uniform(1e-3, 1, 2))
+                yield ch, dv, init_box(ch, dv).hi, rng
+
+    def test_exact_at_fixed_p2(self, fig1, fig2, fig3):
+        for ch, dv, (cap1, cap2), rng in self._cases(fig1, fig2, fig3):
+            prob = _InnerProblem(ch, dv)
+            p2 = np.concatenate([[0.0, cap2], rng.uniform(0, cap2, 3)])
+            p1, val = prob.p1_max(p2, p2, cap1)
+            assert ((0.0 <= p1) & (p1 <= cap1)).all()
+            np.testing.assert_allclose(val, prob.value(p1, p2, p1, p2), atol=1e-12)
+            want = [_p1_grid_max(ch, dv, b, b, cap1) for b in p2]
+            np.testing.assert_allclose(val, want, atol=1e-6)
+
+    def test_interval_bound(self, fig1, fig2, fig3):
+        # the bound is the exact maximum of the objective with user 2's
+        # signal at b and its interference and penalty at a, so it is at
+        # least the objective anywhere on [0, cap1] x [a, b]
+        for ch, dv, (cap1, cap2), rng in self._cases(fig1, fig2, fig3):
+            prob = _InnerProblem(ch, dv)
+            for _ in range(4):
+                a, b = np.sort(rng.uniform(0, cap2, 2))
+                _, (bound,) = prob.p1_max(np.array([a]), np.array([b]), cap1)
+                assert abs(bound - _p1_grid_max(ch, dv, b, a, cap1)) <= 1e-6
+                p2 = np.linspace(a, b, 41)
+                f = _direct_objective(ch, dv, np.linspace(0, cap1, 4001), p2, p2)
+                assert f.max() <= bound + 1e-9
 
 
 class TestInitBox:
@@ -222,10 +248,10 @@ class TestSolveInner:
 
 
 class TestEngine:
-    @pytest.mark.parametrize("max_boxes", [10, 100, 1000])
-    def test_exhausted_budget_still_certifies(self, fig1, max_boxes):
+    @pytest.mark.parametrize("max_intervals", [10, 100, 1000])
+    def test_exhausted_budget_still_certifies(self, fig1, max_intervals):
         dv = DualVariables(1.0, 1.0, 0.05, 0.05)
-        p, low, u_cert, resolved = _branch_and_bound(fig1, dv, 1e-4, max_boxes)
+        p, low, u_cert, resolved = _branch_and_bound(fig1, dv, 1e-6, max_intervals)
         assert not resolved
         assert abs(_InnerProblem(fig1, dv).value(*p, *p) - low) <= 1e-12
         oracle = _grid_oracle(fig1, dv)
@@ -233,15 +259,28 @@ class TestEngine:
         assert oracle <= u_cert
 
     def test_solve_inner_raises_past_the_cap(self, fig1, monkeypatch):
-        monkeypatch.setattr(timesharing, "_MAX_BOXES", 100)
+        monkeypatch.setattr(timesharing, "_MAX_INTERVALS", 100)
         with pytest.raises(ConvergenceError):
             solve_inner(fig1, DualVariables(1.0, 1.0, 0.05, 0.05), eps=1e-4)
 
-    @pytest.mark.parametrize("max_boxes", [100, 400_000])
-    def test_deterministic(self, fig1, max_boxes):
+    @pytest.mark.parametrize("max_intervals", [100, 400_000])
+    def test_deterministic(self, fig1, max_intervals):
         dv = DualVariables(0.7, 1.3, 0.04, 0.2)
-        first = _branch_and_bound(fig1, dv, 1e-4, max_boxes)
-        assert _branch_and_bound(fig1, dv, 1e-4, max_boxes) == first
+        first = _branch_and_bound(fig1, dv, 1e-4, max_intervals)
+        assert _branch_and_bound(fig1, dv, 1e-4, max_intervals) == first
+
+    @pytest.mark.parametrize("name", ["fig1", "fig3"])
+    def test_multiplier_past_the_old_box_cap(self, name, request):
+        # the 2-D box engine ran out of its 2 M boxes on this multiplier
+        ch = request.getfixturevalue(name)
+        dv = DualVariables(0.7, 1.3, 0.02, 0.3)
+        _, val = solve_inner(ch, dv, eps=1e-4)
+        oracle = _grid_oracle(ch, dv)
+        assert abs(val - oracle) <= 1e-3
+        _, _, u_cert, resolved = _branch_and_bound(
+            ch, dv, 1e-4, timesharing._MAX_INTERVALS
+        )
+        assert resolved and u_cert >= oracle
 
 
 class TestDualValue:
@@ -309,6 +348,24 @@ class TestCuttingPlane:
         tau, p1, p2 = sol.entries[0]
         assert abs(tau - 1.0) <= 1e-9
         assert abs(p1 - fig1.p1) <= 1e-3 and p2 <= 1e-6
+
+
+    def test_stalls_on_a_repeated_unresolved_point(self, fig1, monkeypatch):
+        # with every inner solve cut short the master proposes the same
+        # multipliers again, whose cut would not change the model
+        monkeypatch.setattr(timesharing, "_MAX_INTERVALS", 3)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            cutting_plane(fig1, RateProfile(0.5, 0.5), eps=1e-2)
+
+    def test_user_swap_symmetry(self, fig3):
+        # the engine treats p1 and p2 differently; the swapped fig3 has a
+        # dead cross link at receiver 2, so every inner row is degenerate
+        swapped = _swap_users(fig3)
+        assert _proper_gains(swapped)[2][1] == 0.0
+        eps = 2e-2
+        got, _, _ = cutting_plane(swapped, RateProfile(0.7, 0.3), eps=eps)
+        want, _, _ = cutting_plane(fig3, RateProfile(0.3, 0.7), eps=eps)
+        assert abs(got - want) <= eps
 
 
 class TestPrimalRecovery:
