@@ -58,14 +58,6 @@ class DualVariables:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned power box."""
-
-    lo: tuple[float, float]
-    hi: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class TimeSharingSolution:
     """Convex combination of proper power strategies and its averaged rates."""
 
@@ -204,11 +196,6 @@ def _root_corner(prob: _InnerProblem) -> tuple[float, float]:
     return corner[0], corner[1]
 
 
-def init_box(ch: SimoChannel, dv: DualVariables) -> Box:
-    """Box guaranteed to contain the global maximizer of the inner problem."""
-    return Box((0.0, 0.0), _root_corner(_InnerProblem(ch, dv)))
-
-
 def _branch_and_bound(ch: SimoChannel, dv: DualVariables, eps: float,
                       max_intervals: int):
     """Shared engine: returns ``(p, L, U_cert, resolved)`` where ``U_cert``
@@ -222,7 +209,7 @@ def _branch_and_bound(ch: SimoChannel, dv: DualVariables, eps: float,
     live bound as the certificate.
     """
     prob = _InnerProblem(ch, dv)
-    # The root is init_box's box, capped: any maximizer also satisfies
+    # The root is [0, _root_corner], capped: any maximizer also satisfies
     # mu_k * (own-rate marginal) >= lam_k because the cross term only
     # decreases the objective, and the marginal is at most 1/(p ln 2);
     # intersecting with that cap keeps the search from exploding when a

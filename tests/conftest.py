@@ -4,6 +4,7 @@ from scipy.optimize import brentq
 
 from tinregion import preset_scenario
 from tinregion.channel import SimoChannel, validate_channel
+from tinregion.timesharing import _InnerProblem, _root_corner
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +41,13 @@ def random_strategy(rng, p1=10.0, p2=10.0):
         ct1=c1 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
         ct2=c2 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
     )
+
+
+def root_corner(ch, dv):
+    """Upper corner ``(p1, p2)`` of the box ``[0, corner]`` that holds every
+    maximizer of the inner problem at multipliers ``dv``, as the
+    branch-and-bound computes it before capping; the grid oracles span it."""
+    return _root_corner(_InnerProblem(ch, dv))
 
 
 def proper_rates(ch, p1, p2):

@@ -55,6 +55,7 @@ from conftest import (
     pure_balanced_oracle,
     random_channel,
     random_strategy,
+    root_corner,
 )
 
 PRESET_NAMES = ("fig1", "fig2", "fig3")
@@ -461,12 +462,9 @@ def test_criterion_9_enhancement_dominance(channels):
 
 
 def _grid_oracle(ch, dv):
-    from tinregion.timesharing import init_box
-
     prob = _InnerProblem(ch, dv)
-    root = init_box(ch, dv)
     lo = np.zeros(2)
-    span = np.array(root.hi)
+    span = np.array(root_corner(ch, dv))
     best = 0.0
     for stage in range(8):
         n = 400 if stage == 0 else 60

@@ -10,18 +10,91 @@ from tinregion import (
     gradient_projection,
     multistart,
     project_psd_trace,
+    rate_composite,
     rate_proper,
     strategy_from_composite_cov,
     wsr_gradient,
     wsr_objective,
 )
-from tinregion.improper_gp import random_improper_init
+from tinregion.improper_gp import GP_EPS, GP_MAX_ITER, random_improper_init
+
+from conftest import random_channel
 
 
 def _random_improper(rng, p):
     c = p * (0.2 + 0.8 * rng.uniform())
     mag = 0.7 * c * rng.uniform()
     return composite_cov_from_strategy(c, mag * np.exp(2j * np.pi * rng.uniform()))
+
+
+def _eigh_projection(m, p):
+    """Water-filling on the eigenvalues from ``eigh``: shift both by a common
+    level and clip at zero so that the survivors sum to ``p``."""
+    xi, omega = np.linalg.eigh(0.5 * (m + m.T))
+    xi, omega = xi[::-1], omega[:, ::-1]
+    level = xi[0] - p  # one active eigenvalue
+    for k in (1, 2):
+        cand = (xi[:k].sum() - p) / k
+        if xi[k - 1] - cand > 0 and (k == 2 or xi[k] - cand <= 0):
+            level = cand
+            break
+    return (omega * np.clip(xi - level, 0.0, None)) @ omega.T
+
+
+def _embed(h):
+    col = np.asarray(h, dtype=complex)[:, None]
+    return np.block([[col.real, -col.imag], [col.imag, col.real]])
+
+
+def _reference_gp(ch, w, init, eps=GP_EPS, max_iter=GP_MAX_ITER):
+    """One start of the projected gradient ascent as a scalar loop, sharing
+    no code with the lockstep engine: step ``1/s``, ``s += 1`` on a step
+    that lowers the objective, at most 2000 such steps in a row.  Returns
+    ``(m1, m2, W, converged)``."""
+    e11, e12, e21, e22 = (_embed(h) for h in (ch.h11, ch.h12, ch.h21, ch.h22))
+    c1, c2 = w[0] / (2 * np.log(2)), w[1] / (2 * np.log(2))
+
+    def objective(m1, m2):
+        r = rate_composite(ch, m1, m2)
+        return w[0] * r.r1 + w[1] * r.r2
+
+    def gradients(m1, m2):
+        cs1 = e12 @ m2 @ e12.T + 0.5 * np.eye(len(e12))
+        cs2 = e21 @ m1 @ e21.T + 0.5 * np.eye(len(e21))
+        cy1 = e11 @ m1 @ e11.T + cs1
+        cy2 = e22 @ m2 @ e22.T + cs2
+        iy1, is1, iy2, is2 = (np.linalg.inv(c) for c in (cy1, cs1, cy2, cs2))
+        g1 = c1 * e11.T @ iy1 @ e11 + c2 * e21.T @ (iy2 - is2) @ e21
+        g2 = c2 * e22.T @ iy2 @ e22 + c1 * e12.T @ (iy1 - is1) @ e12
+        return 0.5 * (g1 + g1.T), 0.5 * (g2 + g2.T)
+
+    m1, m2 = init
+    obj = objective(m1, m2)
+    s = 1
+    for _ in range(max_iter):
+        g1, g2 = gradients(m1, m2)
+        for _ in range(2000):
+            t1 = _eigh_projection(m1 + (1.0 / s) * g1, ch.p1)
+            t2 = _eigh_projection(m2 + (1.0 / s) * g2, ch.p2)
+            tobj = objective(t1, t2)
+            if tobj - obj >= 0.0:
+                break
+            s += 1
+        else:
+            return m1, m2, obj, False
+        gain = tobj - obj
+        m1, m2, obj = t1, t2, tobj
+        if gain <= eps:
+            return m1, m2, obj, True
+    return m1, m2, obj, False
+
+
+def _assert_matches_reference(res, ref):
+    m1, m2, W, converged = ref
+    assert abs(res.W - W) <= 1e-10
+    np.testing.assert_allclose(res.m1, m1, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(res.m2, m2, rtol=0, atol=1e-9)
+    assert res.converged == converged
 
 
 class TestObjective:
@@ -137,6 +210,58 @@ class TestProjection:
             assert d0 <= np.linalg.norm(m - x) + 1e-10
 
 
+class TestClosedFormProjection:
+    # project_psd_trace against eigh water-filling
+    @staticmethod
+    def _symmetric(rng, k):
+        a = rng.standard_normal((k, 2, 2)) * rng.uniform(0.01, 20, (k, 1, 1))
+        return a + a.swapaxes(1, 2)
+
+    def test_matches_eigh_oracle(self):
+        rng = np.random.default_rng(46)
+        ms = self._symmetric(rng, 1000)
+        ps = rng.uniform(0, 30, 1000)
+        ps[:10] = 0.0
+        for m, p in zip(ms, ps):
+            scale = max(1.0, np.abs(m).max())
+            np.testing.assert_allclose(project_psd_trace(m, p), _eigh_projection(m, p),
+                                       rtol=0, atol=1e-12 * scale)
+
+    def test_equal_eigenvalues(self):
+        # r = 0: only the shift applies, whatever the target
+        for lam in (-3.0, 0.0, 2.5):
+            for p in (0.0, 1.0, 7.0):
+                m = lam * np.eye(2)
+                out = project_psd_trace(m, p)
+                np.testing.assert_allclose(out, 0.5 * p * np.eye(2), atol=1e-15)
+                np.testing.assert_allclose(out, _eigh_projection(m, p), atol=1e-12)
+
+    def test_boundary_gap_equals_target(self):
+        # 2r == p: both branches give the same matrix, with a zero eigenvalue
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            p, mu, phi = rng.uniform(0.1, 10), rng.uniform(-5, 5), rng.uniform(0, np.pi)
+            v = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+            m = v @ np.diag([mu + 0.5 * p, mu - 0.5 * p]) @ v.T
+            out = project_psd_trace(m, p)
+            np.testing.assert_allclose(out, _eigh_projection(m, p), atol=1e-12)
+            np.testing.assert_allclose(out, p * np.outer(v[:, 0], v[:, 0]), atol=1e-12)
+
+    def test_stack_equals_single_calls(self):
+        rng = np.random.default_rng(49)
+        ms = self._symmetric(rng, 64)
+        ms[:4] = [np.eye(2), np.zeros((2, 2)), np.diag([1.5, -1.5]), -np.eye(2)]
+        for p in (0.0, 1.0, 3.0):
+            single = [project_psd_trace(m, p) for m in ms]
+            np.testing.assert_array_equal(project_psd_trace(ms, p), single)
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValidationError):
+            project_psd_trace(np.eye(3), 1.0)
+        with pytest.raises(ValidationError):
+            project_psd_trace(np.eye(2), np.nan)
+
+
 class TestGradientProjection:
     def test_interference_free_full_power_proper(self):
         h11 = np.array([1.0 + 0.5j, -0.3 + 0.2j])
@@ -167,6 +292,71 @@ class TestGradientProjection:
         _, ct1 = strategy_from_composite_cov(res.m1)
         _, ct2 = strategy_from_composite_cov(res.m2)
         assert abs(ct1) <= 1e-9 and abs(ct2) <= 1e-9
+
+
+class TestLockstepEquivalence:
+    # the lockstep engine against the scalar reference loop, start by start
+    @pytest.mark.parametrize("name", ["fig1", "fig3", "mixed"])
+    def test_multistart_matches_reference(self, fig1, fig3, name):
+        # "mixed" has one antenna at receiver 1 and three at receiver 2
+        ch = {"fig1": fig1, "fig3": fig3,
+              "mixed": random_channel(np.random.default_rng(52), n1=1, n2=3)}[name]
+        _, runs = multistart(ch, (0.5, 0.5), n_starts=4, seed=7)
+        rng = np.random.default_rng(7)
+        for res in runs:
+            init = random_improper_init(ch, rng)
+            _assert_matches_reference(res, _reference_gp(ch, (0.5, 0.5), init))
+
+    def test_backoff_cap_start(self, fig1):
+        # start 0 of the benchmark's fig1 op at weights (0.05, 0.95) ends on
+        # 2000 rejected steps in a row
+        _, runs = multistart(fig1, (0.05, 0.95), n_starts=1, seed=0)
+        init = random_improper_init(fig1, np.random.default_rng(0))
+        ref = _reference_gp(fig1, (0.05, 0.95), init)
+        assert not ref[3]
+        _assert_matches_reference(runs[0], ref)
+
+    def test_iteration_cap(self, fig1):
+        init = random_improper_init(fig1, np.random.default_rng(51))
+        res = gradient_projection(fig1, (1.0, 1.0), init, max_iter=50)
+        ref = _reference_gp(fig1, (1.0, 1.0), init, max_iter=50)
+        assert not ref[3]
+        _assert_matches_reference(res, ref)
+
+    def test_batch_independence(self, fig1):
+        _, three = multistart(fig1, (0.3, 0.7), n_starts=3, seed=52)
+        _, five = multistart(fig1, (0.3, 0.7), n_starts=5, seed=52)
+        for a, b in zip(three, five):
+            assert a.W == b.W and a.rates == b.rates and a.converged == b.converged
+            np.testing.assert_array_equal(a.m1, b.m1)
+            np.testing.assert_array_equal(a.m2, b.m2)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("w", [(-1.0, 2.0), (np.nan, 1.0), (1.0, np.inf), (1.0,)])
+    def test_bad_weights(self, fig1, w):
+        m = np.diag([2.0, 2.0])
+        with pytest.raises(ValidationError):
+            multistart(fig1, w, n_starts=1)
+        with pytest.raises(ValidationError):
+            gradient_projection(fig1, w, (m, m))
+        with pytest.raises(ValidationError):
+            wsr_gradient(fig1, m, m, w)
+        if len(w) == 2:
+            with pytest.raises(ValidationError):
+                wsr_objective(fig1, m, m, *w)
+
+    @pytest.mark.parametrize("user", [0, 1])
+    def test_init_over_budget(self, fig1, user):
+        init = [np.diag([2.0, 2.0]), np.diag([2.0, 2.0])]
+        p = (fig1.p1, fig1.p2)[user]
+        init[user] = np.diag([0.5 * p, 0.5 * p]) * (1 + 1e-8)
+        with pytest.raises(ValidationError):
+            gradient_projection(fig1, (1.0, 1.0), tuple(init))
+        # within the relative slack of 1e-9 the init is accepted
+        init[user] = np.diag([0.5 * p, 0.5 * p]) * (1 + 1e-10)
+        res = gradient_projection(fig1, (1.0, 1.0), tuple(init), max_iter=1)
+        assert np.trace((res.m1, res.m2)[user]) <= p * (1 + 1e-9)
 
 
 class TestMultistart:

@@ -24,16 +24,16 @@ from tinregion.timesharing import (
     LAMBDA_FLOOR,
     _branch_and_bound,
     _InnerProblem,
-    init_box,
 )
+
+from conftest import root_corner
 
 
 def _grid_oracle(ch, dv, width=None):
     """400x400 grid plus staged refinement of the penalized sum rate."""
     prob = _InnerProblem(ch, dv)
     if width is None:
-        root = init_box(ch, dv)
-        width = np.array(root.hi)
+        width = np.array(root_corner(ch, dv))
     lo = np.zeros(2)
     span = np.asarray(width, dtype=float)
     best = 0.0
@@ -150,7 +150,7 @@ class TestP1Max:
             for _ in range(5):
                 mu1 = rng.uniform(0, 2)
                 dv = DualVariables(mu1, 2 - mu1, *rng.uniform(1e-3, 1, 2))
-                yield ch, dv, init_box(ch, dv).hi, rng
+                yield ch, dv, root_corner(ch, dv), rng
 
     def test_exact_at_fixed_p2(self, fig1, fig2, fig3):
         for ch, dv, (cap1, cap2), rng in self._cases(fig1, fig2, fig3):
@@ -183,12 +183,12 @@ class TestInitBox:
         g = float(np.linalg.norm(fig1.h11) ** 2)
         lam = 10 * g / np.log(2)
         dv = DualVariables(1.0, 1.0, lam, lam)
-        b = init_box(fig1, dv)
-        assert b.hi[0] <= 1e-9 and b.hi[1] <= 1e-9
+        hi = root_corner(fig1, dv)
+        assert hi[0] <= 1e-9 and hi[1] <= 1e-9
 
     def test_envelope_negative_beyond_edge(self, fig1):
         dv = DualVariables(1.0, 1.0, 0.05, 0.05)
-        b = init_box(fig1, dv)
+        hi = root_corner(fig1, dv)
         ln2 = np.log(2)
         for k, (g, lam, mu) in enumerate(
             (
@@ -202,16 +202,16 @@ class TestInitBox:
             muj = (dv.mu1, dv.mu2)[j]
             peak_j = max(muj / (lamj * ln2) - 1 / gj, 0.0)
             fmax_j = muj * np.log2(1 + peak_j * gj) - lamj * peak_j
-            f_at_edge = mu * np.log2(1 + b.hi[k] * g) - lam * b.hi[k]
+            f_at_edge = mu * np.log2(1 + hi[k] * g) - lam * hi[k]
             assert f_at_edge + fmax_j <= 1e-6
 
     def test_envelope_dominates_objective(self, fig1):
         dv = DualVariables(1.0, 1.0, 0.05, 0.05)
-        b = init_box(fig1, dv)
+        hi = root_corner(fig1, dv)
         rng = np.random.default_rng(31)
         ln2 = np.log(2)
         for _ in range(100):
-            p = rng.uniform(0, 1, 2) * np.array(b.hi)
+            p = rng.uniform(0, 1, 2) * np.array(hi)
             fhat = sum(
                 mu * np.log2(1 + p[k] * g) - lam * p[k]
                 for k, (g, lam, mu) in enumerate(
