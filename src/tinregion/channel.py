@@ -98,6 +98,13 @@ def validate_strategy(x: TxStrategy, tol: float = 1e-9) -> TxStrategy:
     return x
 
 
+def validate_eps(eps: float) -> float:
+    """Check that a solver tolerance is positive and finite; return it."""
+    if not 0 < eps < np.inf:
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
+    return eps
+
+
 def _as_cvector(name: str, v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1 or arr.size < 1:
@@ -194,17 +201,16 @@ class TransformedChannel:
     """Rate-equivalent two-antenna form of a :class:`SimoChannel`.
 
     Per user ``k`` the reduced QR of ``[h_kk, h_kj]`` yields a nonnegative
-    direct gain ``hk``, real cross coefficients ``ak`` (first antenna) and
-    ``bk`` (second antenna), and the cross phase ``phik``; ``theta`` is the
-    residual phase ``-phi1 - phi2`` left on the second user's direct link
-    after rotating everything else real.
+    direct gain ``hk``, real nonnegative cross coefficients ``ak`` (first
+    antenna) and ``bk`` (second antenna), and the cross phase ``phik``;
+    ``theta`` is the residual phase ``-phi1 - phi2`` left on the second
+    user's direct link after rotating everything else real.
     """
 
     hk: tuple[float, float]
     ak: tuple[float, float]
     bk: tuple[float, float]
     phik: tuple[float, float]
-    psik: tuple[float, float]
     theta: float
 
     def map_strategy(self, x: TxStrategy) -> TxStrategy:
@@ -215,14 +221,13 @@ class TransformedChannel:
 
 
 def _reduced_qr(hkk: np.ndarray, hkj: np.ndarray):
-    """Reduced QR of ``[hkk, hkj]`` with a nonnegative real diagonal.
+    """Triangular factor of the reduced QR of ``[hkk, hkj]``.
 
-    Returns ``(hk, ak, bk, phik, psik, Q)`` where ``Q`` has orthonormal
-    columns (``Q`` is 1-column when the receiver has a single antenna).
-    Rank-deficient second columns are completed deterministically by
-    Gram-Schmidt against the canonical basis.
+    Returns ``(hk, ak, bk, phik)`` with
+    ``R = [[hk, ak exp(j phik)], [0, bk]]`` and ``hk, ak, bk >= 0``, so
+    that ``[hkk, hkj]^H [hkk, hkj] = R^H R``.  ``bk`` is 0 when ``hkj`` is
+    (numerically) parallel to ``hkk``.
     """
-    n = len(hkk)
     hk = float(np.linalg.norm(hkk))
     if hk <= 0.0:
         raise ValidationError("zero direct channel: transformation undefined")
@@ -230,27 +235,10 @@ def _reduced_qr(hkk: np.ndarray, hkj: np.ndarray):
     r12 = complex(np.vdot(q1, hkj))
     ak = abs(r12)
     phik = float(np.angle(r12)) if ak > 0 else 0.0
-    v = hkj - q1 * r12
-    nv = float(np.linalg.norm(v))
+    nv = float(np.linalg.norm(hkj - q1 * r12))
     scale = max(1.0, float(np.linalg.norm(hkj)))
-    if nv > 1e-12 * scale:
-        q2 = v / nv
-        bk = nv
-    else:
-        bk = 0.0
-        q2 = None
-        if n >= 2:
-            for i in range(n):
-                e = np.zeros(n, dtype=complex)
-                e[i] = 1.0
-                w = e - q1 * np.vdot(q1, e)
-                nw = float(np.linalg.norm(w))
-                if nw > 1e-6:
-                    q2 = w / nw
-                    break
-    psik = 0.0  # Gram-Schmidt leaves the second diagonal entry real >= 0
-    cols = [q1] if q2 is None else [q1, q2]
-    return hk, ak, bk, phik, psik, np.stack(cols, axis=1)
+    bk = nv if nv > 1e-12 * scale else 0.0
+    return hk, ak, bk, phik
 
 
 def transform_channel(ch: SimoChannel) -> TransformedChannel:
@@ -264,14 +252,13 @@ def transform_channel(ch: SimoChannel) -> TransformedChannel:
     :meth:`TransformedChannel.map_strategy` applied.
     """
     validate_channel(ch)
-    h1, a1, b1, phi1, psi1, _ = _reduced_qr(ch.h11, ch.h12)
-    h2, a2, b2, phi2, psi2, _ = _reduced_qr(ch.h22, ch.h21)
+    h1, a1, b1, phi1 = _reduced_qr(ch.h11, ch.h12)
+    h2, a2, b2, phi2 = _reduced_qr(ch.h22, ch.h21)
     return TransformedChannel(
         hk=(h1, h2),
         ak=(a1, a2),
         bk=(b1, b2),
         phik=(phi1, phi2),
-        psik=(psi1, psi2),
         theta=float(-phi1 - phi2),
     )
 

@@ -3,7 +3,6 @@
 Subcommands:
 
 * ``region``     — sweep one or more methods over a beta grid, export CSV/JSON.
-* ``verify``     — run the cross-module consistency suite, emit a JSON report.
 * ``reproduce``  — run all methods on a bundled scenario and compare against
   the published reference values.
 
@@ -21,34 +20,19 @@ from pathlib import Path
 import numpy as np
 
 from . import reference_points
-from .channel import (
-    SimoChannel,
-    load_scenario,
-    transform_channel,
-    validate_channel,
-    TxStrategy,
-)
+from .channel import SimoChannel, load_scenario, validate_channel
 from .errors import TinRegionError, ValidationError
-from .improper_gp import multistart, wsr_gradient, wsr_objective
+from .improper_gp import multistart
 from .proper_pure import RateProfile, balance_pure_proper
-from .rates import (
-    rate_complex,
-    rate_composite,
-    transformed_rates,
-    enhanced_upper_bound,
-)
 from .region import (
     METHODS,
     PRESETS,
-    contains,
-    convex_hull_2d,
     curve_to_csv_rows,
     curve_to_dict,
     preset_scenario,
     sweep_region,
     write_curve,
 )
-from .channel import composite_cov_from_strategy
 
 _METHOD_ALIASES = {
     "proper-pure": "proper-pure",
@@ -146,145 +130,6 @@ def cmd_region(args) -> int:
     return 0
 
 
-def _verify_checks(ch: SimoChannel, eps: float, betas: int, seed: int):
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    def record(name, measured, allowed):
-        checks.append(
-            {
-                "name": name,
-                "measured": float(measured),
-                "allowed": float(allowed),
-                "passed": bool(measured <= allowed),
-            }
-        )
-
-    # rate formula equivalence: complex vs composite real
-    worst = 0.0
-    for _ in range(200):
-        c1, c2 = rng.uniform(0, ch.p1), rng.uniform(0, ch.p2)
-        x = TxStrategy(
-            c1, c2,
-            c1 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
-            c2 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
-        )
-        ra = rate_complex(ch, x)
-        rb = rate_composite(
-            ch,
-            composite_cov_from_strategy(x.c1, x.ct1),
-            composite_cov_from_strategy(x.c2, x.ct2),
-        )
-        worst = max(worst, abs(ra.r1 - rb.r1), abs(ra.r2 - rb.r2))
-    record("formula-equivalence", worst, 1e-10)
-
-    # rate invariance under the two-antenna transformation
-    tc = transform_channel(ch)
-    worst = 0.0
-    for _ in range(100):
-        c1, c2 = rng.uniform(0, ch.p1), rng.uniform(0, ch.p2)
-        x = TxStrategy(
-            c1, c2,
-            c1 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
-            c2 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
-        )
-        ro = rate_complex(ch, x)
-        rt = transformed_rates(tc, x)
-        worst = max(worst, abs(ro.r1 - rt.r1), abs(ro.r2 - rt.r2))
-    record("transform-rate-invariance", worst, 1e-10)
-
-    # proper rates do not depend on the residual phase
-    from dataclasses import replace
-
-    worst = 0.0
-    for _ in range(50):
-        p1, p2 = rng.uniform(0, ch.p1), rng.uniform(0, ch.p2)
-        x = TxStrategy(p1, p2)
-        base = transformed_rates(tc, x)
-        rot = transformed_rates(replace(tc, theta=rng.uniform(0, 2 * np.pi)), x)
-        worst = max(worst, abs(base.r1 - rot.r1), abs(base.r2 - rot.r2))
-    record("phase-independence-proper", worst, 1e-12)
-
-    # enhancement dominance
-    worst = -np.inf
-    for _ in range(200):
-        c1, c2 = rng.uniform(0, ch.p1), rng.uniform(0, ch.p2)
-        x = TxStrategy(
-            c1, c2,
-            c1 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
-            c2 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
-        )
-        bound = enhanced_upper_bound(tc, x)
-        actual = transformed_rates(tc, x)
-        worst = max(worst, actual.r1 - bound.r1, actual.r2 - bound.r2)
-    record("enhancement-dominance-violation", worst, 1e-10)
-
-    # gradient vs central finite differences
-    worst = 0.0
-    for _ in range(10):
-        c1 = ch.p1 * (0.2 + 0.8 * rng.uniform())
-        c2 = ch.p2 * (0.2 + 0.8 * rng.uniform())
-        m1 = composite_cov_from_strategy(
-            c1, 0.7 * c1 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-        )
-        m2 = composite_cov_from_strategy(
-            c2, 0.7 * c2 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-        )
-        w = (rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
-        g1, g2 = wsr_gradient(ch, m1, m2, w)
-        h = 1e-5
-        for which, m, g in ((0, m1, g1), (1, m2, g2)):
-            for i in range(2):
-                for j in range(i, 2):
-                    e = np.zeros((2, 2))
-                    e[i, j] = e[j, i] = 1.0
-                    up = [m1, m2]
-                    dn = [m1, m2]
-                    up[which] = m + h * e
-                    dn[which] = m - h * e
-                    fd = (
-                        wsr_objective(ch, up[0], up[1], *w)
-                        - wsr_objective(ch, dn[0], dn[1], *w)
-                    ) / (2 * h)
-                    an = g[i, j] * (2.0 if i != j else 1.0)
-                    denom = max(1e-8, abs(fd))
-                    worst = max(worst, abs(fd - an) / denom)
-    record("gradient-relative-error", worst, 1e-5)
-
-    # region nesting: pure inside hull inside time-sharing
-    grid = list(np.linspace(0.0, 1.0, betas))
-    pure = sweep_region(ch, "proper-pure", grid, eps=1e-6)
-    hull = convex_hull_2d(pure.points())
-    ts = sweep_region(ch, "proper-timesharing", grid, eps=min(eps, 2e-2))
-    nest1 = all(contains(hull, p, tol=2e-2) for p in pure.points())
-    nest2 = all(contains(ts, p, tol=2e-2) for p in hull.points())
-    checks.append(
-        {
-            "name": "nesting-pure-hull-timesharing",
-            "measured": float(not (nest1 and nest2)),
-            "allowed": 0.0,
-            "passed": bool(nest1 and nest2),
-        }
-    )
-    return checks
-
-
-def cmd_verify(args) -> int:
-    ch = _resolve_scenario(args.scenario, args.seed)
-    checks = _verify_checks(ch, args.eps, args.betas, args.seed)
-    report = {
-        "scenario": args.scenario,
-        "eps": args.eps,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
-    return 0 if report["passed"] else 1
-
-
 def cmd_reproduce(args) -> int:
     name = args.figure
     ch = preset_scenario(name)
@@ -375,14 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--out", default=None)
     p_region.add_argument("--format", choices=("csv", "json"), default="csv")
     p_region.set_defaults(func=cmd_region)
-
-    p_verify = sub.add_parser("verify", help="run the consistency suite", **common)
-    p_verify.add_argument("--scenario", required=True)
-    p_verify.add_argument("--eps", type=float, default=2e-2)
-    p_verify.add_argument("--betas", type=int, default=5)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_rep = sub.add_parser("reproduce", help="reproduce a bundled scenario",
                            **common)

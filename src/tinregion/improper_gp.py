@@ -22,6 +22,7 @@ from .channel import (
     composite_real_embed,
     check_composite_cov,
     validate_channel,
+    validate_eps,
 )
 from .errors import ValidationError
 from .rates import RatePoint, rate_composite
@@ -208,6 +209,7 @@ def gradient_projection(
     engine of :func:`multistart` run on a batch of one start.
     """
     validate_channel(ch)
+    validate_eps(eps)
     w = _weights(w)
     m1, m2 = (check_composite_cov(m) for m in init)
     for m, p in ((m1, ch.p1), (m2, ch.p2)):
@@ -228,6 +230,7 @@ def multistart(
     drawn first from a generator seeded with ``seed``, and each start ends
     as it would alone, so results do not depend on ``n_starts``."""
     validate_channel(ch)
+    validate_eps(eps)
     w = _weights(w)
     if n_starts < 1:
         raise ValidationError("need at least one start")

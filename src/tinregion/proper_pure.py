@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SimoChannel, validate_channel
+from .channel import SimoChannel, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
 from .rates import RatePoint, _proper_gains, mmse_filter, rate_proper
 
@@ -191,8 +191,7 @@ def balance_pure_proper(
     budget), the balanced point is ``R = 0`` at zero powers.
     """
     validate_channel(ch)
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    validate_eps(eps)
 
     # Degenerate single-user profiles skip the bisection entirely.
     if profile.rho2 == 0.0 or profile.rho1 == 0.0:

@@ -79,22 +79,14 @@ def preset_scenario(name: str) -> SimoChannel:
 
 
 def _solve_beta(ch, method, beta, eps, seed, n_starts):
-    profile = RateProfile.from_beta(beta)
     if method == "proper-pure":
-        res = balance_pure_proper(ch, profile, eps=eps)
-        return RatePoint(res.rates.r1, res.rates.r2)
-    if method == "proper-timesharing":
-        _, _, cuts = cutting_plane(ch, profile, eps=eps)
-        sol = primal_recovery(cuts, profile, ch)
-        return sol.rates
-    if method == "improper-heuristic":
-        # mix the seed per beta so starts differ along the sweep
-        best, _ = multistart(
-            ch, (beta, 1.0 - beta), n_starts=n_starts,
-            seed=seed + int(round(beta * 10_000)),
-        )
-        return best.rates
-    raise ValidationError(f"unknown sweep method {method!r}")
+        return balance_pure_proper(ch, RateProfile.from_beta(beta), eps=eps).rates
+    # improper-heuristic; mix the seed per beta so starts differ along the sweep
+    best, _ = multistart(
+        ch, (beta, 1.0 - beta), n_starts=n_starts,
+        seed=seed + int(round(beta * 10_000)),
+    )
+    return best.rates
 
 
 def sweep_region(
@@ -146,6 +138,13 @@ def sweep_region(
     return RegionCurve(method=method, samples=samples)
 
 
+def _rate_pair(p) -> tuple[float, float]:
+    x, y = float(p[0]), float(p[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValidationError(f"non-finite rate pair ({x}, {y})")
+    return x, y
+
+
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -158,7 +157,7 @@ def convex_hull_2d(points) -> RegionCurve:
     available), so the hull runs from the r2 axis to the r1 axis.  Collinear
     interior points are dropped.
     """
-    pts = [(float(p[0]), float(p[1])) for p in points]
+    pts = [_rate_pair(p) for p in points]
     if not pts:
         raise ValidationError("need at least one point to hull")
     r1_max = max(p[0] for p in pts)
@@ -188,7 +187,7 @@ def contains(region: RegionCurve, pt, tol: float = 0.0) -> bool:
     """
     if not region.samples:
         raise ValidationError("empty region")
-    x, y = float(pt[0]), float(pt[1])
+    x, y = _rate_pair(pt)
     if x < 0 or y < 0:
         return False
     pts = sorted((p.r1, p.r2) for p in region.points())

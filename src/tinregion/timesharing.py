@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from scipy.optimize import brentq, linprog
 
-from .channel import SimoChannel, validate_channel
+from .channel import SimoChannel, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
 from .proper_pure import RateProfile
 from .rates import RatePoint, _proper_gains, _reduced_gain, rate_proper
@@ -49,6 +49,8 @@ class DualVariables:
     lam2: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValidationError("multipliers must be finite")
         if self.mu1 < 0 or self.mu2 < 0:
             raise ValidationError("rate multipliers must be nonnegative")
         if self.lam1 < LAMBDA_FLOOR * (1 - 1e-12) or self.lam2 < LAMBDA_FLOOR * (
@@ -261,8 +263,7 @@ def solve_inner(
     maximum.  If the kept intervals of ``p2`` exceed the cap, this raises
     with the best bounds found so far.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    validate_eps(eps)
     p, low, u_cert, resolved = _branch_and_bound(ch, dv, eps, _MAX_INTERVALS)
     if not resolved:
         raise ConvergenceError(
@@ -306,8 +307,7 @@ def cutting_plane(
     recomputed under the current profile's constraint.
     """
     validate_channel(ch)
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    validate_eps(eps)
     inner_eps = eps / 10.0
     lam_max = max(_lambda_max(ch, profile), 10 * LAMBDA_FLOOR)
     mu_bounds = []

@@ -2,19 +2,27 @@ import numpy as np
 import pytest
 
 from tinregion import (
+    DualVariables,
+    RateProfile,
     SimoChannel,
     TxStrategy,
     ValidationError,
+    balance_pure_proper,
     composite_cov_from_strategy,
     composite_real_embed,
+    cutting_plane,
     enhance_channel,
+    gradient_projection,
+    multistart,
     rate_complex,
+    solve_inner,
     strategy_from_composite_cov,
     transform_channel,
     transformed_rates,
     validate_channel,
 )
 from tinregion.channel import _reduced_qr, load_scenario, scenario_to_dict
+from tinregion.improper_gp import random_improper_init
 
 from conftest import random_channel, random_strategy
 
@@ -39,6 +47,30 @@ class TestValidation:
         bad = SimoChannel(h, fig1.h12, fig1.h21, fig1.h22, 10.0, 10.0)
         with pytest.raises(ValidationError, match="non-finite"):
             validate_channel(bad)
+
+
+_EPS_SOLVERS = {
+    "balance_pure_proper": lambda ch, eps: balance_pure_proper(
+        ch, RateProfile(0.5, 0.5), eps=eps
+    ),
+    "solve_inner": lambda ch, eps: solve_inner(
+        ch, DualVariables(1.0, 1.0, 0.1, 0.1), eps
+    ),
+    "cutting_plane": lambda ch, eps: cutting_plane(
+        ch, RateProfile(0.5, 0.5), eps=eps
+    ),
+    "gradient_projection": lambda ch, eps: gradient_projection(
+        ch, (1.0, 1.0), random_improper_init(ch, np.random.default_rng(0)), eps=eps
+    ),
+    "multistart": lambda ch, eps: multistart(ch, (1.0, 1.0), n_starts=1, eps=eps),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("solver", sorted(_EPS_SOLVERS))
+def test_solver_rejects_bad_eps(fig1, solver, eps):
+    with pytest.raises(ValidationError, match="eps must be positive and finite"):
+        _EPS_SOLVERS[solver](fig1, eps)
 
 
 class TestEmbedding:
@@ -124,35 +156,34 @@ class TestReducedQr:
             for _ in range(20):
                 hkk = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 hkj = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                hk, ak, bk, phik, psik, q = _reduced_qr(hkk, hkj)
+                hk, ak, bk, phik = _reduced_qr(hkk, hkj)
                 assert hk >= 0 and ak >= 0 and bk >= 0
-                np.testing.assert_allclose(q.conj().T @ q, np.eye(2), atol=1e-12)
-                r = np.array([[hk, ak * np.exp(1j * phik)],
-                              [0.0, bk * np.exp(1j * psik)]])
+                # [hkk hkj] = Q R with orthonormal Q, so the Gram matrices agree
+                r = np.array([[hk, ak * np.exp(1j * phik)], [0.0, bk]])
+                a = np.stack([hkk, hkj], axis=1)
                 np.testing.assert_allclose(
-                    q @ r, np.stack([hkk, hkj], axis=1), atol=1e-12
+                    r.conj().T @ r, a.conj().T @ a, atol=1e-12
                 )
 
     def test_real_upper_triangular_case(self):
-        hk, ak, bk, phik, psik, _ = _reduced_qr(
+        hk, ak, bk, phik = _reduced_qr(
             np.array([1.0, 0.0], dtype=complex),
             np.array([0.6, 0.8], dtype=complex),
         )
         assert abs(hk - 1.0) < 1e-15
         assert abs(ak - 0.6) < 1e-15
         assert abs(bk - 0.8) < 1e-15
-        assert phik == 0.0 and psik == 0.0
+        assert phik == 0.0
 
     def test_zero_direct_link(self):
         with pytest.raises(ValidationError, match="zero direct channel"):
             _reduced_qr(np.zeros(2, complex), np.ones(2, complex))
 
     def test_zero_cross_completion(self):
-        hk, ak, bk, phik, psik, q = _reduced_qr(
+        hk, ak, bk, phik = _reduced_qr(
             np.array([1.0 + 1j, 2.0 - 1j]), np.zeros(2, complex)
         )
         assert ak == 0.0 and bk == 0.0
-        np.testing.assert_allclose(q.conj().T @ q, np.eye(2), atol=1e-12)
 
 
 class TestTransform:

@@ -97,16 +97,10 @@ def test_usage_error_exit_code():
     assert main(["region"]) == 2  # missing required --scenario
 
 
-@pytest.mark.slow
-def test_verify_fig3(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    rc = main(["verify", "--scenario", "fig3", "--betas", "3",
-               "--out", str(out)])
-    report = json.loads(out.read_text())
-    names = {c["name"] for c in report["checks"]}
-    assert "formula-equivalence" in names
-    assert "nesting-pure-hull-timesharing" in names
-    assert rc == 0 and report["passed"]
+def test_region_non_finite_eps(capsys):
+    rc = main(["region", "--scenario", "fig1", "--betas", "3", "--eps", "nan"])
+    assert rc == 2
+    assert "eps" in capsys.readouterr().err
 
 
 @pytest.mark.slow

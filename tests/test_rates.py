@@ -145,6 +145,11 @@ class TestSinr:
     def test_mmse_reduces_to_matched(self, fig1):
         np.testing.assert_allclose(mmse_filter(fig1, 1, 0.0), fig1.h11, atol=1e-12)
 
+    @pytest.mark.parametrize("p_j", [-1.0, np.nan, np.inf])
+    def test_mmse_rejects_bad_power(self, fig1, p_j):
+        with pytest.raises(ValidationError, match="interferer power"):
+            mmse_filter(fig1, 1, p_j)
+
     def test_orthogonal_interference(self):
         from tinregion.channel import SimoChannel
 

@@ -87,6 +87,12 @@ class TestHull:
             assert contains(hull, p, tol=1e-9)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            convex_hull_2d([(1.0, 2.0), (bad, 1.0)])
+
+
 class TestContains:
     def _curve(self):
         samples = tuple(
@@ -119,6 +125,11 @@ class TestContains:
     def test_empty(self):
         with pytest.raises(ValidationError):
             contains(RegionCurve("proper-pure", ()), (0, 0))
+
+    @pytest.mark.parametrize("pt", [(np.nan, 1.0), (1.0, np.inf)])
+    def test_rejects_non_finite(self, pt):
+        with pytest.raises(ValidationError, match="non-finite"):
+            contains(self._curve(), pt)
 
 
 class TestNestingQuick:

@@ -8,6 +8,7 @@ from tinregion import (
     DualVariables,
     RateProfile,
     TxStrategy,
+    ValidationError,
     balance_pure_proper,
     cutting_plane,
     dual_value,
@@ -245,6 +246,15 @@ class TestSolveInner:
             _, val = solve_inner(fig1, dv, eps=1e-4)
             oracle = _grid_oracle(fig1, dv)
             assert abs(val - oracle) <= 1e-3
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_multipliers(self, bad):
+        for i in range(4):
+            args = [1.0, 1.0, 0.1, 0.1]
+            args[i] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                DualVariables(*args)
 
 
 class TestEngine:
