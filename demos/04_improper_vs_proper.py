@@ -40,4 +40,4 @@ print("\n-- the whole terminal cloud sits inside the time-sharing region --")
 betas = sorted(set(np.linspace(0, 1, 21)) | {beta})
 ts = sweep_region(ch, "proper-timesharing", betas, eps=2e-2)
 inside = all(contains(ts, r.rates, tol=2e-2) for r in runs)
-print("all 20 terminal points contained (tol 2e-2):", inside)
+print(f"all {len(runs)} terminal points contained (tol 2e-2):", inside)

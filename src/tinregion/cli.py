@@ -132,6 +132,9 @@ def cmd_region(args) -> int:
 
 def cmd_reproduce(args) -> int:
     name = args.figure
+    if args.betas < 3 or args.betas % 2 == 0:
+        # the balanced time-sharing check reads the curve at beta 0.5
+        raise ValidationError(f"--betas must be odd and at least 3, got {args.betas}")
     ch = preset_scenario(name)
     outdir = Path(args.out) if args.out else Path(f"reproduce_{name}")
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,13 +1,13 @@
 """Weighted sum rate maximization with improper signals.
 
 Works in the composite real representation: each user's transmit state is a
-2x2 real PSD matrix with trace bounded by the power budget.  A projected
-gradient ascent with a shrinking step size climbs the (nonconvex) weighted
-sum rate from multiple random improper initializations, which ascend in
-lockstep as one stack of ``(S, 2, 2)`` arrays; the projection onto the power
-budget is a closed form for 2x2 matrices.  Starting from exactly proper
-matrices the iteration never leaves the proper set, which is why improper
-initialization is mandatory.
+2x2 real PSD matrix with trace at most the power budget.  A projected
+gradient ascent with per-start adaptive steps climbs the (nonconvex)
+weighted sum rate from random improper starts and from the proper optimum;
+the starts ascend in lockstep as stacked ``(S, 2, 2)`` arrays, and the
+projection onto the power set is a closed form for 2x2 matrices.  From
+exactly proper matrices the iteration never leaves the proper set, which is
+why the other starts are improper.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .channel import (
     validate_eps,
 )
 from .errors import ValidationError
-from .rates import RatePoint, rate_composite
+from .rates import RatePoint, _proper_gains, _reduced_gain, rate_composite
 
 __all__ = [
     "GpResult",
@@ -40,7 +40,9 @@ __all__ = [
 _LN2 = float(np.log(2.0))
 GP_EPS = 1e-8
 GP_MAX_ITER = 5000
-_MAX_BACKOFF = 2000
+_MIN_STEP = 1e-12
+_ARMIJO = 0.5  # share of its first-order gain <G, D> that a move D must make
+_EDGE_POINTS = 4097  # per full-power edge in the proper seed's search
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,7 @@ class GpResult:
     W: float
     rates: RatePoint
     converged: bool
+    residual: float | None = None  # ||proj(M + G) - M|| over both users
 
 
 class _CompositeChannel:
@@ -117,28 +120,32 @@ def wsr_gradient(ch: SimoChannel, m1, m2, w) -> tuple[np.ndarray, np.ndarray]:
 
 
 def project_psd_trace(m, p: float) -> np.ndarray:
-    """Nearest PSD matrix with trace exactly ``p`` (Frobenius distance), for
+    """Nearest PSD matrix with trace at most ``p`` (Frobenius distance), for
     one symmetric 2x2 matrix or a ``(..., 2, 2)`` stack of them.
 
-    Closed-form water-filling on the two eigenvalues.  With ``r`` half the
-    eigenvalue gap, both survive a common shift by ``(p - tr)/2`` when
-    ``2r <= p``; otherwise the result is ``p v v^T`` for the top eigenvector
-    ``v``.  Both cases are ``p/2 I + t D``, where ``D`` is the traceless part
-    of the matrix and ``t = min(1, p / 2r)``.  A zero target (a zero power
-    budget) gives the zero matrix.
+    Closed form on the eigenvalues ``a ± r`` (``a`` half the trace, ``r``
+    half the eigenvalue gap): clip both at zero, and only when the clipped
+    sum is over ``p`` water-fill down to it, which gives ``p/2 ± min(r, p/2)``.
+    The result keeps the eigenvectors, so it is ``l I + t D`` with ``D`` the
+    traceless part of the matrix.  A zero budget gives the zero matrix.
     """
     if not p >= 0:
         raise ValidationError("trace target must be nonnegative")
     arr = np.asarray(m, dtype=float)
     if arr.shape[-2:] != (2, 2):
         raise ValidationError(f"expected 2x2 matrices, got shape {arr.shape}")
+    mid = 0.5 * (arr[..., 0, 0] + arr[..., 1, 1])
     half = 0.5 * (arr[..., 0, 0] - arr[..., 1, 1])
     off = 0.5 * (arr[..., 0, 1] + arr[..., 1, 0])
-    edge = np.maximum(2.0 * np.hypot(half, off), p)
-    t = np.divide(p, edge, out=np.ones_like(edge), where=edge > 0)
+    r = np.hypot(half, off)
+    hi, lo = np.maximum(mid + r, 0.0), np.maximum(mid - r, 0.0)
+    over = hi + lo > p
+    k = np.minimum(r, 0.5 * p)
+    hi, lo = np.where(over, 0.5 * p + k, hi), np.where(over, 0.5 * p - k, lo)
+    t = np.divide(hi - lo, 2.0 * r, out=np.zeros_like(r), where=r > 0)
     out = np.empty(arr.shape)
-    out[..., 0, 0] = 0.5 * p + t * half
-    out[..., 1, 1] = 0.5 * p - t * half
+    out[..., 0, 0] = 0.5 * (hi + lo) + t * half
+    out[..., 1, 1] = 0.5 * (hi + lo) - t * half
     out[..., 0, 1] = out[..., 1, 0] = t * off
     return out
 
@@ -157,40 +164,53 @@ def random_improper_init(
 
 
 def _ascend(ch: SimoChannel, w, m1, m2, eps: float, max_iter: int) -> list[GpResult]:
-    """Ascent from every start of the stacks ``m1, m2`` in lockstep.  Each
-    round every live start tries ``proj(m + g/s)``: it moves there if that
-    does not lower its objective, and stops converged on a gain ``<= eps``
-    or unconverged after ``max_iter`` moves; otherwise ``s += 1``, and it
-    stops unconverged after ``_MAX_BACKOFF`` rejections in a row."""
+    """Ascent from every start of the stacks ``m1, m2`` in lockstep; each
+    round computes only the live starts.  A start tries ``proj(m + step g)``
+    and moves there if that gains at least half the first-order gain
+    ``<g, move>``; it then doubles its step and stops converged on a gain
+    ``<= eps`` or unconverged after ``max_iter`` moves.  Otherwise it halves
+    its step and stops unconverged once the step is below 1e-12."""
     comp = _CompositeChannel(ch)
     m1, m2 = m1.copy(), m2.copy()
     cov, rates, obj = comp.evaluate(m1, m2, w)
     g1, g2 = comp.gradients(cov, w)
-    s = np.ones(len(m1))
-    backoff, steps = np.zeros((2, len(m1)), dtype=int)
+    step, moves = np.ones(len(m1)), np.zeros(len(m1), dtype=int)
     converged = np.zeros(len(m1), dtype=bool)
-    live = np.full(len(m1), max_iter > 0)
-    while live.any():
-        step = (1.0 / s)[:, None, None]
-        c1 = project_psd_trace(m1 + step * g1, ch.p1)
-        c2 = project_psd_trace(m2 + step * g2, ch.p2)
+    live = np.arange(len(m1) if max_iter > 0 else 0)
+    while live.size:
+        s = step[live, None, None]
+        c1 = project_psd_trace(m1[live] + s * g1[live], ch.p1)
+        c2 = project_psd_trace(m2[live] + s * g2[live], ch.p2)
         cov, crates, cobj = comp.evaluate(c1, c2, w)
-        gain = cobj - obj
-        acc = live & (gain >= 0.0)
-        rej = live & ~acc
-        s[rej] += 1
-        backoff[rej] += 1
-        backoff[acc] = 0
-        steps[acc] += 1
-        m1[acc], m2[acc] = c1[acc], c2[acc]
-        rates[:, acc], obj[acc] = crates[:, acc], cobj[acc]
-        converged |= acc & (gain <= eps)
-        live &= ~converged & (steps < max_iter) & (backoff < _MAX_BACKOFF)
-        more = acc & live
-        if more.any():
-            g1[more], g2[more] = comp.gradients(cov[:, more], w)
+        gain = cobj - obj[live]
+        pred = ((c1 - m1[live]) * g1[live] + (c2 - m2[live]) * g2[live]).sum(axis=(1, 2))
+        acc = gain >= _ARMIJO * pred
+        moved = live[acc]
+        step[live] *= np.where(acc, 2.0, 0.5)
+        if moved.size:
+            m1[moved], m2[moved] = c1[acc], c2[acc]
+            rates[:, moved], obj[moved] = crates[:, acc], cobj[acc]
+            g1[moved], g2[moved] = comp.gradients(cov[:, acc], w)
+            moves[moved] += 1
+            converged[moved] = gain[acc] <= eps
+        live = live[~converged[live] & (moves[live] < max_iter) & (step[live] >= _MIN_STEP)]
+    d = np.stack([project_psd_trace(m1 + g1, ch.p1) - m1, project_psd_trace(m2 + g2, ch.p2) - m2])
+    residual = np.sqrt((d**2).sum(axis=(0, 2, 3)))
     return [GpResult(m1[i], m2[i], float(obj[i]), RatePoint(*map(float, rates[:, i])),
-                     bool(converged[i])) for i in range(len(m1))]
+                     bool(converged[i]), float(residual[i])) for i in range(len(m1))]
+
+
+def _proper_seed(ch: SimoChannel, w) -> tuple[float, float]:
+    """Powers of the best proper weighted sum rate on the two full-power
+    edges, where it lies, from a dense search of each edge."""
+    g, x, n = _proper_gains(ch)
+    t = np.linspace(1.0, 0.0, _EDGE_POINTS)  # ties go to the larger power
+    p1 = np.concatenate([np.full_like(t, ch.p1), ch.p1 * t])
+    p2 = np.concatenate([ch.p2 * t, np.full_like(t, ch.p2)])
+    r1 = np.log2(1.0 + p1 * _reduced_gain(g[0], x[0], n[0], p2))
+    r2 = np.log2(1.0 + p2 * _reduced_gain(g[1], x[1], n[1], p1))
+    i = int(np.argmax(w[0] * r1 + w[1] * r2))
+    return float(p1[i]), float(p2[i])
 
 
 def gradient_projection(
@@ -200,13 +220,15 @@ def gradient_projection(
     eps: float = GP_EPS,
     max_iter: int = GP_MAX_ITER,
 ) -> GpResult:
-    """Projected gradient ascent with step size ``1/s`` and integer backoff.
+    """Projected gradient ascent on ``{M PSD, trace M <= P}`` with a step
+    that starts at 1, doubles on an accepted move and halves on a rejected
+    one (a move that gains less than half its first-order gain).
 
-    The accepted-iterate objective sequence is nondecreasing; iteration
-    stops when an accepted step improves the objective by at most ``eps``.
-    Hitting the iteration cap, or 2000 rejected steps in a row, returns the
-    last accepted iterate flagged as not converged.  This is the lockstep
-    engine of :func:`multistart` run on a batch of one start.
+    The objective never falls; iteration stops converged when an accepted
+    move gains at most ``eps``.  ``max_iter`` moves, or a step below 1e-12,
+    return the last iterate flagged as not converged.  ``residual`` is the
+    stationarity measure ``||proj(M + G) - M||`` at the returned point.
+    This is the engine of :func:`multistart` on a batch of one start.
     """
     validate_channel(ch)
     validate_eps(eps)
@@ -225,17 +247,21 @@ def multistart(
     seed: int = 0,
     eps: float = GP_EPS,
 ) -> tuple[GpResult, list[GpResult]]:
-    """Run :func:`gradient_projection` from ``n_starts`` random improper
-    initializations as one lockstep batch and keep the best.  All inits are
-    drawn first from a generator seeded with ``seed``, and each start ends
-    as it would alone, so results do not depend on ``n_starts``."""
+    """Run :func:`gradient_projection` as one lockstep batch from ``n_starts``
+    random improper inits, drawn from a generator seeded with ``seed``, then
+    from the proper weighted-sum-rate optimum on the full-power edges and a
+    5% improper copy of it; keep the best.  The ascent is monotone, so the
+    best ``W`` is at least the proper optimum.  Each start ends as it would
+    alone, so the ``n_starts + 2`` results do not depend on ``n_starts``."""
     validate_channel(ch)
     validate_eps(eps)
     w = _weights(w)
-    if n_starts < 1:
-        raise ValidationError("need at least one start")
+    if not isinstance(n_starts, (int, np.integer)) or n_starts < 1:
+        raise ValidationError(f"need a positive integer number of starts: {n_starts!r}")
     rng = np.random.default_rng(seed)
     inits = [random_improper_init(ch, rng) for _ in range(n_starts)]
+    c = _proper_seed(ch, w)
+    inits += [tuple(composite_cov_from_strategy(ck, f * ck) for ck in c) for f in (0.0, 0.05)]
     m1, m2 = (np.stack(m) for m in zip(*inits))
     results = _ascend(ch, w, m1, m2, eps, GP_MAX_ITER)
     best = max(results, key=lambda r: r.W)

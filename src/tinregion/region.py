@@ -111,7 +111,7 @@ def sweep_region(
     betas = sorted(float(b) for b in betas)
     if not betas:
         raise ValidationError("empty beta grid")
-    if any(b < 0 or b > 1 for b in betas):
+    if not all(0 <= b <= 1 for b in betas):
         raise ValidationError("betas must lie in [0, 1]")
     if method == "convex-hull":
         pure = sweep_region(

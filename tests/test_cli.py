@@ -103,6 +103,24 @@ def test_region_non_finite_eps(capsys):
     assert "eps" in capsys.readouterr().err
 
 
+def test_region_nan_beta(capsys):
+    rc = main(["region", "--scenario", "fig1", "--method", "improper",
+               "--betas", "nan,0.5"])
+    assert rc == 2
+    assert "betas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["1", "4", "0", "-3"])
+def test_reproduce_grid_without_half(tmp_path, capsys, count):
+    # the balanced time-sharing check needs beta 0.5 on the grid; the grid is
+    # rejected before anything is solved or written
+    outdir = tmp_path / "rep"
+    rc = main(["reproduce", "fig3", "--betas", count, "--out", str(outdir)])
+    assert rc == 2
+    assert "--betas" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.slow
 def test_reproduce_fig3(tmp_path, capsys):
     outdir = tmp_path / "rep"

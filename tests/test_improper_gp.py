@@ -3,22 +3,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scipy.optimize import minimize_scalar
+
 from tinregion import (
     SimoChannel,
     ValidationError,
     composite_cov_from_strategy,
     gradient_projection,
+    improper_gp,
     multistart,
+    preset_scenario,
     project_psd_trace,
     rate_composite,
     rate_proper,
     strategy_from_composite_cov,
+    sweep_region,
     wsr_gradient,
     wsr_objective,
 )
 from tinregion.improper_gp import GP_EPS, GP_MAX_ITER, random_improper_init
 
-from conftest import random_channel
+from conftest import proper_rates, random_channel
 
 
 def _random_improper(rng, p):
@@ -28,16 +33,16 @@ def _random_improper(rng, p):
 
 
 def _eigh_projection(m, p):
-    """Water-filling on the eigenvalues from ``eigh``: shift both by a common
-    level and clip at zero so that the survivors sum to ``p``."""
+    """Projection onto ``{PSD, trace <= p}`` from ``eigh``: clip the
+    eigenvalues at zero, and if they then sum to more than ``p``, lower both
+    by a common level (clipping again) so that the survivors sum to ``p``."""
     xi, omega = np.linalg.eigh(0.5 * (m + m.T))
-    xi, omega = xi[::-1], omega[:, ::-1]
-    level = xi[0] - p  # one active eigenvalue
-    for k in (1, 2):
-        cand = (xi[:k].sum() - p) / k
-        if xi[k - 1] - cand > 0 and (k == 2 or xi[k] - cand <= 0):
-            level = cand
-            break
+    level = 0.0
+    if np.clip(xi, 0.0, None).sum() > p:
+        lo, hi = xi
+        level = hi - p  # one active eigenvalue
+        if lo - (lo + hi - p) / 2 > 0:
+            level = (lo + hi - p) / 2
     return (omega * np.clip(xi - level, 0.0, None)) @ omega.T
 
 
@@ -48,8 +53,10 @@ def _embed(h):
 
 def _reference_gp(ch, w, init, eps=GP_EPS, max_iter=GP_MAX_ITER):
     """One start of the projected gradient ascent as a scalar loop, sharing
-    no code with the lockstep engine: step ``1/s``, ``s += 1`` on a step
-    that lowers the objective, at most 2000 such steps in a row.  Returns
+    no code with the lockstep engine: the step starts at 1, doubles on a move
+    that gains at least half its first-order gain and halves otherwise.
+    Stops converged on a move gaining at most ``eps``, unconverged after
+    ``max_iter`` moves or once the step is below 1e-12.  Returns
     ``(m1, m2, W, converged)``."""
     e11, e12, e21, e22 = (_embed(h) for h in (ch.h11, ch.h12, ch.h21, ch.h22))
     c1, c2 = w[0] / (2 * np.log(2)), w[1] / (2 * np.log(2))
@@ -70,22 +77,22 @@ def _reference_gp(ch, w, init, eps=GP_EPS, max_iter=GP_MAX_ITER):
 
     m1, m2 = init
     obj = objective(m1, m2)
-    s = 1
-    for _ in range(max_iter):
-        g1, g2 = gradients(m1, m2)
-        for _ in range(2000):
-            t1 = _eigh_projection(m1 + (1.0 / s) * g1, ch.p1)
-            t2 = _eigh_projection(m2 + (1.0 / s) * g2, ch.p2)
-            tobj = objective(t1, t2)
-            if tobj - obj >= 0.0:
-                break
-            s += 1
-        else:
-            return m1, m2, obj, False
+    step, moves = 1.0, 0
+    g1, g2 = gradients(m1, m2)
+    while moves < max_iter and step >= 1e-12:
+        t1 = _eigh_projection(m1 + step * g1, ch.p1)
+        t2 = _eigh_projection(m2 + step * g2, ch.p2)
+        tobj = objective(t1, t2)
         gain = tobj - obj
+        if gain < 0.5 * (np.sum((t1 - m1) * g1) + np.sum((t2 - m2) * g2)):
+            step *= 0.5
+            continue
         m1, m2, obj = t1, t2, tobj
         if gain <= eps:
             return m1, m2, obj, True
+        step *= 2.0
+        moves += 1
+        g1, g2 = gradients(m1, m2)
     return m1, m2, obj, False
 
 
@@ -158,18 +165,16 @@ class TestGradient:
 
 class TestProjection:
     def test_analytic_cases(self):
-        np.testing.assert_allclose(
-            project_psd_trace(np.diag([3.0, 1.0]), 2.0), np.diag([2.0, 0.0]),
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            project_psd_trace(np.diag([2.0, -1.0]), 2.0), np.diag([2.0, 0.0]),
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            project_psd_trace(np.diag([1.0, 1.0]), 4.0), np.diag([2.0, 2.0]),
-            atol=1e-12,
-        )
+        cases = [
+            (np.diag([3.0, 1.0]), 2.0, np.diag([2.0, 0.0])),  # water-filled
+            (np.diag([2.0, -1.0]), 2.0, np.diag([2.0, 0.0])),  # clipped
+            (np.diag([1.0, 1.0]), 4.0, np.diag([1.0, 1.0])),  # under budget
+            (np.diag([3.0, -1.0]), 5.0, np.diag([3.0, 0.0])),  # clipped, under
+            (np.diag([-1.0, -2.0]), 5.0, np.zeros((2, 2))),
+            (np.diag([4.0, 3.0]), 5.0, np.diag([3.0, 2.0])),  # common shift
+        ]
+        for m, p, want in cases:
+            np.testing.assert_allclose(project_psd_trace(m, p), want, atol=1e-12)
 
     def test_zero_target(self):
         m = np.array([[2.0, 0.5], [0.5, -1.0]])
@@ -178,14 +183,18 @@ class TestProjection:
         with pytest.raises(ValidationError):
             project_psd_trace(m, -1e-12)
 
-    def test_trace_exact_and_psd(self):
+    def test_trace_bounded_and_psd(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
             a = rng.standard_normal((2, 2))
             m = a + a.T
             out = project_psd_trace(m, 3.0)
-            assert abs(np.trace(out) - 3.0) <= 1e-10
+            assert np.trace(out) <= 3.0 + 1e-12
             assert np.linalg.eigvalsh(out).min() >= -1e-12
+            # a feasible input is its own projection
+            b = a @ a.T
+            b *= 3.0 * rng.uniform() / np.trace(b)
+            np.testing.assert_allclose(project_psd_trace(b, 3.0), b, rtol=0, atol=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(42)
@@ -203,15 +212,15 @@ class TestProjection:
         proj = project_psd_trace(m, 2.0)
         d0 = np.linalg.norm(m - proj)
         for _ in range(100):
-            # random PSD with trace exactly 2
+            # random PSD with trace at most 2
             b = rng.standard_normal((2, 2))
             x = b @ b.T
-            x *= 2.0 / np.trace(x)
+            x *= 2.0 * rng.uniform() / np.trace(x)
             assert d0 <= np.linalg.norm(m - x) + 1e-10
 
 
 class TestClosedFormProjection:
-    # project_psd_trace against eigh water-filling
+    # project_psd_trace against the eigh clip-and-water-fill oracle
     @staticmethod
     def _symmetric(rng, k):
         a = rng.standard_normal((k, 2, 2)) * rng.uniform(0.01, 20, (k, 1, 1))
@@ -220,6 +229,7 @@ class TestClosedFormProjection:
     def test_matches_eigh_oracle(self):
         rng = np.random.default_rng(46)
         ms = self._symmetric(rng, 1000)
+        ms[:500] += rng.uniform(-20, 20, (500, 1, 1)) * np.eye(2)  # vary the trace
         ps = rng.uniform(0, 30, 1000)
         ps[:10] = 0.0
         for m, p in zip(ms, ps):
@@ -228,19 +238,22 @@ class TestClosedFormProjection:
                                        rtol=0, atol=1e-12 * scale)
 
     def test_equal_eigenvalues(self):
-        # r = 0: only the shift applies, whatever the target
+        # r = 0: the clipped level, capped at half the budget
         for lam in (-3.0, 0.0, 2.5):
             for p in (0.0, 1.0, 7.0):
                 m = lam * np.eye(2)
                 out = project_psd_trace(m, p)
-                np.testing.assert_allclose(out, 0.5 * p * np.eye(2), atol=1e-15)
+                np.testing.assert_allclose(out, min(max(lam, 0.0), 0.5 * p) * np.eye(2),
+                                           atol=1e-15)
                 np.testing.assert_allclose(out, _eigh_projection(m, p), atol=1e-12)
 
     def test_boundary_gap_equals_target(self):
-        # 2r == p: both branches give the same matrix, with a zero eigenvalue
+        # over budget with 2r == p: shifting and the rank-one branch give the
+        # same matrix, with a zero eigenvalue
         rng = np.random.default_rng(47)
         for _ in range(20):
-            p, mu, phi = rng.uniform(0.1, 10), rng.uniform(-5, 5), rng.uniform(0, np.pi)
+            p, phi = rng.uniform(0.1, 10), rng.uniform(0, np.pi)
+            mu = 0.5 * p + rng.uniform(0.01, 5)
             v = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
             m = v @ np.diag([mu + 0.5 * p, mu - 0.5 * p]) @ v.T
             out = project_psd_trace(m, p)
@@ -303,31 +316,35 @@ class TestLockstepEquivalence:
               "mixed": random_channel(np.random.default_rng(52), n1=1, n2=3)}[name]
         _, runs = multistart(ch, (0.5, 0.5), n_starts=4, seed=7)
         rng = np.random.default_rng(7)
-        for res in runs:
+        for res in runs[:4]:
             init = random_improper_init(ch, rng)
             _assert_matches_reference(res, _reference_gp(ch, (0.5, 0.5), init))
 
-    def test_backoff_cap_start(self, fig1):
-        # start 0 of the benchmark's fig1 op at weights (0.05, 0.95) ends on
-        # 2000 rejected steps in a row
+    def test_benchmark_extreme_weight_start(self, fig1):
+        # start 0 of the benchmark's fig1 op at weights (0.05, 0.95): the
+        # trace == P projection left it on its initialization
         _, runs = multistart(fig1, (0.05, 0.95), n_starts=1, seed=0)
         init = random_improper_init(fig1, np.random.default_rng(0))
         ref = _reference_gp(fig1, (0.05, 0.95), init)
-        assert not ref[3]
+        assert ref[3]
+        assert runs[0].W > wsr_objective(fig1, *init, 0.05, 0.95) + 0.1
         _assert_matches_reference(runs[0], ref)
 
     def test_iteration_cap(self, fig1):
         init = random_improper_init(fig1, np.random.default_rng(51))
-        res = gradient_projection(fig1, (1.0, 1.0), init, max_iter=50)
-        ref = _reference_gp(fig1, (1.0, 1.0), init, max_iter=50)
+        res = gradient_projection(fig1, (1.0, 1.0), init, max_iter=3)
+        ref = _reference_gp(fig1, (1.0, 1.0), init, max_iter=3)
         assert not ref[3]
         _assert_matches_reference(res, ref)
 
     def test_batch_independence(self, fig1):
+        # random starts first, the two seeds last
         _, three = multistart(fig1, (0.3, 0.7), n_starts=3, seed=52)
         _, five = multistart(fig1, (0.3, 0.7), n_starts=5, seed=52)
-        for a, b in zip(three, five):
+        assert len(three) == 5 and len(five) == 7
+        for a, b in zip(three[:3] + three[3:], five[:3] + five[5:]):
             assert a.W == b.W and a.rates == b.rates and a.converged == b.converged
+            assert a.residual == b.residual
             np.testing.assert_array_equal(a.m1, b.m1)
             np.testing.assert_array_equal(a.m2, b.m2)
 
@@ -370,6 +387,19 @@ class TestMultistart:
         with pytest.raises(ValidationError):
             multistart(fig1, (1.0, 1.0), n_starts=0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_rejects_non_integer_starts(self, fig1, n):
+        with pytest.raises(ValidationError):
+            multistart(fig1, (1.0, 1.0), n_starts=n)
+
+    def test_seeds_follow_random_starts(self, fig1):
+        # the proper seed stays proper; its 5% improper copy need not
+        _, runs = multistart(fig1, (0.5, 0.5), n_starts=3, seed=0)
+        assert len(runs) == 5
+        for m in (runs[3].m1, runs[3].m2):
+            assert abs(strategy_from_composite_cov(m)[1]) <= 1e-9
+        assert runs[4].W >= runs[3].W - 1e-9
+
     def test_initializations_are_improper(self, fig1):
         rng = np.random.default_rng(45)
         for _ in range(20):
@@ -405,3 +435,72 @@ class TestMultistart:
         single = np.log2(1 + p * np.linalg.norm(h) ** 2)
         assert silent == 0.0
         assert single - 1e-4 <= other <= single + 1e-12
+
+
+def _proper_edge_optimum(ch, w):
+    """Best proper weighted sum rate on the two full-power edges, where it
+    lies: a 2001-point grid per edge from the closed-form oracle rates,
+    refined by a bounded scalar search around the best grid point."""
+    best = -np.inf
+    for k in (0, 1):
+        top = (ch.p2, ch.p1)[k]
+
+        def wsr(q):
+            r1, r2 = proper_rates(ch, *((ch.p1, q) if k == 0 else (q, ch.p2)))
+            return w[0] * r1 + w[1] * r2
+
+        q = np.linspace(0.0, top, 2001)
+        v = wsr(q)
+        i = int(np.argmax(v))
+        fine = minimize_scalar(lambda x: -wsr(x), bounds=(q[max(i - 1, 0)], q[min(i + 1, 2000)]),
+                               method="bounded", options={"xatol": 1e-12})
+        best = max(best, float(v[i]), -float(fine.fun))
+    return best
+
+
+def _case_channel(name):
+    if name == "collinear":  # acceptance C4
+        ch = preset_scenario("fig1")
+        return replace(ch, h12=1.2 * ch.h11, h21=1.4 * ch.h22)
+    if name.startswith("random-p"):
+        return random_channel(np.random.default_rng(60), p=float(name[8:]))
+    return preset_scenario(name)
+
+
+class TestFeasibleAscent:
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+    def test_not_below_proper_optimum(self, name):
+        # every proper strategy is an improper one
+        ch = preset_scenario(name)
+        curve = sweep_region(ch, "improper-heuristic", np.linspace(0, 1, 21), n_starts=5)
+        for beta, pt in curve.samples:
+            w = (beta, 1.0 - beta)
+            assert w[0] * pt.r1 + w[1] * pt.r2 >= _proper_edge_optimum(ch, w) - 1e-9, beta
+
+    # the benchmark's ops on fig1-3, the collinear channel of acceptance C4,
+    # and high-SNR random channels where the 1/s step ended on its caps
+    @pytest.mark.parametrize("name,beta", [
+        *((n, b) for n in ("fig1", "fig2", "fig3") for b in (0.05, 0.5, 0.95)),
+        ("collinear", 0.5),
+        *((f"random-p{p}", 0.5) for p in range(100, 700, 100)),
+    ])
+    def test_every_start_converges(self, name, beta, monkeypatch):
+        ch = _case_channel(name)
+        w, scale = (beta, 1.0 - beta), max(ch.p1, ch.p2)
+        worst = []
+
+        def checked(m, p):
+            out = project_psd_trace(m, p)
+            worst.append(max((np.trace(out, axis1=-2, axis2=-1) - p).max(),
+                             -np.linalg.eigvalsh(out).min()))
+            return out
+
+        monkeypatch.setattr(improper_gp, "project_psd_trace", checked)
+        _, runs = multistart(ch, w, n_starts=20, seed=3)
+        assert max(worst) <= 1e-12 * scale  # every candidate is feasible
+        rng = np.random.default_rng(3)
+        for res in runs[:20]:
+            assert res.W >= wsr_objective(ch, *random_improper_init(ch, rng), *w) - 1e-12
+        for res in runs:
+            assert res.converged
+            assert res.residual <= 1e-4 * scale

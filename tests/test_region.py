@@ -59,6 +59,8 @@ class TestSweep:
             sweep_region(fig1, "proper-pure", [])
         with pytest.raises(ValidationError):
             sweep_region(fig1, "proper-pure", [1.5])
+        with pytest.raises(ValidationError):
+            sweep_region(fig1, "improper-heuristic", [np.nan, 0.5])
 
 
 class TestHull:
