@@ -135,6 +135,8 @@ def cmd_reproduce(args) -> int:
     if args.betas < 3 or args.betas % 2 == 0:
         # the balanced time-sharing check reads the curve at beta 0.5
         raise ValidationError(f"--betas must be odd and at least 3, got {args.betas}")
+    if args.starts < 1:
+        raise ValidationError(f"--starts must be at least 1, got {args.starts}")
     ch = preset_scenario(name)
     outdir = Path(args.out) if args.out else Path(f"reproduce_{name}")
     outdir.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.optimize import brentq, linprog
+from scipy.optimize import linprog
 
 from .channel import SimoChannel, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
@@ -37,6 +37,7 @@ __all__ = [
 LAMBDA_FLOOR = 1e-9
 _LN2 = math.log(2.0)
 _MAX_INTERVALS = 1_000_000
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -93,17 +94,17 @@ class Cut:
 class _InnerProblem:
     """The mixed-monotonic objective of the inner problem: the weighted
     closed-form proper rate of :mod:`tinregion.rates` minus the power
-    penalty.  ``value`` and ``solo`` work elementwise on scalars and arrays.
+    penalty.  ``value`` works elementwise on scalars and arrays.
     """
 
     def __init__(self, ch: SimoChannel, dv: DualVariables):
         self.g, self.x, self.n = _proper_gains(ch)
         self.mu = (dv.mu1, dv.mu2)
         self.lam = (dv.lam1, dv.lam2)
-        # maximizer of each user's interference-free objective; a dead direct
-        # link earns nothing, so its peak is at zero power
+        # maximizer of each user's interference-free objective, zero exactly
+        # when lam ln 2 >= mu g; a dead direct link earns nothing
         self.peak = tuple(
-            max(mu / (lam * _LN2) - 1.0 / g, 0.0) if g > 0 else 0.0
+            max((mu * g - lam * _LN2) / (lam * _LN2 * g), 0.0) if g > 0 else 0.0
             for mu, lam, g in zip(self.mu, self.lam, self.g)
         )
 
@@ -118,11 +119,6 @@ class _InnerProblem:
             - self.lam[0] * y1
             - self.lam[1] * y2
         )
-
-    def solo(self, k: int, p):
-        """Interference-free objective of user ``k`` (0-based): concave in
-        ``p``, and an upper bound on that user's share of the objective."""
-        return self.mu[k] * np.log1p(p * self.g[k]) / _LN2 - self.lam[k] * p
 
     def p1_max(self, a, b, cap1: float):
         """Maximizers and maxima of ``value(p1, b, p1, a)`` over ``p1`` in
@@ -171,53 +167,25 @@ class _InnerProblem:
         return cap1 * t[rows, best], vals[rows, best]
 
 
-def _root_corner(prob: _InnerProblem) -> tuple[float, float]:
-    """Upper corner of a box holding the global maximizer of the inner
-    problem: beyond edge ``k``, user ``k``'s concave interference-free
-    objective plus the other user's best case is negative, while the origin
-    achieves 0."""
-    corner = []
-    for k in (0, 1):
-        f_max_j = prob.solo(1 - k, prob.peak[1 - k])
-        pk_peak = prob.peak[k]
-
-        def h(p: float) -> float:
-            return prob.solo(k, p) + f_max_j
-
-        if h(pk_peak) <= 0.0:
-            corner.append(pk_peak)
-            continue
-        hi = max(pk_peak, 1.0)
-        for _ in range(200):
-            hi *= 2.0
-            if h(hi) < 0.0:
-                break
-        else:
-            raise ConvergenceError("could not bracket the box-sizing root")
-        corner.append(float(brentq(h, pk_peak, hi, xtol=1e-9, rtol=1e-12)))
-    return corner[0], corner[1]
-
-
-def _branch_and_bound(ch: SimoChannel, dv: DualVariables, eps: float,
-                      max_intervals: int):
+def _branch_and_bound(ch: SimoChannel, dv: DualVariables, eps: float):
     """Shared engine: returns ``(p, L, U_cert, resolved)`` where ``U_cert``
     upper-bounds the true inner maximum even if the cap was reached.
 
-    The maximum over ``p1`` is exact (:meth:`_InnerProblem.p1_max`), so the
-    search runs over intervals of ``p2``, held in arrays and all halved each
-    round.  Midpoint values sharpen the incumbent, and halves whose bound
-    cannot beat it by more than ``eps`` are pruned.  Past ``max_intervals``
-    kept halves the engine stops with ``resolved=False`` and the largest
-    live bound as the certificate.
+    The search box is ``[0, peak_1] x [0, peak_2]``, each user's
+    interference-free optimum.  It holds every maximizer: interference only
+    lowers a user's own-rate marginal (``q_k(p_j) <= g_k``, and
+    ``q / (1 + p q)`` grows with ``q``) and the cross term only lowers the
+    objective, so past ``peak_k`` the objective falls in ``p_k`` whatever
+    the other power.  The maximum over ``p1`` is exact
+    (:meth:`_InnerProblem.p1_max`), so the search runs over intervals of
+    ``p2``, held in arrays and all halved each round.  Midpoint values
+    sharpen the incumbent, and halves whose bound cannot beat it by more
+    than ``eps`` are pruned.  Past ``_MAX_INTERVALS`` kept halves the engine
+    stops with ``resolved=False`` and the largest live bound as the
+    certificate.
     """
     prob = _InnerProblem(ch, dv)
-    # The root is [0, _root_corner], capped: any maximizer also satisfies
-    # mu_k * (own-rate marginal) >= lam_k because the cross term only
-    # decreases the objective, and the marginal is at most 1/(p ln 2);
-    # intersecting with that cap keeps the search from exploding when a
-    # multiplier sits near its floor.
-    cap = [p + 1.0 / g if g > 0 else 0.0 for p, g in zip(prob.peak, prob.g)]
-    cap1, cap2 = (float(c) for c in np.minimum(_root_corner(prob), cap))
+    cap1, cap2 = prob.peak
     # the bound on [0, cap2], then the exact values at both ends
     p1, vals = prob.p1_max(np.array([0.0, 0.0, cap2]),
                            np.array([cap2, 0.0, cap2]), cap1)
@@ -249,7 +217,7 @@ def _branch_and_bound(ch: SimoChannel, dv: DualVariables, eps: float,
         hi = np.concatenate([mid, hi])[keep]
         upper = vals[:k][keep]
         kept += len(upper)
-        if kept > max_intervals:
+        if kept > _MAX_INTERVALS:
             u_cert = max(float(upper.max(initial=best_l)), best_l + eps)
             return best_p, best_l, u_cert, False
 
@@ -264,7 +232,7 @@ def solve_inner(
     with the best bounds found so far.
     """
     validate_eps(eps)
-    p, low, u_cert, resolved = _branch_and_bound(ch, dv, eps, _MAX_INTERVALS)
+    p, low, u_cert, resolved = _branch_and_bound(ch, dv, eps)
     if not resolved:
         raise ConvergenceError(
             f"interval list exceeded {_MAX_INTERVALS} entries "
@@ -289,7 +257,6 @@ def cutting_plane(
     ch: SimoChannel,
     profile: RateProfile,
     eps: float,
-    max_iter: int = 200,
     seed_cuts: list[Cut] | None = None,
 ) -> tuple[float, DualVariables, list[Cut]]:
     """Minimize the dual by Kelley's cutting-plane method.
@@ -316,9 +283,7 @@ def cutting_plane(
 
     def evaluate(dv: DualVariables) -> tuple[Cut, float, bool]:
         # an unresolved solve still gives a valid cut and dual upper bound
-        p_star, low, u_cert, resolved = _branch_and_bound(
-            ch, dv, inner_eps, _MAX_INTERVALS
-        )
+        p_star, low, u_cert, resolved = _branch_and_bound(ch, dv, inner_eps)
         rates = rate_proper(ch, *p_star)
         base = dv.lam1 * ch.p1 + dv.lam2 * ch.p2
         cut = Cut(dv=dv, p_star=p_star, rates=rates, value=base + low)
@@ -345,7 +310,7 @@ def cutting_plane(
                 best_upper, best_dv = upper, cut.dv
 
     prev_dv = None
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         n = len(cuts)
         # variables z = [t, mu1, mu2, lam1, lam2]
         c = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
@@ -393,86 +358,62 @@ def cutting_plane(
             raise ConvergenceError("cutting-plane stalled at an unresolved inner solve")
         prev_dv = dv
     raise ConvergenceError(
-        f"cutting-plane method did not reach gap {eps} in {max_iter} iterations"
+        f"cutting-plane method did not reach gap {eps} in {_MAX_ITER} iterations"
     )
 
 
 def primal_recovery(
-    cuts: list[Cut], profile: RateProfile, ch: SimoChannel, eps: float = 1e-6
+    cuts: list[Cut], profile: RateProfile, ch: SimoChannel
 ) -> TimeSharingSolution:
     """Recover an explicit time-sharing mixture from the collected cuts.
 
     Solves the restricted primal LP over the inner maximizers: maximize the
     common scaling subject to averaged rate targets and averaged power
-    budgets.  A vertex solution uses at most four strategies.
+    budgets.  The cuts must come from :func:`cutting_plane` on the same
+    channel, because their rates are reused.  The LP has five rows, so a
+    basic solution uses at most four strategies.
     """
     if not cuts:
         raise ValidationError("no cuts to recover from")
     # Candidate strategies: the inner maximizers plus the power-budget
     # corners (always feasible, and they let degenerate profiles collapse
     # to a single full-power strategy).  Near-identical ones are merged.
-    candidates = [cut.p_star for cut in cuts]
-    candidates += [(ch.p1, 0.0), (0.0, ch.p2), (ch.p1, ch.p2)]
+    corners = ((ch.p1, 0.0), (0.0, ch.p2), (ch.p1, ch.p2))
+    candidates = [(cut.p_star, cut.rates) for cut in cuts]
+    candidates += [(p, rate_proper(ch, *p)) for p in corners]
     strategies: list[tuple[float, float]] = []
     rates: list[RatePoint] = []
-    for p_star in candidates:
+    for p_star, r in candidates:
         for p in strategies:
             if abs(p[0] - p_star[0]) <= 1e-9 and abs(p[1] - p_star[1]) <= 1e-9:
                 break
         else:
             strategies.append(p_star)
-            rates.append(rate_proper(ch, *p_star))
+            rates.append(r)
     n = len(strategies)
-
-    def solve(tol: float):
-        # variables: [tau_1..tau_n, R]; maximize R
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        a_ub = np.zeros((4, n + 1))
-        for i, r in enumerate(rates):
-            a_ub[0, i] = -r.r1
-            a_ub[1, i] = -r.r2
-        a_ub[0, -1] = profile.rho1
-        a_ub[1, -1] = profile.rho2
-        for i, p in enumerate(strategies):
-            a_ub[2, i] = p[0]
-            a_ub[3, i] = p[1]
-        b_ub = np.array([0.0, 0.0, ch.p1 + tol, ch.p2 + tol])
-        a_eq = np.zeros((1, n + 1))
-        a_eq[0, :n] = 1.0
-        b_eq = np.array([1.0])
-        bounds = [(0.0, None)] * n + [(0.0, None)]
-        return linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-            method="highs",
-        )
-
-    res = solve(0.0)
+    # variables: [tau_1..tau_n, R]; maximize R
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    a_ub = np.zeros((4, n + 1))
+    a_ub[0, :n] = [-r.r1 for r in rates]
+    a_ub[1, :n] = [-r.r2 for r in rates]
+    a_ub[0, -1] = profile.rho1
+    a_ub[1, -1] = profile.rho2
+    a_ub[2:, :n] = np.transpose(strategies)
+    a_eq = np.zeros((1, n + 1))
+    a_eq[0, :n] = 1.0
+    res = linprog(
+        c, A_ub=a_ub, b_ub=[0.0, 0.0, ch.p1, ch.p2], A_eq=a_eq, b_eq=[1.0],
+        bounds=[(0.0, None)] * (n + 1), method="highs",
+    )
     if not res.success:
-        res = solve(eps)  # widen once, then report
-        if not res.success:
-            raise ConvergenceError(f"primal recovery LP infeasible: {res.message}")
-    tau = np.asarray(res.x[:n])
-    keep = [int(i) for i in np.where(tau > 1e-9)[0]]
-    # A vertex solution activates at most 4 strategies; if the solver hands
-    # back more, drop the smallest weight and re-solve on the support.
-    while len(keep) > 4:
-        keep.remove(min(keep, key=lambda i: tau[i]))
-        sub_idx = keep
-        sub_strats = [strategies[i] for i in sub_idx]
-        sub_rates = [rates[i] for i in sub_idx]
-        strategies, rates, n = sub_strats, sub_rates, len(sub_idx)
-        res = solve(eps)
-        if not res.success:
-            raise ConvergenceError("primal recovery could not reduce the support")
-        tau = np.asarray(res.x[:n])
-        keep = [int(i) for i in np.where(tau > 1e-9)[0]]
-    tau_kept = tau[keep]
-    tau_kept = tau_kept / tau_kept.sum()
+        raise ConvergenceError(f"primal recovery LP failed: {res.message}")
+    keep = [int(i) for i in np.where(res.x[:n] > 1e-9)[0]]
+    tau = res.x[keep] / res.x[keep].sum()
     entries = tuple(
         (float(t), float(strategies[i][0]), float(strategies[i][1]))
-        for t, i in zip(tau_kept, keep)
+        for t, i in zip(tau, keep)
     )
-    avg_r1 = sum(t * rates[i].r1 for t, i in zip(tau_kept, keep))
-    avg_r2 = sum(t * rates[i].r2 for t, i in zip(tau_kept, keep))
+    avg_r1 = sum(t * rates[i].r1 for t, i in zip(tau, keep))
+    avg_r2 = sum(t * rates[i].r2 for t, i in zip(tau, keep))
     return TimeSharingSolution(entries=entries, rates=RatePoint(avg_r1, avg_r2))

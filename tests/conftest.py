@@ -4,7 +4,6 @@ from scipy.optimize import brentq
 
 from tinregion import preset_scenario
 from tinregion.channel import SimoChannel, validate_channel
-from tinregion.timesharing import _InnerProblem, _root_corner
 
 
 @pytest.fixture(scope="session")
@@ -44,10 +43,19 @@ def random_strategy(rng, p1=10.0, p2=10.0):
 
 
 def root_corner(ch, dv):
-    """Upper corner ``(p1, p2)`` of the box ``[0, corner]`` that holds every
-    maximizer of the inner problem at multipliers ``dv``, as the
-    branch-and-bound computes it before capping; the grid oracles span it."""
-    return _root_corner(_InnerProblem(ch, dv))
+    """Upper corner ``(p1, p2)`` of a box ``[0, corner]`` that holds every
+    maximizer of the inner problem at multipliers ``dv``, for the grid
+    oracles to span.  Past ``peak_k = mu_k / (lam_k ln 2) - 1/g_k``, user
+    k's interference-free optimum, the objective falls in ``p_k``; the
+    corner ``2 peak_k + 1/g_k`` is wider than that, and is computed from the
+    channel gains here so that no oracle shares the engine's box.
+    """
+    corner = []
+    for hkk, mu, lam in ((ch.h11, dv.mu1, dv.lam1), (ch.h22, dv.mu2, dv.lam2)):
+        g = np.linalg.norm(hkk) ** 2
+        peak = max(mu / (lam * np.log(2)) - 1 / g, 0.0)
+        corner.append(float(2 * peak + 1 / g))
+    return tuple(corner)
 
 
 def proper_rates(ch, p1, p2):

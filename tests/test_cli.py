@@ -121,6 +121,17 @@ def test_reproduce_grid_without_half(tmp_path, capsys, count):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_reproduce_bad_starts(tmp_path, capsys, count):
+    # rejected with the beta grid, before anything is solved or written
+    outdir = tmp_path / "rep"
+    rc = main(["reproduce", "fig3", "--betas", "3", "--starts", count,
+               "--out", str(outdir)])
+    assert rc == 2
+    assert "--starts" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.slow
 def test_reproduce_fig3(tmp_path, capsys):
     outdir = tmp_path / "rep"

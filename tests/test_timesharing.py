@@ -18,7 +18,7 @@ from tinregion import (
     solve_inner,
     sweep_region,
 )
-from tinregion import timesharing
+from tinregion import region, timesharing
 from tinregion.channel import SimoChannel
 from tinregion.rates import _proper_gains
 from tinregion.timesharing import (
@@ -27,7 +27,7 @@ from tinregion.timesharing import (
     _InnerProblem,
 )
 
-from conftest import root_corner
+from conftest import random_channel, root_corner
 
 
 def _grid_oracle(ch, dv, width=None):
@@ -178,51 +178,45 @@ class TestP1Max:
                 assert f.max() <= bound + 1e-9
 
 
-class TestInitBox:
-    def test_peak_at_zero(self, fig1):
-        # lambda large enough that the interference-free peak is at zero
-        g = float(np.linalg.norm(fig1.h11) ** 2)
-        lam = 10 * g / np.log(2)
-        dv = DualVariables(1.0, 1.0, lam, lam)
-        hi = root_corner(fig1, dv)
-        assert hi[0] <= 1e-9 and hi[1] <= 1e-9
+def _scaled_channel(rng):
+    """A random channel with 1-4 antennas per receiver whose gains are
+    scaled to an SNR between 0.1 and 1e3."""
+    snr = 10 ** rng.uniform(-1, 3)
+    ch = random_channel(rng, *rng.integers(1, 5, 2), p=snr)
+    return replace(ch, **{f: getattr(ch, f) * np.sqrt(snr)
+                          for f in ("h11", "h12", "h21", "h22")})
 
-    def test_envelope_negative_beyond_edge(self, fig1):
-        dv = DualVariables(1.0, 1.0, 0.05, 0.05)
-        hi = root_corner(fig1, dv)
-        ln2 = np.log(2)
-        for k, (g, lam, mu) in enumerate(
-            (
-                (np.linalg.norm(fig1.h11) ** 2, dv.lam1, dv.mu1),
-                (np.linalg.norm(fig1.h22) ** 2, dv.lam2, dv.mu2),
-            )
-        ):
-            j = 1 - k
-            gj = (np.linalg.norm(fig1.h11) ** 2, np.linalg.norm(fig1.h22) ** 2)[j]
-            lamj = (dv.lam1, dv.lam2)[j]
-            muj = (dv.mu1, dv.mu2)[j]
-            peak_j = max(muj / (lamj * ln2) - 1 / gj, 0.0)
-            fmax_j = muj * np.log2(1 + peak_j * gj) - lamj * peak_j
-            f_at_edge = mu * np.log2(1 + hi[k] * g) - lam * hi[k]
-            assert f_at_edge + fmax_j <= 1e-6
 
-    def test_envelope_dominates_objective(self, fig1):
-        dv = DualVariables(1.0, 1.0, 0.05, 0.05)
-        hi = root_corner(fig1, dv)
-        rng = np.random.default_rng(31)
-        ln2 = np.log(2)
-        for _ in range(100):
-            p = rng.uniform(0, 1, 2) * np.array(hi)
-            fhat = sum(
-                mu * np.log2(1 + p[k] * g) - lam * p[k]
-                for k, (g, lam, mu) in enumerate(
-                    (
-                        (np.linalg.norm(fig1.h11) ** 2, dv.lam1, dv.mu1),
-                        (np.linalg.norm(fig1.h22) ** 2, dv.lam2, dv.mu2),
-                    )
-                )
-            )
-            assert fhat >= _InnerProblem(fig1, dv).value(*p, *p) - 1e-10
+class TestInnerBox:
+    # the engine searches [0, peak_1] x [0, peak_2]
+    def test_wider_grid_within_certificate(self):
+        # the grid oracle spans conftest.root_corner, wider than the engine's
+        # box, so a maximizer outside that box would beat the certificate
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            ch = _scaled_channel(rng)
+            mu1 = rng.uniform(0, 2)
+            dv = DualVariables(mu1, 2 - mu1, *10 ** rng.uniform(-4, 1, 2))
+            _, _, u_cert, resolved = _branch_and_bound(ch, dv, 1e-6)
+            assert resolved
+            assert _grid_oracle(ch, dv) <= u_cert + 1e-9 * (1 + abs(u_cert))
+
+    def test_priced_out_user_is_silent(self):
+        # with lam_k ln 2 >= mu_k g_k user k's marginal is below its price
+        # at every power, whatever the other user does; most cases sit on
+        # the boundary, where the peak must still come out exactly zero
+        rng = np.random.default_rng(38)
+        for factor in [1.0] * 500 + [1.5, 100.0] * 20:
+            ch = _scaled_channel(rng)
+            g = _proper_gains(ch)[0]
+            k = int(rng.integers(2))
+            mu = rng.uniform(0.1, 2, 2)
+            lam = 10 ** rng.uniform(-3, 0, 2)
+            lam[k] = mu[k] * g[k] / np.log(2) * factor
+            while lam[k] * np.log(2) < mu[k] * g[k]:
+                lam[k] = np.nextafter(lam[k], np.inf)
+            p, _, _, _ = _branch_and_bound(ch, DualVariables(*mu, *lam), 1e-2)
+            assert p[k] == 0.0
 
 
 class TestSolveInner:
@@ -259,9 +253,11 @@ class TestSolveInner:
 
 class TestEngine:
     @pytest.mark.parametrize("max_intervals", [10, 100, 1000])
-    def test_exhausted_budget_still_certifies(self, fig1, max_intervals):
+    def test_exhausted_budget_still_certifies(self, fig1, max_intervals,
+                                              monkeypatch):
+        monkeypatch.setattr(timesharing, "_MAX_INTERVALS", max_intervals)
         dv = DualVariables(1.0, 1.0, 0.05, 0.05)
-        p, low, u_cert, resolved = _branch_and_bound(fig1, dv, 1e-6, max_intervals)
+        p, low, u_cert, resolved = _branch_and_bound(fig1, dv, 1e-6)
         assert not resolved
         assert abs(_InnerProblem(fig1, dv).value(*p, *p) - low) <= 1e-12
         oracle = _grid_oracle(fig1, dv)
@@ -274,10 +270,11 @@ class TestEngine:
             solve_inner(fig1, DualVariables(1.0, 1.0, 0.05, 0.05), eps=1e-4)
 
     @pytest.mark.parametrize("max_intervals", [100, 400_000])
-    def test_deterministic(self, fig1, max_intervals):
+    def test_deterministic(self, fig1, max_intervals, monkeypatch):
+        monkeypatch.setattr(timesharing, "_MAX_INTERVALS", max_intervals)
         dv = DualVariables(0.7, 1.3, 0.04, 0.2)
-        first = _branch_and_bound(fig1, dv, 1e-4, max_intervals)
-        assert _branch_and_bound(fig1, dv, 1e-4, max_intervals) == first
+        first = _branch_and_bound(fig1, dv, 1e-4)
+        assert _branch_and_bound(fig1, dv, 1e-4) == first
 
     @pytest.mark.parametrize("name", ["fig1", "fig3"])
     def test_multiplier_past_the_old_box_cap(self, name, request):
@@ -287,9 +284,7 @@ class TestEngine:
         _, val = solve_inner(ch, dv, eps=1e-4)
         oracle = _grid_oracle(ch, dv)
         assert abs(val - oracle) <= 1e-3
-        _, _, u_cert, resolved = _branch_and_bound(
-            ch, dv, 1e-4, timesharing._MAX_INTERVALS
-        )
+        _, _, u_cert, resolved = _branch_and_bound(ch, dv, 1e-4)
         assert resolved and u_cert >= oracle
 
 
@@ -388,11 +383,24 @@ class TestPrimalRecovery:
         assert all(set(e) == {"tau", "p1", "p2"} for e in d["entries"])
         assert len(d["rates"]) == 2
 
-    def test_at_most_four_strategies(self, fig1, fig2, fig3):
-        for ch in (fig1, fig2, fig3):
-            prof = RateProfile(0.5, 0.5)
-            _, _, cuts = cutting_plane(ch, prof, eps=2e-2)
-            sol = primal_recovery(cuts, prof, ch)
+    def test_at_most_four_strategies(self, fig1, fig2, fig3, monkeypatch):
+        # every recovery of 21-beta sweeps, warm-started cut pools included,
+        # on the presets and on dead-link and zero-budget channels
+        sols = []
+
+        def recover(cuts, profile, ch):
+            sols.append((primal_recovery(cuts, profile, ch), ch))
+            return sols[-1][0]
+
+        monkeypatch.setattr(region, "primal_recovery", recover)
+        chans = [fig1, fig2, fig3] + [
+            replace(fig1, **{f: getattr(fig1, f) * 0})
+            for f in ("h11", "h22", "p1", "p2")
+        ]
+        for ch in chans:
+            sweep_region(ch, "proper-timesharing", np.linspace(0, 1, 21), eps=2e-2)
+        assert len(sols) == 21 * len(chans)
+        for sol, ch in sols:
             assert 1 <= len(sol.entries) <= 4
             assert abs(sum(t for t, _, _ in sol.entries) - 1.0) <= 1e-9
             p1, p2 = sol.average_powers()
