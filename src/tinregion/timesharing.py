@@ -3,16 +3,19 @@
 The time-sharing problem (average rates and average powers over strategies)
 has zero duality gap, so it is solved through its Lagrangian dual: the
 outer minimization over multipliers runs a cutting-plane method, and each
-inner maximization of the penalized proper sum rate is solved globally:
-exactly over user 1's power (roots of a cubic), and by branch-and-bound
-over intervals of user 2's power with the mixed-monotonic bound of
-Matthiesen, Hellings, Jorswieck and Utschick (IEEE TSP 2020).  A restricted
+inner maximization of the penalized proper sum rate is solved exactly.  The
+candidate powers of user 2 are both ends of its range and the real roots of
+the hidden-variable resultant of the two stationarity polynomials
+(Nakatsukasa, Noferini and Townsend, Numer. Math. 2015), found from
+piecewise Chebyshev interpolants and colleague matrices (Boyd, SIAM Review
+2013); user 1's best power for each is a root of a cubic.  A restricted
 primal LP over the collected inner maximizers recovers an explicit mixture
 of at most four strategies.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import astuple, dataclass
 
@@ -36,8 +39,22 @@ __all__ = [
 
 LAMBDA_FLOOR = 1e-9
 _LN2 = math.log(2.0)
-_MAX_INTERVALS = 1_000_000
 _MAX_ITER = 200
+# Root error allowed for in each cut's dual upper bound.  Over the 2,682
+# pairs of the slow oracle test the exact maximum is at most 5.2e-12 below
+# the branch-and-bound incumbent.
+_ROOT_SLACK = 1e-9
+# pieces of [0, 1] for the resultant's fit, graded toward both ends
+_EDGES = np.concatenate([[0.0], 10.0 ** np.arange(-8, 0),
+                         1 - 10.0 ** np.arange(-1, -9, -1), [1.0]])
+# 14 Chebyshev points interpolate the degree-13 resultant exactly
+_NODES = np.cos(np.pi * (np.arange(14) + 0.5) / 14)
+_FIT = np.linalg.inv(np.polynomial.chebyshev.chebvander(_NODES, 13))
+_T2 = _EDGES[:-1, None] + 0.5 * np.diff(_EDGES)[:, None] * (1 + _NODES)
+# colleague matrix of T_13; a degree-13 series c adds -c[:-1] / c[-1] times
+# _COLLEAGUE_WEIGHT to its last column (numpy's chebcompanion)
+_COLLEAGUE = np.polynomial.chebyshev.chebcompanion(np.eye(14)[-1])
+_COLLEAGUE_WEIGHT = np.r_[np.sqrt(0.5), np.full(12, 0.5)]
 
 
 @dataclass(frozen=True)
@@ -52,11 +69,9 @@ class DualVariables:
     def __post_init__(self):
         if not all(map(math.isfinite, astuple(self))):
             raise ValidationError("multipliers must be finite")
-        if self.mu1 < 0 or self.mu2 < 0:
+        if min(self.mu1, self.mu2) < 0:
             raise ValidationError("rate multipliers must be nonnegative")
-        if self.lam1 < LAMBDA_FLOOR * (1 - 1e-12) or self.lam2 < LAMBDA_FLOOR * (
-            1 - 1e-12
-        ):
+        if min(self.lam1, self.lam2) < LAMBDA_FLOOR * (1 - 1e-12):
             raise ValidationError("power multipliers must be >= the lambda floor")
 
 
@@ -120,6 +135,13 @@ class _InnerProblem:
             - self.lam[1] * y2
         )
 
+    def swapped(self) -> "_InnerProblem":
+        """The same objective with the users' roles exchanged."""
+        other = copy.copy(self)
+        for name in ("g", "x", "n", "mu", "lam", "peak"):
+            setattr(other, name, getattr(self, name)[::-1])
+        return other
+
     def p1_max(self, a, b, cap1: float):
         """Maximizers and maxima of ``value(p1, b, p1, a)`` over ``p1`` in
         ``[0, cap1]`` for 1-D arrays ``a <= b`` of user 2's power: exact at
@@ -167,90 +189,110 @@ class _InnerProblem:
         return cap1 * t[rows, best], vals[rows, best]
 
 
-def _branch_and_bound(ch: SimoChannel, dv: DualVariables, eps: float):
-    """Shared engine: returns ``(p, L, U_cert, resolved)`` where ``U_cert``
-    upper-bounds the true inner maximum even if the cap was reached.
+def _mul(a, b):
+    """Batched products of polynomials, lowest power first on the last axis."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,))
+    for i in range(a.shape[-1]):
+        out[..., i:i + b.shape[-1]] += a[..., i:i + 1] * b
+    return out
 
-    The search box is ``[0, peak_1] x [0, peak_2]``, each user's
-    interference-free optimum.  It holds every maximizer: interference only
-    lowers a user's own-rate marginal (``q_k(p_j) <= g_k``, and
-    ``q / (1 + p q)`` grows with ``q``) and the cross term only lowers the
-    objective, so past ``peak_k`` the objective falls in ``p_k`` whatever
-    the other power.  The maximum over ``p1`` is exact
-    (:meth:`_InnerProblem.p1_max`), so the search runs over intervals of
-    ``p2``, held in arrays and all halved each round.  Midpoint values
-    sharpen the incumbent, and halves whose bound cannot beat it by more
-    than ``eps`` are pruned.  Past ``_MAX_INTERVALS`` kept halves the engine
-    stops with ``resolved=False`` and the largest live bound as the
-    certificate.
+
+def _stationary_t2(prob: _InnerProblem) -> np.ndarray:
+    """Every ``t2 = p2 / peak_2`` in ``[0, 1]`` of an interior critical
+    point of the inner objective, plus spurious values.
+
+    In the scaled powers ``t_k = p_k / peak_k`` the two partial derivatives
+    times their positive denominators are polynomials of degree 3 and 2 in
+    ``t1`` with coefficients of degree at most 2 and 3 in ``t2``.  So at a
+    common root their 5x5 Sylvester determinant in ``t1``, of degree at most
+    13 in ``t2``, vanishes.  It is interpolated on each piece of
+    ``_EDGES``, with one scale per row and piece, and its roots come from
+    the colleague matrices of the interpolants.
     """
-    prob = _InnerProblem(ch, dv)
+    (g1, g2), (x1, x2), (n1, n2) = prob.g, prob.x, prob.n
+    (mu1, mu2), (cap1, cap2) = prob.mu, prob.peak
+    lam1, lam2 = (lam * _LN2 for lam in prob.lam)
+    c1, c2 = max(g1 * n1 - x1, 0.0), max(g2 * n2 - x2, 0.0)
+    t2 = _T2[..., None]
+    # B_k = 1 + g_k p_k + n_k p_j + c_k p_1 p_2 and D_k = 1 + n_j p_k, each
+    # divided by its value s_k, e_k at t = (1, 1) so that no product overflows
+    s1 = 1 + n1 * cap2 + cap1 * (g1 + c1 * cap2)
+    s2 = 1 + g2 * cap2 + cap1 * (n2 + c2 * cap2)
+    e1, e2 = 1 + n1 * cap2, 1 + n2 * cap1
+    b1 = np.concatenate([1 + n1 * cap2 * t2, cap1 * (g1 + c1 * cap2 * t2)], -1) / s1
+    b2 = np.concatenate([1 + g2 * cap2 * t2, cap1 * (n2 + c2 * cap2 * t2)], -1) / s2
+    # dL/dp_k ln 2 times B_1 B_2 D_k / (s_1 s_2 e_k), as polynomials in t1
+    da = -lam1 * b1
+    da[..., :1] += mu1 * (g1 + c1 * cap2 * t2) / s1
+    f1 = _mul(da, _mul(b2, np.array([1.0, n2 * cap1]) / e2))
+    f1[..., :2] -= mu2 * x2 * cap2 / s2 / e2 * t2 * b1
+    db = mu2 * np.array([g2, c2 * cap1]) / s2 - lam2 * b2
+    f2 = (1 + n1 * cap2 * t2) / e1 * _mul(b1, db)
+    f2[..., 1:] -= mu1 * x1 * cap1 / s1 / e1 * b2
+    f1 /= np.maximum(np.abs(f1).max(axis=(1, 2), keepdims=True), 1e-300)
+    f2 /= np.maximum(np.abs(f2).max(axis=(1, 2), keepdims=True), 1e-300)
+    syl = np.zeros(_T2.shape + (5, 5))
+    for i in range(2):
+        syl[..., i, i:i + 4] = f1[..., ::-1]
+    for i in range(3):
+        syl[..., 2 + i, i:i + 3] = f2[..., ::-1]
+    coef = np.linalg.det(syl) @ _FIT.T
+    # a vanishing leading coefficient only sends roots far off the piece
+    size = np.abs(coef).max(axis=1)
+    lead = coef[:, -1]
+    lead = np.where(np.abs(lead) > 1e-14 * size, lead, 1e-14 * size + 1e-300)
+    colleague = np.repeat(_COLLEAGUE[None], len(coef), axis=0)
+    colleague[:, :, -1] -= coef[:, :-1] / lead[:, None] * _COLLEAGUE_WEIGHT
+    z = np.linalg.eigvals(colleague)
+    # a near-double root may come out as a pair with a small imaginary part
+    keep = (np.abs(z.imag) <= 1e-3) & (np.abs(z.real) <= 1.0 + 1e-9)
+    t = _EDGES[:-1, None] + 0.5 * np.diff(_EDGES)[:, None] * (1.0 + z.real.clip(-1, 1))
+    return t[keep]
+
+
+def _exact_inner(prob: _InnerProblem):
+    """Global maximizer and maximum of the inner objective.
+
+    Every maximizer lies in ``[0, peak_1] x [0, peak_2]``: interference only
+    lowers a user's own-rate marginal (``q_k(p_j) <= g_k``) and the cross
+    term only lowers the objective, so past ``peak_k`` the objective falls
+    in ``p_k``.  There the maximum is at a critical point, at ``p2`` in
+    ``{0, peak_2}``, or at ``p1 = 0``, where it is at ``p2 = peak_2`` (on
+    ``p1 = peak_1`` the ``p1``-derivative is at most 0).  So each end and
+    root of :func:`_stationary_t2` is a candidate ``p2``, scored exactly
+    over ``p1`` by :meth:`_InnerProblem.p1_max`; a spurious root only loses.
+
+    A dead cross link into receiver 2 (``n_2 = 0``) zeroes both leading
+    ``t1``-coefficients and with them the determinant, so the users are
+    exchanged; with both cross links dead the objective separates and the
+    ends suffice.
+    """
+    if prob.n[1] == 0 and prob.n[0] > 0:
+        (p2, p1), val = _exact_inner(prob.swapped())
+        return (p1, p2), val
     cap1, cap2 = prob.peak
-    # the bound on [0, cap2], then the exact values at both ends
-    p1, vals = prob.p1_max(np.array([0.0, 0.0, cap2]),
-                           np.array([cap2, 0.0, cap2]), cap1)
-    root_u = float(vals[0])
-    i = 1 + int(np.argmax(vals[1:]))
-    best_l = float(vals[i])
-    best_p = (float(p1[i]), (0.0, cap2)[i - 1])
-    lo, hi, upper = np.zeros(1), np.array([cap2]), vals[:1]
-    kept = 1
-    while True:
-        live = (upper > best_l + eps) & (
-            # an interval that is numerically a point has only roundoff left
-            hi - lo > 1e-14 * (1.0 + hi)
-        )
-        if not live.any():
-            return best_p, best_l, min(root_u, best_l + eps), True
-        lo, hi = lo[live], hi[live]
-        mid = 0.5 * (lo + hi)
-        k = 2 * len(mid)
-        # one batch: the bounds on both halves, then the midpoint values
-        p1, vals = prob.p1_max(np.concatenate([lo, mid, mid]),
-                               np.concatenate([mid, hi, mid]), cap1)
-        i = k + int(np.argmax(vals[k:]))
-        if vals[i] > best_l:
-            best_l = float(vals[i])
-            best_p = (float(p1[i]), float(mid[i - k]))
-        keep = vals[:k] > best_l + eps
-        lo = np.concatenate([lo, mid])[keep]
-        hi = np.concatenate([mid, hi])[keep]
-        upper = vals[:k][keep]
-        kept += len(upper)
-        if kept > _MAX_INTERVALS:
-            u_cert = max(float(upper.max(initial=best_l)), best_l + eps)
-            return best_p, best_l, u_cert, False
+    p2 = np.array([0.0, cap2])
+    if cap1 > 0 and cap2 > 0 and prob.n[1] > 0:
+        p2 = np.concatenate([p2, cap2 * _stationary_t2(prob)])
+    p1, vals = prob.p1_max(p2, p2, cap1)
+    i = int(np.argmax(vals))
+    return (float(p1[i]), float(p2[i])), float(vals[i])
 
 
-def solve_inner(
-    ch: SimoChannel, dv: DualVariables, eps: float
-) -> tuple[tuple[float, float], float]:
-    """Branch-and-bound maximization of the penalized proper sum rate.
+def solve_inner(ch: SimoChannel, dv: DualVariables) -> tuple[tuple[float, float], float]:
+    """Global maximization of the penalized proper sum rate.
 
-    Returns a power vector and a value within ``eps`` of the global
-    maximum.  If the kept intervals of ``p2`` exceed the cap, this raises
-    with the best bounds found so far.
+    Returns a maximizing power vector and the maximum, exact up to the
+    roundoff of the resultant's roots (see :func:`_exact_inner`).
     """
-    validate_eps(eps)
-    p, low, u_cert, resolved = _branch_and_bound(ch, dv, eps)
-    if not resolved:
-        raise ConvergenceError(
-            f"interval list exceeded {_MAX_INTERVALS} entries "
-            f"(best bounds: U={u_cert:.6g}, L={low:.6g})"
-        )
-    return p, low
+    validate_channel(ch)
+    return _exact_inner(_InnerProblem(ch, dv))
 
 
-def dual_value(ch: SimoChannel, dv: DualVariables, eps: float) -> float:
+def dual_value(ch: SimoChannel, dv: DualVariables) -> float:
     """Dual objective: power-budget term plus the inner maximum."""
-    _, val = solve_inner(ch, dv, eps)
+    _, val = solve_inner(ch, dv)
     return dv.lam1 * ch.p1 + dv.lam2 * ch.p2 + val
-
-
-def _lambda_max(ch: SimoChannel, profile: RateProfile) -> float:
-    g, _, _ = _proper_gains(ch)
-    rho = (profile.rho1, profile.rho2)
-    return 10.0 * max(g[k] / rho[k] for k in (0, 1) if rho[k] > 0) / _LN2
 
 
 def cutting_plane(
@@ -262,10 +304,10 @@ def cutting_plane(
     """Minimize the dual by Kelley's cutting-plane method.
 
     Each iteration solves a master LP over the affine cut model on the
-    compact multiplier domain, then evaluates the true dual (via the inner
-    branch-and-bound) at the LP minimizer to add a new cut.  Stops when the
-    gap between the best evaluated dual value and the LP model optimum is
-    at most ``eps``.
+    compact multiplier domain, then evaluates the true dual (via the exact
+    inner solve, plus ``_ROOT_SLACK`` for root error) at the LP minimizer to
+    add a new cut.  Stops when the gap between the best evaluated dual value
+    and the LP model optimum is at most ``eps``.
 
     ``seed_cuts`` warm-starts the affine model.  The dual function itself
     does not depend on the profile (only the multiplier constraint does),
@@ -275,88 +317,46 @@ def cutting_plane(
     """
     validate_channel(ch)
     validate_eps(eps)
-    inner_eps = eps / 10.0
-    lam_max = max(_lambda_max(ch, profile), 10 * LAMBDA_FLOOR)
-    mu_bounds = []
-    for rho in (profile.rho1, profile.rho2):
-        mu_bounds.append((0.0, 1.0 / rho) if rho > 0 else (0.0, 0.0))
+    g, _, _ = _proper_gains(ch)
+    rho = (profile.rho1, profile.rho2)
+    lam_max = max(10.0 * max(g[k] / rho[k] for k in (0, 1) if rho[k] > 0) / _LN2,
+                  10 * LAMBDA_FLOOR)
+    mu_max = tuple(1.0 / r if r > 0 else 0.0 for r in rho)
+    # the master LP's variables are [t, mu1, mu2, lam1, lam2]
+    bounds = [(None, None), (0.0, mu_max[0]), (0.0, mu_max[1])]
+    bounds += [(LAMBDA_FLOOR, lam_max)] * 2
+    cuts: list[Cut] = list(seed_cuts or [])
+    best_upper, best_dv = math.inf, None
 
-    def evaluate(dv: DualVariables) -> tuple[Cut, float, bool]:
-        # an unresolved solve still gives a valid cut and dual upper bound
-        p_star, low, u_cert, resolved = _branch_and_bound(ch, dv, inner_eps)
-        rates = rate_proper(ch, *p_star)
-        base = dv.lam1 * ch.p1 + dv.lam2 * ch.p2
-        cut = Cut(dv=dv, p_star=p_star, rates=rates, value=base + low)
-        return cut, base + u_cert, resolved
+    def add_cut(dv: DualVariables):
+        nonlocal best_upper, best_dv
+        p_star, val = _exact_inner(_InnerProblem(ch, dv))
+        value = dv.lam1 * ch.p1 + dv.lam2 * ch.p2 + val
+        cuts.append(Cut(dv=dv, p_star=p_star, rates=rate_proper(ch, *p_star),
+                        value=value))
+        if value + _ROOT_SLACK < best_upper:
+            best_upper, best_dv = value + _ROOT_SLACK, dv
 
-    if profile.rho1 > 0 and profile.rho2 > 0:
-        mu0 = (1.0, 1.0)  # satisfies rho1*mu1 + rho2*mu2 = 1
-    elif profile.rho1 > 0:
-        mu0 = (1.0 / profile.rho1, 0.0)
-    else:
-        mu0 = (0.0, 1.0 / profile.rho2)
-
-    cuts: list[Cut] = list(seed_cuts) if seed_cuts else []
-    best_upper = math.inf
-    best_dv = None
     if not cuts:
         # Seed the model across the multiplier scale so the first master
-        # LPs do not chase the lambda floor.
+        # LPs do not chase the lambda floor; rho1 mu1 + rho2 mu2 = 1.
+        mu0 = (1.0, 1.0) if all(rho) else mu_max
         for scale in (1e-3, 1e-2, 1e-1):
             lam0 = max(LAMBDA_FLOOR, scale * lam_max)
-            cut, upper, _ = evaluate(DualVariables(mu0[0], mu0[1], lam0, lam0))
-            cuts.append(cut)
-            if upper < best_upper:
-                best_upper, best_dv = upper, cut.dv
+            add_cut(DualVariables(*mu0, lam0, lam0))
 
-    prev_dv = None
     for _ in range(_MAX_ITER):
-        n = len(cuts)
-        # variables z = [t, mu1, mu2, lam1, lam2]
-        c = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        a_ub = np.zeros((n, 5))
-        for i, cut in enumerate(cuts):
-            a_ub[i] = [
-                -1.0,
-                cut.rates.r1,
-                cut.rates.r2,
-                ch.p1 - cut.p_star[0],
-                ch.p2 - cut.p_star[1],
-            ]
-        b_ub = np.zeros(n)
-        a_eq = np.array([[0.0, profile.rho1, profile.rho2, 0.0, 0.0]])
-        b_eq = np.array([1.0])
-        bounds = [(None, None), mu_bounds[0], mu_bounds[1]] + [
-            (LAMBDA_FLOOR, lam_max)
-        ] * 2
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
+        a_ub = [[-1.0, cut.rates.r1, cut.rates.r2, ch.p1 - cut.p_star[0],
+                 ch.p2 - cut.p_star[1]] for cut in cuts]
+        res = linprog([1.0, 0.0, 0.0, 0.0, 0.0], A_ub=a_ub, b_ub=np.zeros(len(cuts)),
+                      A_eq=[[0.0, *rho, 0.0, 0.0]], b_eq=[1.0], bounds=bounds,
+                      method="highs")
         if not res.success:
             raise ConvergenceError(f"master LP failed: {res.message}")
-        t_model = float(res.x[0])
-        if best_upper - t_model <= eps:
+        if best_upper - res.x[0] <= eps:
             return best_upper, best_dv, cuts
-        dv = DualVariables(
-            mu1=max(res.x[1], 0.0),
-            mu2=max(res.x[2], 0.0),
-            lam1=min(max(res.x[3], LAMBDA_FLOOR), lam_max),
-            lam2=min(max(res.x[4], LAMBDA_FLOOR), lam_max),
-        )
-        cut, upper, resolved = evaluate(dv)
-        cuts.append(cut)
-        if upper < best_upper:
-            best_upper, best_dv = upper, dv
-        if not resolved and prev_dv is not None and np.allclose(
-                astuple(dv), astuple(prev_dv), rtol=1e-12, atol=0.0):  # same cut again
-            raise ConvergenceError("cutting-plane stalled at an unresolved inner solve")
-        prev_dv = dv
+        add_cut(DualVariables(max(res.x[1], 0.0), max(res.x[2], 0.0),
+                              *np.clip(res.x[3:], LAMBDA_FLOOR, lam_max)))
     raise ConvergenceError(
         f"cutting-plane method did not reach gap {eps} in {_MAX_ITER} iterations"
     )

@@ -103,3 +103,47 @@ def pure_balanced_oracle(ch):
         if best is None or value > best[0]:
             best = (value, pw)
     return best
+
+
+def inner_bnb(ch, dv, eps):
+    """Interval branch-and-bound for the time-sharing inner problem, the
+    oracle for the library's exact solve.  Returns ``(p, low, upper)``: a
+    power vector, its value, and a certified upper bound on the maximum
+    within ``eps`` of it.
+
+    It searches ``p2`` over ``[0, peak_2]`` with the mixed-monotonic bound of
+    Matthiesen, Hellings, Jorswieck and Utschick (IEEE TSP 2020):
+    ``_InnerProblem.p1_max(a, b, peak_1)`` maximizes exactly over ``p1``
+    with user 2 sending at ``b`` and interfering at ``a``, which bounds the
+    objective on ``[0, peak_1] x [a, b]`` (``TestP1Max`` checks it against
+    grids).  Every live interval is halved each round; midpoints sharpen the
+    incumbent and halves whose bound cannot beat it by more than ``eps`` are
+    pruned.
+    """
+    from tinregion.timesharing import _InnerProblem
+
+    prob = _InnerProblem(ch, dv)
+    cap1, cap2 = prob.peak
+    p1, vals = prob.p1_max(np.array([0.0, 0.0, cap2]),
+                           np.array([cap2, 0.0, cap2]), cap1)
+    root_u = float(vals[0])
+    i = 1 + int(np.argmax(vals[1:]))
+    best_l, best_p = float(vals[i]), (float(p1[i]), (0.0, cap2)[i - 1])
+    lo, hi, upper = np.zeros(1), np.array([cap2]), vals[:1]
+    while True:
+        # an interval that is numerically a point has only roundoff left
+        live = (upper > best_l + eps) & (hi - lo > 1e-14 * (1.0 + hi))
+        if not live.any():
+            return best_p, best_l, min(root_u, best_l + eps)
+        lo, hi = lo[live], hi[live]
+        mid = 0.5 * (lo + hi)
+        k = 2 * len(mid)
+        p1, vals = prob.p1_max(np.concatenate([lo, mid, mid]),
+                               np.concatenate([mid, hi, mid]), cap1)
+        i = k + int(np.argmax(vals[k:]))
+        if vals[i] > best_l:
+            best_l, best_p = float(vals[i]), (float(p1[i]), float(mid[i - k]))
+        keep = vals[:k] > best_l + eps
+        lo = np.concatenate([lo, mid])[keep]
+        hi = np.concatenate([mid, hi])[keep]
+        upper = vals[:k][keep]

@@ -497,7 +497,7 @@ def test_criterion_10_inner_oracle(channels):
             dv = DualVariables(
                 mu1, 2 - mu1, rng.uniform(0.02, 0.5), rng.uniform(0.02, 0.5)
             )
-            _, val = solve_inner(ch, dv, eps=5e-4)
+            _, val = solve_inner(ch, dv)
             worst = max(worst, abs(val - _grid_oracle(ch, dv)))
     ok = worst <= 1e-3
     assert _report(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tinregion import (
-    DualVariables,
     RateProfile,
     SimoChannel,
     TxStrategy,
@@ -15,7 +14,6 @@ from tinregion import (
     gradient_projection,
     multistart,
     rate_complex,
-    solve_inner,
     strategy_from_composite_cov,
     transform_channel,
     transformed_rates,
@@ -52,9 +50,6 @@ class TestValidation:
 _EPS_SOLVERS = {
     "balance_pure_proper": lambda ch, eps: balance_pure_proper(
         ch, RateProfile(0.5, 0.5), eps=eps
-    ),
-    "solve_inner": lambda ch, eps: solve_inner(
-        ch, DualVariables(1.0, 1.0, 0.1, 0.1), eps
     ),
     "cutting_plane": lambda ch, eps: cutting_plane(
         ch, RateProfile(0.5, 0.5), eps=eps

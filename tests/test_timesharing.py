@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tinregion import (
-    ConvergenceError,
     DualVariables,
     RateProfile,
     TxStrategy,
@@ -18,16 +17,12 @@ from tinregion import (
     solve_inner,
     sweep_region,
 )
-from tinregion import region, timesharing
+from tinregion import region
 from tinregion.channel import SimoChannel
 from tinregion.rates import _proper_gains
-from tinregion.timesharing import (
-    LAMBDA_FLOOR,
-    _branch_and_bound,
-    _InnerProblem,
-)
+from tinregion.timesharing import LAMBDA_FLOOR, _ROOT_SLACK, _InnerProblem
 
-from conftest import random_channel, root_corner
+from conftest import inner_bnb, random_channel, root_corner
 
 
 def _grid_oracle(ch, dv, width=None):
@@ -188,18 +183,17 @@ def _scaled_channel(rng):
 
 
 class TestInnerBox:
-    # the engine searches [0, peak_1] x [0, peak_2]
+    # the exact solve searches [0, peak_1] x [0, peak_2]
     def test_wider_grid_within_certificate(self):
-        # the grid oracle spans conftest.root_corner, wider than the engine's
-        # box, so a maximizer outside that box would beat the certificate
+        # the grid oracle spans conftest.root_corner, wider than the solve's
+        # box, so a maximizer outside that box would beat the exact value
         rng = np.random.default_rng(37)
         for _ in range(40):
             ch = _scaled_channel(rng)
             mu1 = rng.uniform(0, 2)
             dv = DualVariables(mu1, 2 - mu1, *10 ** rng.uniform(-4, 1, 2))
-            _, _, u_cert, resolved = _branch_and_bound(ch, dv, 1e-6)
-            assert resolved
-            assert _grid_oracle(ch, dv) <= u_cert + 1e-9 * (1 + abs(u_cert))
+            _, val = solve_inner(ch, dv)
+            assert _grid_oracle(ch, dv) <= val + 1e-9 * (1 + abs(val))
 
     def test_priced_out_user_is_silent(self):
         # with lam_k ln 2 >= mu_k g_k user k's marginal is below its price
@@ -215,19 +209,19 @@ class TestInnerBox:
             lam[k] = mu[k] * g[k] / np.log(2) * factor
             while lam[k] * np.log(2) < mu[k] * g[k]:
                 lam[k] = np.nextafter(lam[k], np.inf)
-            p, _, _, _ = _branch_and_bound(ch, DualVariables(*mu, *lam), 1e-2)
+            p, _ = solve_inner(ch, DualVariables(*mu, *lam))
             assert p[k] == 0.0
 
 
 class TestSolveInner:
     def test_huge_penalty_forces_zero(self, fig1):
         dv = DualVariables(1.0, 1.0, 1e3, 1e3)
-        p, val = solve_inner(fig1, dv, eps=1e-6)
+        p, val = solve_inner(fig1, dv)
         assert p == (0.0, 0.0) and abs(val) <= 1e-12
 
     def test_zero_weight_shuts_user(self, fig1):
         dv = DualVariables(1.0, 0.0, 0.05, 0.05)
-        p, _ = solve_inner(fig1, dv, eps=1e-5)
+        p, _ = solve_inner(fig1, dv)
         assert p[1] <= 1e-6
 
     def test_matches_grid_oracle(self, fig1):
@@ -237,7 +231,7 @@ class TestSolveInner:
             dv = DualVariables(
                 mu1, 2.0 - mu1, rng.uniform(0.02, 0.5), rng.uniform(0.02, 0.5)
             )
-            _, val = solve_inner(fig1, dv, eps=1e-4)
+            _, val = solve_inner(fig1, dv)
             oracle = _grid_oracle(fig1, dv)
             assert abs(val - oracle) <= 1e-3
 
@@ -252,40 +246,137 @@ class TestSolveInner:
 
 
 class TestEngine:
-    @pytest.mark.parametrize("max_intervals", [10, 100, 1000])
-    def test_exhausted_budget_still_certifies(self, fig1, max_intervals,
-                                              monkeypatch):
-        monkeypatch.setattr(timesharing, "_MAX_INTERVALS", max_intervals)
-        dv = DualVariables(1.0, 1.0, 0.05, 0.05)
-        p, low, u_cert, resolved = _branch_and_bound(fig1, dv, 1e-6)
-        assert not resolved
-        assert abs(_InnerProblem(fig1, dv).value(*p, *p) - low) <= 1e-12
-        oracle = _grid_oracle(fig1, dv)
-        assert low <= oracle + 1e-3  # the oracle is accurate to 1e-3
-        assert oracle <= u_cert
-
-    def test_solve_inner_raises_past_the_cap(self, fig1, monkeypatch):
-        monkeypatch.setattr(timesharing, "_MAX_INTERVALS", 100)
-        with pytest.raises(ConvergenceError):
-            solve_inner(fig1, DualVariables(1.0, 1.0, 0.05, 0.05), eps=1e-4)
-
-    @pytest.mark.parametrize("max_intervals", [100, 400_000])
-    def test_deterministic(self, fig1, max_intervals, monkeypatch):
-        monkeypatch.setattr(timesharing, "_MAX_INTERVALS", max_intervals)
+    def test_deterministic(self, fig1):
         dv = DualVariables(0.7, 1.3, 0.04, 0.2)
-        first = _branch_and_bound(fig1, dv, 1e-4)
-        assert _branch_and_bound(fig1, dv, 1e-4) == first
+        assert solve_inner(fig1, dv) == solve_inner(fig1, dv)
 
     @pytest.mark.parametrize("name", ["fig1", "fig3"])
     def test_multiplier_past_the_old_box_cap(self, name, request):
         # the 2-D box engine ran out of its 2 M boxes on this multiplier
         ch = request.getfixturevalue(name)
         dv = DualVariables(0.7, 1.3, 0.02, 0.3)
-        _, val = solve_inner(ch, dv, eps=1e-4)
+        _, val = solve_inner(ch, dv)
         oracle = _grid_oracle(ch, dv)
         assert abs(val - oracle) <= 1e-3
-        _, _, u_cert, resolved = _branch_and_bound(ch, dv, 1e-4)
-        assert resolved and u_cert >= oracle
+        _, low, upper = inner_bnb(ch, dv, 1e-6)
+        assert low <= val + _ROOT_SLACK and val <= upper
+
+
+def _collinear(ch):
+    """``ch`` with each cross link along the same receiver's direct link,
+    so that ``c_k = g_k n_k - x_k = 0``."""
+    return replace(ch, h12=1.2 * ch.h11, h21=1.4 * ch.h22)
+
+
+def _check_against_oracle(ch, dv, eps):
+    """The exact solve's value is the value of its power vector, is not
+    below the branch-and-bound incumbent by more than the root slack, and
+    is not above the oracle's certified bound.  Returns the shortfall."""
+    p, val = solve_inner(ch, dv)
+    prob = _InnerProblem(ch, dv)
+    assert all(0.0 <= p[k] <= prob.peak[k] for k in (0, 1))
+    assert abs(prob.value(*p, *p) - val) <= 1e-12 * (1 + abs(val))
+    _, low, upper = inner_bnb(ch, dv, eps)
+    assert low <= val + _ROOT_SLACK, (dv, low - val)
+    assert val <= upper, (dv, val - upper)
+    return low - val
+
+
+def _near_ties(ch, lam, mu2, steps=40):
+    """Multipliers on both sides of a jump of the maximizer as ``mu1``
+    moves with ``lam`` and ``mu2`` fixed, found by bisection; there two
+    local maxima have nearly the same value.  Empty if no jump is seen."""
+    def argmax(mu1):
+        return np.array(solve_inner(ch, DualVariables(mu1, mu2, *lam))[0])
+
+    grid = np.linspace(0.0, 2.0, 9)
+    p = [argmax(m) for m in grid]
+    jumps = [np.abs(b - a).max() / (1 + np.abs(b).max()) for a, b in zip(p, p[1:])]
+    i = int(np.argmax(jumps))
+    lo, hi, p_lo, p_hi = grid[i], grid[i + 1], p[i], p[i + 1]
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        p_mid = argmax(mid)
+        if np.abs(p_mid - p_lo).max() >= np.abs(p_hi - p_mid).max():
+            hi, p_hi = mid, p_mid
+        else:
+            lo, p_lo = mid, p_mid
+    if np.abs(p_hi - p_lo).max() <= 1e-3 * (1 + np.abs(p_hi).max()):
+        return []
+    return [DualVariables(m, mu2, *lam) for m in (lo, hi)]
+
+
+class TestExactInner:
+    # the resultant solve against the interval branch-and-bound oracle
+    @pytest.mark.parametrize("case", ["fig3-swapped", "fig1-h21-zeroed"])
+    def test_dead_cross_link_into_receiver_2(self, case, fig1, fig3):
+        # n_2 = 0 zeroes both leading t1-coefficients, so the 5x5 Sylvester
+        # determinant vanishes identically and finds no critical point
+        ch = _swap_users(fig3) if case == "fig3-swapped" else replace(
+            fig1, h21=0 * fig1.h21)
+        assert _proper_gains(ch)[2][1] == 0.0
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            dv = DualVariables(*rng.uniform(0, 2, 2), *10 ** rng.uniform(-3, 0, 2))
+            _check_against_oracle(ch, dv, 1e-6)
+
+    @pytest.mark.parametrize("case", [
+        "priced-out-1", "priced-out-2", "collinear", "dead-h11", "dead-h22",
+        "no-cross-links",
+    ])
+    def test_degenerate_links(self, case, fig1):
+        ch = {
+            "collinear": _collinear(fig1),
+            "dead-h11": replace(fig1, h11=0 * fig1.h11),
+            "dead-h22": replace(fig1, h22=0 * fig1.h22),
+            "no-cross-links": replace(fig1, h12=0 * fig1.h12, h21=0 * fig1.h21),
+        }.get(case, fig1)
+        g = _proper_gains(ch)[0]
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            mu = rng.uniform(0.1, 2, 2)
+            lam = 10 ** rng.uniform(-3, 0, 2)
+            if case.startswith("priced-out"):  # peak_k = 0
+                k = int(case[-1]) - 1
+                lam[k] = mu[k] * g[k] / np.log(2) * rng.uniform(1, 2)
+            dv = DualVariables(*mu, *lam)
+            if case.startswith(("priced-out", "dead")):
+                assert 0.0 in _InnerProblem(ch, dv).peak
+            _check_against_oracle(ch, dv, 1e-6)
+
+    def test_near_ties(self, fig1, fig2, fig3):
+        rng = np.random.default_rng(43)
+        ties = []
+        for ch in (fig1, fig2, fig3):
+            for _ in range(4):
+                ties += [(ch, dv) for dv in _near_ties(
+                    ch, 10 ** rng.uniform(-2, -0.5, 2), rng.uniform(0.2, 2))]
+        assert len(ties) >= 6
+        for ch, dv in ties:
+            _check_against_oracle(ch, dv, 1e-6)
+
+    @pytest.mark.slow
+    def test_matches_bnb_oracle(self, fig1, fig2, fig3):
+        # presets, dead cross links and random channels with 1-4 antennas at
+        # SNR 0.1-1e3; mu ~ U(0, 2), lam log-uniform in [1e-4, 10], plus the
+        # near-tie multipliers on both sides of each jump of the maximizer
+        # and the multipliers the cutting plane visits, down to the lam floor
+        rng = np.random.default_rng(44)
+        fixed = [fig1, fig2, fig3, _swap_users(fig3), replace(fig1, h21=0 * fig1.h21),
+                 _collinear(fig1)]
+        pairs = [(ch, cut.dv, 1e-4) for ch in fixed[:3]
+                 for cut in cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2)[2]]
+        for i in range(84):
+            ch = fixed[i] if i < len(fixed) else _scaled_channel(rng)
+            lam = 10 ** rng.uniform(-4, 1, (30, 2))
+            pairs += [(ch, DualVariables(*mu, *l), 1e-6 if j < 3 else 1e-4)
+                      for j, (mu, l) in enumerate(zip(rng.uniform(0, 2, (30, 2)), lam))]
+            pairs += [(ch, dv, 1e-6) for dv in _near_ties(
+                ch, 10 ** rng.uniform(-3, 0, 2), rng.uniform(0.2, 2))]
+        assert len(pairs) >= 2500
+        assert sum(eps == 1e-6 for _, _, eps in pairs) >= 250
+        worst = max(_check_against_oracle(*pair) for pair in pairs)
+        assert worst <= _ROOT_SLACK
 
 
 class TestDualValue:
@@ -293,7 +384,7 @@ class TestDualValue:
         prof = RateProfile(0.5, 0.5)
         primal = balance_pure_proper(fig1, prof, eps=1e-6).R  # pure <= ts <= dual
         dv = DualVariables(1.0, 1.0, 0.1, 0.1)
-        assert dual_value(fig1, dv, eps=1e-4) >= primal - 1e-3
+        assert dual_value(fig1, dv) >= primal - 1e-3
 
     def test_convexity_along_segments(self, fig1):
         rng = np.random.default_rng(33)
@@ -310,17 +401,17 @@ class TestDualValue:
                 0.5 * (a.lam1 + b.lam1),
                 0.5 * (a.lam2 + b.lam2),
             )
-            va = dual_value(fig1, a, 1e-4)
-            vb = dual_value(fig1, b, 1e-4)
-            vm = dual_value(fig1, mid, 1e-4)
-            assert vm <= 0.5 * (va + vb) + 3e-4
+            va = dual_value(fig1, a)
+            vb = dual_value(fig1, b)
+            vm = dual_value(fig1, mid)
+            assert vm <= 0.5 * (va + vb) + 1e-9
 
     def test_zero_budget(self, fig1):
         from tinregion.channel import SimoChannel
 
         ch0 = SimoChannel(fig1.h11, fig1.h12, fig1.h21, fig1.h22, 0.0, 0.0)
         dv = DualVariables(1.0, 1.0, 1e3, 1e3)
-        assert abs(dual_value(ch0, dv, 1e-6)) <= 1e-9
+        assert abs(dual_value(ch0, dv)) <= 1e-9
 
 
 class TestCuttingPlane:
@@ -353,14 +444,6 @@ class TestCuttingPlane:
         tau, p1, p2 = sol.entries[0]
         assert abs(tau - 1.0) <= 1e-9
         assert abs(p1 - fig1.p1) <= 1e-3 and p2 <= 1e-6
-
-
-    def test_stalls_on_a_repeated_unresolved_point(self, fig1, monkeypatch):
-        # with every inner solve cut short the master proposes the same
-        # multipliers again, whose cut would not change the model
-        monkeypatch.setattr(timesharing, "_MAX_INTERVALS", 3)
-        with pytest.raises(ConvergenceError, match="stalled"):
-            cutting_plane(fig1, RateProfile(0.5, 0.5), eps=1e-2)
 
     def test_user_swap_symmetry(self, fig3):
         # the engine treats p1 and p2 differently; the swapped fig3 has a
