@@ -246,9 +246,18 @@ class TestSolveInner:
 
 
 class TestEngine:
-    def test_deterministic(self, fig1):
+    @pytest.mark.parametrize("snr", [100, 400_000])
+    def test_deterministic(self, fig1, snr):
+        # fig1's gains scaled by sqrt(snr), at which both users send
+        def scaled():
+            return replace(fig1, **{f: getattr(fig1, f) * np.sqrt(snr)
+                                    for f in ("h11", "h12", "h21", "h22")})
+
         dv = DualVariables(0.7, 1.3, 0.04, 0.2)
-        assert solve_inner(fig1, dv) == solve_inner(fig1, dv)
+        first = solve_inner(scaled(), dv)
+        assert min(first[0]) > 0.0
+        assert solve_inner(scaled(), dv) == first
+        _check_against_oracle(scaled(), dv, 1e-6)
 
     @pytest.mark.parametrize("name", ["fig1", "fig3"])
     def test_multiplier_past_the_old_box_cap(self, name, request):
