@@ -40,10 +40,13 @@ __all__ = [
 LAMBDA_FLOOR = 1e-9
 _LN2 = math.log(2.0)
 _MAX_ITER = 200
-# Root error allowed for in each cut's dual upper bound.  Over the 2,682
-# pairs of the slow oracle test the exact maximum is at most 5.2e-12 below
-# the branch-and-bound incumbent.
-_ROOT_SLACK = 1e-9
+# Root error allowed for in each cut's dual upper bound.  The slow oracle
+# test certifies it: a branch-and-bound at this tolerance, started from the
+# exact point, prunes every interval on 160 multipliers that the cutting
+# plane visits or that sit at near ties.  On 2,520 other pairs the exact
+# value is at most 7.1e-13 below the oracle's incumbent.  Each decade of a
+# tighter slack costs that check about sqrt(10) times more.
+_ROOT_SLACK = 1e-7
 # pieces of [0, 1] for the resultant's fit, graded toward both ends
 _EDGES = np.concatenate([[0.0], 10.0 ** np.arange(-8, 0),
                          1 - 10.0 ** np.arange(-1, -9, -1), [1.0]])
@@ -69,9 +72,11 @@ class DualVariables:
     def __post_init__(self):
         if not all(map(math.isfinite, astuple(self))):
             raise ValidationError("multipliers must be finite")
-        if min(self.mu1, self.mu2) < 0:
+        if self.mu1 < 0 or self.mu2 < 0:
             raise ValidationError("rate multipliers must be nonnegative")
-        if min(self.lam1, self.lam2) < LAMBDA_FLOOR * (1 - 1e-12):
+        if self.lam1 < LAMBDA_FLOOR * (1 - 1e-12) or self.lam2 < LAMBDA_FLOOR * (
+            1 - 1e-12
+        ):
             raise ValidationError("power multipliers must be >= the lambda floor")
 
 
@@ -262,17 +267,22 @@ def _exact_inner(prob: _InnerProblem):
     root of :func:`_stationary_t2` is a candidate ``p2``, scored exactly
     over ``p1`` by :meth:`_InnerProblem.p1_max`; a spurious root only loses.
 
-    A dead cross link into receiver 2 (``n_2 = 0``) zeroes both leading
-    ``t1``-coefficients and with them the determinant, so the users are
-    exchanged; with both cross links dead the objective separates and the
+    A cross link into receiver 2 orthogonal to ``h22`` (``x_2 = 0``, as
+    when ``h21 = 0``) splits ``B_2 = (1 + g_2 p_2)(1 + n_2 p_1)``, so both
+    stationarity polynomials share a root in ``t1`` and the determinant
+    vanishes; near it the determinant is roundoff.  So user 2 is the user
+    whose cross link has the larger share ``x_k / (g_k n_k)`` along its
+    direct link.  With both shares zero the objective separates and the
     ends suffice.
     """
-    if prob.n[1] == 0 and prob.n[0] > 0:
+    share = [x / (g * n) if g * n > 0 else 0.0
+             for g, x, n in zip(prob.g, prob.x, prob.n)]
+    if share[1] < share[0]:
         (p2, p1), val = _exact_inner(prob.swapped())
         return (p1, p2), val
     cap1, cap2 = prob.peak
     p2 = np.array([0.0, cap2])
-    if cap1 > 0 and cap2 > 0 and prob.n[1] > 0:
+    if cap1 > 0 and cap2 > 0 and share[1] > 0:
         p2 = np.concatenate([p2, cap2 * _stationary_t2(prob)])
     p1, vals = prob.p1_max(p2, p2, cap1)
     i = int(np.argmax(vals))
@@ -295,6 +305,12 @@ def dual_value(ch: SimoChannel, dv: DualVariables) -> float:
     return dv.lam1 * ch.p1 + dv.lam2 * ch.p2 + val
 
 
+def _lambda_max(ch: SimoChannel, profile: RateProfile) -> float:
+    g, _, _ = _proper_gains(ch)
+    rho = (profile.rho1, profile.rho2)
+    return 10.0 * max(g[k] / rho[k] for k in (0, 1) if rho[k] > 0) / _LN2
+
+
 def cutting_plane(
     ch: SimoChannel,
     profile: RateProfile,
@@ -307,7 +323,8 @@ def cutting_plane(
     compact multiplier domain, then evaluates the true dual (via the exact
     inner solve, plus ``_ROOT_SLACK`` for root error) at the LP minimizer to
     add a new cut.  Stops when the gap between the best evaluated dual value
-    and the LP model optimum is at most ``eps``.
+    and the LP model optimum is at most ``eps``; the gap holds the slack, so
+    ``eps`` must exceed ``_ROOT_SLACK``.
 
     ``seed_cuts`` warm-starts the affine model.  The dual function itself
     does not depend on the profile (only the multiplier constraint does),
@@ -317,46 +334,79 @@ def cutting_plane(
     """
     validate_channel(ch)
     validate_eps(eps)
-    g, _, _ = _proper_gains(ch)
-    rho = (profile.rho1, profile.rho2)
-    lam_max = max(10.0 * max(g[k] / rho[k] for k in (0, 1) if rho[k] > 0) / _LN2,
-                  10 * LAMBDA_FLOOR)
-    mu_max = tuple(1.0 / r if r > 0 else 0.0 for r in rho)
-    # the master LP's variables are [t, mu1, mu2, lam1, lam2]
-    bounds = [(None, None), (0.0, mu_max[0]), (0.0, mu_max[1])]
-    bounds += [(LAMBDA_FLOOR, lam_max)] * 2
-    cuts: list[Cut] = list(seed_cuts or [])
-    best_upper, best_dv = math.inf, None
+    if eps <= _ROOT_SLACK:
+        raise ValidationError(f"eps must exceed the root slack {_ROOT_SLACK}, got {eps}")
+    lam_max = max(_lambda_max(ch, profile), 10 * LAMBDA_FLOOR)
+    mu_bounds = []
+    for rho in (profile.rho1, profile.rho2):
+        mu_bounds.append((0.0, 1.0 / rho) if rho > 0 else (0.0, 0.0))
+
+    if profile.rho1 > 0 and profile.rho2 > 0:
+        mu0 = (1.0, 1.0)  # satisfies rho1*mu1 + rho2*mu2 = 1
+    elif profile.rho1 > 0:
+        mu0 = (1.0 / profile.rho1, 0.0)
+    else:
+        mu0 = (0.0, 1.0 / profile.rho2)
+
+    cuts: list[Cut] = list(seed_cuts) if seed_cuts else []
+    best_upper = math.inf
+    best_dv = None
 
     def add_cut(dv: DualVariables):
         nonlocal best_upper, best_dv
         p_star, val = _exact_inner(_InnerProblem(ch, dv))
+        rates = rate_proper(ch, *p_star)
         value = dv.lam1 * ch.p1 + dv.lam2 * ch.p2 + val
-        cuts.append(Cut(dv=dv, p_star=p_star, rates=rate_proper(ch, *p_star),
-                        value=value))
+        cuts.append(Cut(dv=dv, p_star=p_star, rates=rates, value=value))
         if value + _ROOT_SLACK < best_upper:
             best_upper, best_dv = value + _ROOT_SLACK, dv
 
     if not cuts:
         # Seed the model across the multiplier scale so the first master
-        # LPs do not chase the lambda floor; rho1 mu1 + rho2 mu2 = 1.
-        mu0 = (1.0, 1.0) if all(rho) else mu_max
+        # LPs do not chase the lambda floor.
         for scale in (1e-3, 1e-2, 1e-1):
             lam0 = max(LAMBDA_FLOOR, scale * lam_max)
-            add_cut(DualVariables(*mu0, lam0, lam0))
+            add_cut(DualVariables(mu0[0], mu0[1], lam0, lam0))
 
     for _ in range(_MAX_ITER):
-        a_ub = [[-1.0, cut.rates.r1, cut.rates.r2, ch.p1 - cut.p_star[0],
-                 ch.p2 - cut.p_star[1]] for cut in cuts]
-        res = linprog([1.0, 0.0, 0.0, 0.0, 0.0], A_ub=a_ub, b_ub=np.zeros(len(cuts)),
-                      A_eq=[[0.0, *rho, 0.0, 0.0]], b_eq=[1.0], bounds=bounds,
-                      method="highs")
+        n = len(cuts)
+        # variables z = [t, mu1, mu2, lam1, lam2]
+        c = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        a_ub = np.zeros((n, 5))
+        for i, cut in enumerate(cuts):
+            a_ub[i] = [
+                -1.0,
+                cut.rates.r1,
+                cut.rates.r2,
+                ch.p1 - cut.p_star[0],
+                ch.p2 - cut.p_star[1],
+            ]
+        b_ub = np.zeros(n)
+        a_eq = np.array([[0.0, profile.rho1, profile.rho2, 0.0, 0.0]])
+        b_eq = np.array([1.0])
+        bounds = [(None, None), mu_bounds[0], mu_bounds[1]] + [
+            (LAMBDA_FLOOR, lam_max)
+        ] * 2
+        res = linprog(
+            c,
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=bounds,
+            method="highs",
+        )
         if not res.success:
             raise ConvergenceError(f"master LP failed: {res.message}")
-        if best_upper - res.x[0] <= eps:
+        t_model = float(res.x[0])
+        if best_upper - t_model <= eps:
             return best_upper, best_dv, cuts
-        add_cut(DualVariables(max(res.x[1], 0.0), max(res.x[2], 0.0),
-                              *np.clip(res.x[3:], LAMBDA_FLOOR, lam_max)))
+        add_cut(DualVariables(
+            mu1=max(res.x[1], 0.0),
+            mu2=max(res.x[2], 0.0),
+            lam1=min(max(res.x[3], LAMBDA_FLOOR), lam_max),
+            lam2=min(max(res.x[4], LAMBDA_FLOOR), lam_max),
+        ))
     raise ConvergenceError(
         f"cutting-plane method did not reach gap {eps} in {_MAX_ITER} iterations"
     )

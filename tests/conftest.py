@@ -105,11 +105,13 @@ def pure_balanced_oracle(ch):
     return best
 
 
-def inner_bnb(ch, dv, eps):
+def inner_bnb(ch, dv, eps, incumbent=None):
     """Interval branch-and-bound for the time-sharing inner problem, the
     oracle for the library's exact solve.  Returns ``(p, low, upper)``: a
     power vector, its value, and a certified upper bound on the maximum
-    within ``eps`` of it.
+    within ``eps`` of it.  ``incumbent``, a power vector and its value,
+    starts the search from a known point, so that with a near-optimal one
+    most intervals are pruned in the first rounds.
 
     It searches ``p2`` over ``[0, peak_2]`` with the mixed-monotonic bound of
     Matthiesen, Hellings, Jorswieck and Utschick (IEEE TSP 2020):
@@ -129,6 +131,8 @@ def inner_bnb(ch, dv, eps):
     root_u = float(vals[0])
     i = 1 + int(np.argmax(vals[1:]))
     best_l, best_p = float(vals[i]), (float(p1[i]), (0.0, cap2)[i - 1])
+    if incumbent is not None and incumbent[1] > best_l:
+        best_p, best_l = incumbent
     lo, hi, upper = np.zeros(1), np.array([cap2]), vals[:1]
     while True:
         # an interval that is numerically a point has only roundoff left
