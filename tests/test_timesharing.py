@@ -283,26 +283,34 @@ def _orthogonal(hkj, hkk):
     return hkj - np.vdot(hkk, hkj) / np.vdot(hkk, hkk) * hkk
 
 
-def _check_against_oracle(ch, dv, eps):
-    """The exact solve's value is the value of its power vector, is not
-    below the branch-and-bound incumbent by more than ``1e-9 (1 + |v|)``,
-    and is not above the oracle's certified bound."""
+def _solve_attained(ch, dv):
+    """The exact solve, checked to return a power vector in the box and
+    that vector's value."""
     p, val = solve_inner(ch, dv)
     prob = _InnerProblem(ch, dv)
     assert all(0.0 <= p[k] <= prob.peak[k] for k in (0, 1))
     assert abs(prob.value(*p, *p) - val) <= 1e-12 * (1 + abs(val))
+    return p, val
+
+
+def _check_against_oracle(ch, dv, eps):
+    """The exact solve's value is attained, is not below the
+    branch-and-bound incumbent by more than ``1e-9 (1 + |v|)``, and is not
+    above the oracle's certified bound."""
+    _, val = _solve_attained(ch, dv)
     _, low, upper = inner_bnb(ch, dv, eps)
     assert low <= val + 1e-9 * (1 + abs(val)), (dv, low - val)
     assert val <= upper, (dv, val - upper)
 
 
 def _certify(ch, dv):
-    """The maximum is at most the exact value plus ``_ROOT_SLACK``, the
-    margin ``cutting_plane`` adds to each cut's dual bound: the oracle,
-    started from the exact solve's point, prunes every interval at
-    ``eps = _ROOT_SLACK``.  A midpoint may beat the exact value by the
-    roundoff of evaluating the objective, which the bound then carries."""
-    p, val = solve_inner(ch, dv)
+    """The exact value is attained, and the maximum is at most that value
+    plus ``_ROOT_SLACK``, the margin ``cutting_plane`` adds to each cut's
+    dual bound: the oracle, started from the exact solve's point, prunes
+    every interval at ``eps = _ROOT_SLACK``.  A midpoint may beat the exact
+    value by the roundoff of evaluating the objective, which the bound then
+    carries."""
+    p, val = _solve_attained(ch, dv)
     _, low, upper = inner_bnb(ch, dv, _ROOT_SLACK, incumbent=(p, val))
     assert upper <= val + _ROOT_SLACK + 1e-13 * (1 + abs(val)), (dv, upper - val)
 
