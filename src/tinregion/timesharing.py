@@ -4,13 +4,16 @@ The time-sharing problem (average rates and average powers over strategies)
 has zero duality gap, so it is solved through its Lagrangian dual: the
 outer minimization over multipliers runs a cutting-plane method, and each
 inner maximization of the penalized proper sum rate is solved exactly.  The
-candidate powers of user 2 are both ends of its range and the real roots of
-the hidden-variable resultant of the two stationarity polynomials
-(Nakatsukasa, Noferini and Townsend, Numer. Math. 2015), found from
-piecewise Chebyshev interpolants and colleague matrices (Boyd, SIAM Review
-2013); user 1's best power for each is a root of a cubic.  A restricted
-primal LP over the collected inner maximizers recovers an explicit mixture
-of at most four strategies.
+cutting plane's master LP has at most three free multipliers in a box; a
+NumPy active-set method solves it, and the convex weights of its active
+cuts give a certified lower bound on the cut model.  The candidate powers
+of user 2 are both ends of its range and the real roots of the
+hidden-variable resultant of the two stationarity polynomials (Nakatsukasa,
+Noferini and Townsend, Numer. Math. 2015), found from piecewise Chebyshev
+interpolants and colleague matrices (Boyd, SIAM Review 2013); user 1's best
+power for each is a root of a cubic.  A restricted primal LP over the
+collected inner maximizers recovers an explicit mixture of at most four
+strategies (HiGHS, through ``scipy.optimize.linprog``).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
 LAMBDA_FLOOR = 1e-9
 _LN2 = math.log(2.0)
 _MAX_ITER = 200
+_MAX_PIVOTS = 1000
 # Root error allowed for in each cut's dual upper bound.  The slow oracle
 # test certifies it: a branch-and-bound at this tolerance, started from the
 # exact point, prunes every interval on 160 multipliers that the cutting
@@ -164,14 +168,20 @@ class _InnerProblem:
         A = _reduced_gain(self.g[0], self.x[0], self.n[0], a)
         B = 1.0 + b * g
         C = N + b * max(g * N - x, 0.0)  # g n >= x by Cauchy-Schwarz
-        # coefficients of t^0 .. t^3 in the scaled power t = p1 / cap1
-        c = cap1 ** np.arange(4) * np.stack([
-            mu1 * A * B + mu2 * (C - N * B) - lam * B,
-            mu1 * A * (B * N + C) + mu2 * A * (C - N * B)
-            - lam * (A * B + C + B * N),
-            mu1 * A * C * N - lam * (A * C + A * B * N + C * N),
-            -lam * A * C * N,
-        ], axis=1)
+        # In the scaled power t = p1 / cap1 each linear factor is divided by
+        # its value at t = 1 so that no product overflows: the derivative
+        # times (1 + A p1)(B + C p1)(1 + N p1) is, up to a positive factor,
+        # mu1 alpha_1 beta nu + mu2 (beta_1 nu_0 - nu_1 beta_0) alpha
+        # - lam cap1 alpha beta nu, with coefficients of t^0 .. t^3.
+        one = np.ones_like(B)
+        alpha, beta, nu = (
+            np.stack([u, v], axis=1) / (u + v)[:, None]
+            for u, v in ((one, A * cap1), (B, C * cap1), (one, N * cap1 * one))
+        )
+        beta_nu = _mul(beta, nu)
+        c = -lam * cap1 * _mul(alpha, beta_nu)
+        c[:, :3] += mu1 * alpha[:, 1:] * beta_nu
+        c[:, :2] += mu2 * (beta[:, 1:] * nu[:, :1] - nu[:, 1:] * beta[:, :1]) * alpha
         # A dead cross link (N = 0), a silenced user 1 (A = 0) or a cubic term
         # negligible on [0, cap1] leaves a quadratic or linear derivative: the
         # stable quadratic formula, whose root c0/q also solves the linear case.
@@ -305,6 +315,52 @@ def dual_value(ch: SimoChannel, dv: DualVariables) -> float:
     return dv.lam1 * ch.p1 + dv.lam2 * ch.p2 + val
 
 
+def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Minimizer ``y`` of the cut model ``max_i a_i . y + b_i`` over the box
+    ``lo <= y <= hi``, and a certified lower bound on its minimum.
+
+    A primal active-set (simplex) method on the epigraph ``t >= a_i . y +
+    b_i`` with Bland's rule; the upper box corner and its highest cut make
+    the first vertex.  At each vertex the multipliers of its cuts, clipped
+    at 0 and scaled to sum 1, are convex weights ``tau``, and by weak duality
+    ``tau . b + min over the box of (tau a) . y`` bounds the model from
+    below whatever roundoff the pivots made.  It stops once that bound
+    meets the vertex or no multiplier is negative.
+    """
+    m, d = a.shape
+    # rows G x >= h over x = (y, t): lower box, upper box, cuts; unit rows
+    # keep a basis that holds a steep cut well conditioned
+    G = np.zeros((2 * d + m, d + 1))
+    G[:d, :d], G[d:2 * d, :d] = np.eye(d), -np.eye(d)
+    G[2 * d:, :d], G[2 * d:, d] = -a, 1.0
+    h = np.concatenate([lo, -hi, b])
+    norm = np.linalg.norm(G, axis=1)
+    G, h = G / norm[:, None], h / norm
+    work = np.append(np.arange(d, 2 * d), 2 * d + np.argmax(a @ hi + b))
+    for _ in range(_MAX_PIVOTS):
+        basis, rhs = G[work], h[work]
+        inv = np.linalg.inv(basis)
+        x, mult = inv @ rhs, inv[-1]  # basis^T mult = e_t
+        # only cut rows have a t-coefficient; theirs is 1 / norm
+        w = np.where(basis[:, d] > 0, np.maximum(mult, 0.0), 0.0)
+        v = w @ basis
+        g = v[:d] / -v[d]
+        bound = (w @ rhs) / v[d] + np.minimum(g * lo, g * hi).sum()
+        drop = np.nonzero(mult < 0)[0]
+        if not drop.size or x[-1] - bound <= 1e-12 * (1 + abs(x[-1])):
+            # one refinement step: a steep cut magnifies the error of y
+            x += inv @ (rhs - basis @ x)
+            return np.clip(x[:d], lo, hi), bound
+        q = drop[np.argmin(work[drop])]  # Bland's rule: the first row leaves
+        step = inv[:, q]  # off row work[q], along the other active rows
+        rate = G @ step
+        rate[work] = 0.0
+        block = np.nonzero(rate < -1e-12 * np.abs(step).max())[0]
+        ratio = np.maximum(G[block] @ x - h[block], 0.0) / -rate[block]
+        work[q] = block[np.argmin(ratio)]  # and the first blocking row enters
+    raise ConvergenceError(f"master LP made {_MAX_PIVOTS} pivots without an optimum")
+
+
 def _lambda_max(ch: SimoChannel, profile: RateProfile) -> float:
     g, _, _ = _proper_gains(ch)
     rho = (profile.rho1, profile.rho2)
@@ -319,12 +375,14 @@ def cutting_plane(
 ) -> tuple[float, DualVariables, list[Cut]]:
     """Minimize the dual by Kelley's cutting-plane method.
 
-    Each iteration solves a master LP over the affine cut model on the
-    compact multiplier domain, then evaluates the true dual (via the exact
-    inner solve, plus ``_ROOT_SLACK`` for root error) at the LP minimizer to
-    add a new cut.  Stops when the gap between the best evaluated dual value
-    and the LP model optimum is at most ``eps``; the gap holds the slack, so
-    ``eps`` must exceed ``_ROOT_SLACK``.
+    Each iteration minimizes the affine cut model over the compact
+    multiplier domain (the master LP, solved in NumPy by :func:`_master`
+    with ``mu`` eliminated through ``rho . mu = 1``), then evaluates the true
+    dual (via the exact inner solve, plus ``_ROOT_SLACK`` for root error) at
+    the master's minimizer to add a new cut.  Stops when the gap between the
+    best evaluated dual value and the master's weak-duality lower bound,
+    taken from its multipliers rather than its primal value, is at most
+    ``eps``; the gap holds the slack, so ``eps`` must exceed ``_ROOT_SLACK``.
 
     ``seed_cuts`` warm-starts the affine model.  The dual function itself
     does not depend on the profile (only the multiplier constraint does),
@@ -337,18 +395,26 @@ def cutting_plane(
     if eps <= _ROOT_SLACK:
         raise ValidationError(f"eps must exceed the root slack {_ROOT_SLACK}, got {eps}")
     lam_max = max(_lambda_max(ch, profile), 10 * LAMBDA_FLOOR)
-    mu_bounds = []
-    for rho in (profile.rho1, profile.rho2):
-        mu_bounds.append((0.0, 1.0 / rho) if rho > 0 else (0.0, 0.0))
-
     if profile.rho1 > 0 and profile.rho2 > 0:
         mu0 = (1.0, 1.0)  # satisfies rho1*mu1 + rho2*mu2 = 1
     elif profile.rho1 > 0:
         mu0 = (1.0 / profile.rho1, 0.0)
     else:
         mu0 = (0.0, 1.0 / profile.rho2)
+    # The master eliminates mu through rho . mu = 1: the multipliers are
+    # z0 + E y with y = (mu2, lam1, lam2) in a box, or y = (lam1, lam2) at a
+    # fixed mu when one rho is 0.
+    z0, E = np.r_[mu0, 0.0, 0.0], np.eye(4)[:, 2:]
+    lo, hi = np.full(2, LAMBDA_FLOOR), np.full(2, lam_max)
+    if profile.rho1 > 0 and profile.rho2 > 0:
+        z0, E = np.r_[1.0 / profile.rho1, 0.0, 0.0, 0.0], np.eye(4)[:, 1:]
+        E[0, 0] = -profile.rho2 / profile.rho1
+        lo, hi = np.r_[0.0, lo], np.r_[1.0 / profile.rho2, hi]
 
     cuts: list[Cut] = list(seed_cuts) if seed_cuts else []
+    # cut i minorizes the dual by w_i . (mu1, mu2, lam1, lam2)
+    w = [[c.rates.r1, c.rates.r2, ch.p1 - c.p_star[0], ch.p2 - c.p_star[1]]
+         for c in cuts]
     best_upper = math.inf
     best_dv = None
 
@@ -358,6 +424,7 @@ def cutting_plane(
         rates = rate_proper(ch, *p_star)
         value = dv.lam1 * ch.p1 + dv.lam2 * ch.p2 + val
         cuts.append(Cut(dv=dv, p_star=p_star, rates=rates, value=value))
+        w.append([rates.r1, rates.r2, ch.p1 - p_star[0], ch.p2 - p_star[1]])
         if value + _ROOT_SLACK < best_upper:
             best_upper, best_dv = value + _ROOT_SLACK, dv
 
@@ -369,44 +436,12 @@ def cutting_plane(
             add_cut(DualVariables(mu0[0], mu0[1], lam0, lam0))
 
     for _ in range(_MAX_ITER):
-        n = len(cuts)
-        # variables z = [t, mu1, mu2, lam1, lam2]
-        c = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        a_ub = np.zeros((n, 5))
-        for i, cut in enumerate(cuts):
-            a_ub[i] = [
-                -1.0,
-                cut.rates.r1,
-                cut.rates.r2,
-                ch.p1 - cut.p_star[0],
-                ch.p2 - cut.p_star[1],
-            ]
-        b_ub = np.zeros(n)
-        a_eq = np.array([[0.0, profile.rho1, profile.rho2, 0.0, 0.0]])
-        b_eq = np.array([1.0])
-        bounds = [(None, None), mu_bounds[0], mu_bounds[1]] + [
-            (LAMBDA_FLOOR, lam_max)
-        ] * 2
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-        if not res.success:
-            raise ConvergenceError(f"master LP failed: {res.message}")
-        t_model = float(res.x[0])
+        model = np.array(w)
+        y, t_model = _master(model @ E, model @ z0, lo, hi)
         if best_upper - t_model <= eps:
             return best_upper, best_dv, cuts
-        add_cut(DualVariables(
-            mu1=max(res.x[1], 0.0),
-            mu2=max(res.x[2], 0.0),
-            lam1=min(max(res.x[3], LAMBDA_FLOOR), lam_max),
-            lam2=min(max(res.x[4], LAMBDA_FLOOR), lam_max),
-        ))
+        mu1, mu2, lam1, lam2 = z0 + E @ y
+        add_cut(DualVariables(max(mu1, 0.0), max(mu2, 0.0), lam1, lam2))
     raise ConvergenceError(
         f"cutting-plane method did not reach gap {eps} in {_MAX_ITER} iterations"
     )

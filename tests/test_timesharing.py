@@ -1,7 +1,9 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from tinregion import (
     DualVariables,
@@ -14,13 +16,17 @@ from tinregion import (
     gamma_of_R,
     primal_recovery,
     rate_complex,
+    rate_proper,
     solve_inner,
     sweep_region,
 )
-from tinregion import region
+from tinregion import region, timesharing
 from tinregion.channel import SimoChannel
+from tinregion.errors import ConvergenceError
 from tinregion.rates import _proper_gains
-from tinregion.timesharing import LAMBDA_FLOOR, _ROOT_SLACK, _InnerProblem
+from tinregion.timesharing import (
+    LAMBDA_FLOOR, _ROOT_SLACK, Cut, _InnerProblem, _master, _lambda_max,
+)
 
 from conftest import inner_bnb, random_channel, root_corner
 
@@ -235,6 +241,26 @@ class TestSolveInner:
             oracle = _grid_oracle(fig1, dv)
             assert abs(val - oracle) <= 1e-3
 
+    @pytest.mark.parametrize("scale", [1e20, 1e40, 1e60])
+    def test_huge_gains(self, fig1, scale):
+        # every product of the cubic in p1 overflowed at these scales; each
+        # solve returns a finite maximizer whose value the closed-form rates
+        # reproduce, or rejects the input, and warns of nothing
+        ch = replace(fig1, **{f: getattr(fig1, f) * scale
+                              for f in ("h11", "h12", "h21", "h22")})
+        for lam in (1e-9, 1e-3, 1e3, 1e12):
+            for mu1 in (0.0, 1.0, 1e3, 1e6):
+                dv = DualVariables(mu1, 1.0, lam, lam)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        (p1, p2), val = solve_inner(ch, dv)
+                    except ValidationError:
+                        continue
+                r = rate_proper(ch, p1, p2)
+                assert np.isfinite([p1, p2, val]).all()
+                want = mu1 * r.r1 + r.r2 - lam * (p1 + p2)
+                assert abs(val - want) <= 1e-9 * (1 + abs(want))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_multipliers(self, bad):
@@ -464,7 +490,118 @@ class TestDualValue:
         assert abs(dual_value(ch0, dv)) <= 1e-9
 
 
+class _Stop(Exception):
+    pass
+
+
+def _masters(monkeypatch, run, first=False):
+    """The ``(a, b, lo, hi)`` of every master LP that ``run()`` solves, or
+    of the first one only, where ``run`` is stopped."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        if first:
+            raise _Stop
+        return _master(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(timesharing, "_master", spy)
+        try:
+            run()
+        except _Stop:
+            pass
+    return seen
+
+
+def _random_cuts(rng, ch, n, low=0.0, high=3.0):
+    """Cuts at random powers between ``low`` and ``high`` times the budgets.
+    The master reads only their powers and rates."""
+    p = rng.uniform(low, high, (n, 2)) * [ch.p1, ch.p2]
+    if low == 0.0:
+        p *= rng.uniform(size=(n, 2)) < 0.75  # a quarter of the users silent
+    return [Cut(dv=None, p_star=(float(p1), float(p2)),
+                rates=rate_proper(ch, p1, p2), value=0.0) for p1, p2 in p]
+
+
+def _check_master(a, b, lo, hi):
+    """``_master`` against HiGHS on one cut model; returns its minimizer."""
+    y, bound = _master(a, b, lo, hi)
+    ref = linprog(np.eye(a.shape[1] + 1)[-1], A_ub=np.c_[a, -np.ones(len(b))],
+                  b_ub=-b, bounds=[*zip(lo, hi), (None, None)], method="highs")
+    assert ref.success
+    model = np.max(a @ y + b)
+    assert np.all(lo <= y) and np.all(y <= hi)
+    assert abs(model - ref.fun) <= 1e-7 * (1 + abs(ref.fun))
+    # weak duality, up to the roundoff of evaluating both sides
+    assert bound <= model + 1e-15 * (1 + abs(model))
+    assert model - bound <= 1e-10 * (1 + abs(model))
+    return y
+
+
+class TestMaster:
+    """The NumPy master LP of ``cutting_plane`` against HiGHS."""
+
+    def test_sweep_masters(self, fig1, fig2, fig3, monkeypatch):
+        for ch in (fig1, fig2, fig3):
+            masters = _masters(monkeypatch, lambda: sweep_region(
+                ch, "proper-timesharing", np.linspace(0, 1, 21), eps=2e-2))
+            assert len(masters) >= 21
+            for args in masters:
+                _check_master(*args)
+
+    @pytest.mark.parametrize("rho", [(0.3, 0.7), (1.0, 0.0), (0.0, 1.0)])
+    def test_random_cut_sets(self, rho, monkeypatch):
+        rng = np.random.default_rng(int(10 * rho[0]))
+        for _ in range(20):
+            ch = random_channel(rng, p=rng.uniform(1.0, 100.0))
+            cuts = _random_cuts(rng, ch, rng.integers(1, 40))
+            (args,) = _masters(monkeypatch, lambda: cutting_plane(
+                ch, RateProfile(*rho), eps=1e-2, seed_cuts=cuts), first=True)
+            a, b, lo, hi = args
+            assert a.shape == (len(cuts), 3 if 0 < rho[0] < 1 else 2)
+            _check_master(a, b, lo, hi)
+            # duplicated cuts, and parallel copies below and above them
+            _check_master(np.repeat(a, 2, axis=0), np.repeat(b, 2), lo, hi)
+            shift = rng.uniform(-1.0, 1.0, len(b))
+            _check_master(np.r_[a, a], np.r_[b, b + shift], lo, hi)
+
+    @pytest.mark.parametrize("low, high, at", [(0.0, 0.9, "floor"), (1.1, 3.0, "max")])
+    def test_optimum_on_the_lambda_box(self, fig1, monkeypatch, low, high, at):
+        # cuts at powers inside the budgets rise with lam, so the minimum sits
+        # at LAMBDA_FLOOR; cuts at powers past them fall, so it sits at lam_max
+        rng = np.random.default_rng(5)
+        for rho in [(0.5, 0.5), (1.0, 0.0)]:
+            cuts = _random_cuts(rng, fig1, 12, low, high)
+            (args,) = _masters(monkeypatch, lambda: cutting_plane(
+                fig1, RateProfile(*rho), eps=1e-2, seed_cuts=cuts), first=True)
+            y = _check_master(*args)
+            lo, hi = args[2], args[3]
+            assert hi[-1] == max(_lambda_max(fig1, RateProfile(*rho)), 10 * LAMBDA_FLOOR)
+            want = np.full(2, LAMBDA_FLOOR) if at == "floor" else hi[-2:]
+            assert np.allclose(y[-2:], want, rtol=1e-12, atol=0)
+
+    def test_pivot_cap_raises_typed(self, monkeypatch):
+        # the upper corner is not optimal here, so one pivot is too few
+        monkeypatch.setattr(timesharing, "_MAX_PIVOTS", 1)
+        with pytest.raises(ConvergenceError, match="pivots"):
+            _master(np.ones((1, 2)), np.zeros(1), np.zeros(2), np.ones(2))
+
+
 class TestCuttingPlane:
+    # the dual values the HiGHS master reached at eps = 1e-2; the single-user
+    # corner is the one test_single_user_profile pins
+    @pytest.mark.parametrize("rho, want", [
+        ((0.5, 0.5), 6.007211264149378), ((1.0, 0.0), 4.22659234751577),
+    ])
+    def test_needs_no_linprog(self, fig1, monkeypatch, rho, want):
+        def no_linprog(*args, **kwargs):
+            raise AssertionError("cutting_plane called linprog")
+
+        monkeypatch.setattr(timesharing, "linprog", no_linprog)
+        R, _, _ = cutting_plane(fig1, RateProfile(*rho), eps=1e-2)
+        assert abs(R - want) <= 1e-2
+
     def test_balanced_fig1_consistency(self, fig1):
         prof = RateProfile(0.5, 0.5)
         eps = 1e-2
