@@ -5,15 +5,15 @@ has zero duality gap, so it is solved through its Lagrangian dual: the
 outer minimization over multipliers runs a cutting-plane method, and each
 inner maximization of the penalized proper sum rate is solved exactly.  The
 cutting plane's master LP has at most three free multipliers in a box; a
-NumPy active-set method solves it, and the convex weights of its active
-cuts give a certified lower bound on the cut model.  The candidate powers
-of user 2 are both ends of its range and the real roots of the
-hidden-variable resultant of the two stationarity polynomials (Nakatsukasa,
-Noferini and Townsend, Numer. Math. 2015), found from piecewise Chebyshev
-interpolants and colleague matrices (Boyd, SIAM Review 2013); user 1's best
-power for each is a root of a cubic.  A restricted primal LP over the
-collected inner maximizers recovers an explicit mixture of at most four
-strategies (HiGHS, through ``scipy.optimize.linprog``).
+NumPy dual simplex, warm-started from the previous master, solves it; the
+convex weights of its active cuts give a certified lower bound on the cut
+model.  The candidate powers of user 2 are both ends of its range and the
+real roots of the hidden-variable resultant of the two stationarity
+polynomials (Nakatsukasa, Noferini and Townsend, Numer. Math. 2015), found
+from piecewise Chebyshev interpolants and colleague matrices (Boyd, SIAM
+Review 2013); user 1's best power for each is a root of a cubic.  A
+restricted primal LP over the collected inner maximizers recovers an
+explicit mixture of at most four strategies (HiGHS, ``scipy.optimize.linprog``).
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ _T2 = _EDGES[:-1, None] + 0.5 * np.diff(_EDGES)[:, None] * (1 + _NODES)
 # _COLLEAGUE_WEIGHT to its last column (numpy's chebcompanion)
 _COLLEAGUE = np.polynomial.chebyshev.chebcompanion(np.eye(14)[-1])
 _COLLEAGUE_WEIGHT = np.r_[np.sqrt(0.5), np.full(12, 0.5)]
+# rho^k, k = 0..13, on the Bernstein ellipse through 1 + 1e-9 + 1e-3 i (rho = 1.0321)
+_REACH = np.exp(np.arccosh(1 + 1e-9 + 1e-3j).real * np.arange(14))
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,7 @@ def _stationary_t2(prob: _InnerProblem) -> np.ndarray:
     common root their 5x5 Sylvester determinant in ``t1``, of degree at most
     13 in ``t2``, vanishes.  It is interpolated on each piece of
     ``_EDGES``, with one scale per row and piece, and its roots come from
-    the colleague matrices of the interpolants.
+    :func:`_colleague_roots`.
     """
     (g1, g2), (x1, x2), (n1, n2) = prob.g, prob.x, prob.n
     (mu1, mu2), (cap1, cap2) = prob.mu, prob.peak
@@ -251,17 +253,28 @@ def _stationary_t2(prob: _InnerProblem) -> np.ndarray:
         syl[..., i, i:i + 4] = f1[..., ::-1]
     for i in range(3):
         syl[..., 2 + i, i:i + 3] = f2[..., ::-1]
-    coef = np.linalg.det(syl) @ _FIT.T
+    return _colleague_roots(np.linalg.det(syl) @ _FIT.T)
+
+
+def _colleague_roots(coef: np.ndarray) -> np.ndarray:
+    """The roots kept from the Chebyshev series ``coef`` of the pieces of
+    ``_EDGES``, mapped into ``[0, 1]`` in piece order.  A series with
+    ``|c_0| > sum_{k>=1} |c_k| rho^k`` has no root inside the Bernstein
+    ellipse ``E_rho``, where ``|T_k| <= rho^k``, which holds the window of
+    kept roots; such a piece skips the eigensolve.  A margin of 1e-9 of
+    ``sum_k |c_k| rho^k`` covers the eigensolver's backward error."""
     # a vanishing leading coefficient only sends roots far off the piece
-    size = np.abs(coef).max(axis=1)
-    lead = coef[:, -1]
+    size, lead = np.abs(coef).max(axis=1, keepdims=True), coef[:, -1:]
     lead = np.where(np.abs(lead) > 1e-14 * size, lead, 1e-14 * size + 1e-300)
-    colleague = np.repeat(_COLLEAGUE[None], len(coef), axis=0)
-    colleague[:, :, -1] -= coef[:, :-1] / lead[:, None] * _COLLEAGUE_WEIGHT
+    coef = np.concatenate([coef[:, :-1], lead], axis=1)
+    live = 2 * np.abs(coef[:, 0]) <= (1 + 1e-9) * (np.abs(coef) @ _REACH)
+    colleague = np.repeat(_COLLEAGUE[None], np.count_nonzero(live), axis=0)
+    colleague[:, :, -1] -= coef[live, :-1] / coef[live, -1:] * _COLLEAGUE_WEIGHT
     z = np.linalg.eigvals(colleague)
     # a near-double root may come out as a pair with a small imaginary part
     keep = (np.abs(z.imag) <= 1e-3) & (np.abs(z.real) <= 1.0 + 1e-9)
-    t = _EDGES[:-1, None] + 0.5 * np.diff(_EDGES)[:, None] * (1.0 + z.real.clip(-1, 1))
+    start, width = _EDGES[:-1][live, None], np.diff(_EDGES)[live, None]
+    t = start + 0.5 * width * (1.0 + z.real.clip(-1, 1))
     return t[keep]
 
 
@@ -315,17 +328,18 @@ def dual_value(ch: SimoChannel, dv: DualVariables) -> float:
     return dv.lam1 * ch.p1 + dv.lam2 * ch.p2 + val
 
 
-def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, work=None):
     """Minimizer ``y`` of the cut model ``max_i a_i . y + b_i`` over the box
-    ``lo <= y <= hi``, and a certified lower bound on its minimum.
+    ``lo <= y <= hi``, a certified lower bound on its minimum, and the final
+    working set, which stays dual feasible when cuts are appended.
 
-    A primal active-set (simplex) method on the epigraph ``t >= a_i . y +
-    b_i`` with Bland's rule; the upper box corner and its highest cut make
-    the first vertex.  At each vertex the multipliers of its cuts, clipped
-    at 0 and scaled to sum 1, are convex weights ``tau``, and by weak duality
-    ``tau . b + min over the box of (tau a) . y`` bounds the model from
-    below whatever roundoff the pivots made.  It stops once that bound
-    meets the vertex or no multiplier is negative.
+    A dual simplex on the epigraph ``t >= a_i . y + b_i`` from ``work``, or
+    else from the highest cut at ``hi`` and the box rows its slope points
+    to.  Each pivot enters the first violated row and drops the row the
+    dual ratio test picks, ties to the first (Bland's rule).  By weak
+    duality the convex weights ``tau`` of the cut multipliers give the bound
+    ``tau . b + min over the box of (tau a) . y``, whatever roundoff the
+    pivots made.
     """
     m, d = a.shape
     # rows G x >= h over x = (y, t): lower box, upper box, cuts; unit rows
@@ -336,28 +350,33 @@ def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     h = np.concatenate([lo, -hi, b])
     norm = np.linalg.norm(G, axis=1)
     G, h = G / norm[:, None], h / norm
-    work = np.append(np.arange(d, 2 * d), 2 * d + np.argmax(a @ hi + b))
+    if work is None:
+        top = np.argmax(a @ hi + b)
+        work = np.append(np.where(a[top] > 0, 0, d) + np.arange(d), 2 * d + top)
+    work = np.array(work)
     for _ in range(_MAX_PIVOTS):
         basis, rhs = G[work], h[work]
         inv = np.linalg.inv(basis)
-        x, mult = inv @ rhs, inv[-1]  # basis^T mult = e_t
-        # only cut rows have a t-coefficient; theirs is 1 / norm
-        w = np.where(basis[:, d] > 0, np.maximum(mult, 0.0), 0.0)
-        v = w @ basis
-        g = v[:d] / -v[d]
-        bound = (w @ rhs) / v[d] + np.minimum(g * lo, g * hi).sum()
-        drop = np.nonzero(mult < 0)[0]
-        if not drop.size or x[-1] - bound <= 1e-12 * (1 + abs(x[-1])):
+        x, mult = inv @ rhs, np.maximum(inv[-1], 0.0)  # basis^T mult = e_t
+        slack = G @ x - h
+        slack[work] = 0.0  # basis rows hold; others count past their roundoff
+        enter = np.nonzero(slack < -1e-12 * (np.abs(G) @ np.abs(x) + np.abs(h)))[0]
+        if not enter.size:
+            # only cut rows have a t-coefficient; theirs is 1 / norm
+            w = np.where(basis[:, d] > 0, mult, 0.0)
+            v = w @ basis
+            g = v[:d] / -v[d]
+            bound = (w @ rhs) / v[d] + np.minimum(g * lo, g * hi).sum()
             # one refinement step: a steep cut magnifies the error of y
             x += inv @ (rhs - basis @ x)
-            return np.clip(x[:d], lo, hi), bound
-        q = drop[np.argmin(work[drop])]  # Bland's rule: the first row leaves
-        step = inv[:, q]  # off row work[q], along the other active rows
-        rate = G @ step
-        rate[work] = 0.0
-        block = np.nonzero(rate < -1e-12 * np.abs(step).max())[0]
-        ratio = np.maximum(G[block] @ x - h[block], 0.0) / -rate[block]
-        work[q] = block[np.argmin(ratio)]  # and the first blocking row enters
+            return np.clip(x[:d], lo, hi), bound, work
+        alpha = G[enter[0]] @ inv  # the entering row in terms of the basis
+        pos = alpha > 1e-12 * np.abs(alpha).max()
+        ratio = np.where(pos, mult, np.inf) / np.where(pos, alpha, 1.0)
+        leave = np.lexsort((work, ratio))[0]  # first of the smallest ratios
+        if ratio[leave] == np.inf:
+            raise ConvergenceError("master LP ratio test found no row to leave")
+        work[leave] = enter[0]
     raise ConvergenceError(f"master LP made {_MAX_PIVOTS} pivots without an optimum")
 
 
@@ -435,9 +454,10 @@ def cutting_plane(
             lam0 = max(LAMBDA_FLOOR, scale * lam_max)
             add_cut(DualVariables(mu0[0], mu0[1], lam0, lam0))
 
+    work = None
     for _ in range(_MAX_ITER):
         model = np.array(w)
-        y, t_model = _master(model @ E, model @ z0, lo, hi)
+        y, t_model, work = _master(model @ E, model @ z0, lo, hi, work)
         if best_upper - t_model <= eps:
             return best_upper, best_dv, cuts
         mu1, mu2, lam1, lam2 = z0 + E @ y

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -25,7 +26,8 @@ from tinregion.channel import SimoChannel
 from tinregion.errors import ConvergenceError
 from tinregion.rates import _proper_gains
 from tinregion.timesharing import (
-    LAMBDA_FLOOR, _ROOT_SLACK, Cut, _InnerProblem, _master, _lambda_max,
+    _COLLEAGUE, _COLLEAGUE_WEIGHT, _EDGES, LAMBDA_FLOOR, _ROOT_SLACK, Cut,
+    _InnerProblem, _colleague_roots, _master, _lambda_max,
 )
 
 from conftest import inner_bnb, random_channel, root_corner
@@ -455,6 +457,123 @@ class TestExactInner:
             _certify(ch, dv)
 
 
+def _all_pieces(coef):
+    """The colleague eigensolve of every piece, none skipped: the oracle of
+    the root-free pieces that ``_colleague_roots`` leaves out."""
+    size = np.abs(coef).max(axis=1)
+    lead = coef[:, -1]
+    lead = np.where(np.abs(lead) > 1e-14 * size, lead, 1e-14 * size + 1e-300)
+    colleague = np.repeat(_COLLEAGUE[None], len(coef), axis=0)
+    colleague[:, :, -1] -= coef[:, :-1] / lead[:, None] * _COLLEAGUE_WEIGHT
+    z = np.linalg.eigvals(colleague)
+    keep = (np.abs(z.imag) <= 1e-3) & (np.abs(z.real) <= 1.0 + 1e-9)
+    t = _EDGES[:-1, None] + 0.5 * np.diff(_EDGES)[:, None] * (1.0 + z.real.clip(-1, 1))
+    return t[keep]
+
+
+def _inner_problems(monkeypatch, run):
+    """Every inner problem whose resultant ``run()`` solves."""
+    seen, stationary = [], timesharing._stationary_t2
+
+    def spy(prob):
+        seen.append(prob)
+        return stationary(prob)
+
+    with monkeypatch.context() as m:
+        m.setattr(timesharing, "_stationary_t2", spy)
+        run()
+    return seen
+
+
+class TestPieceExclusion:
+    """The pieces that ``_colleague_roots`` proves root-free change nothing:
+    ``_stationary_t2`` returns exactly the array of the full solve."""
+
+    @staticmethod
+    def _check(monkeypatch, probs):
+        """Compares every solve with the oracle; returns the candidates."""
+        total = 0
+        for prob in probs:
+            got = timesharing._stationary_t2(prob)
+            with monkeypatch.context() as m:
+                m.setattr(timesharing, "_colleague_roots", _all_pieces)
+                want = timesharing._stationary_t2(prob)
+            assert np.array_equal(got, want), (prob.mu, prob.lam)
+            total += len(got)
+        return total
+
+    @pytest.mark.parametrize("eps", [2e-2, 1e-3])
+    def test_sweeps(self, fig1, fig2, fig3, monkeypatch, eps):
+        for ch in (fig1, fig2, fig3):
+            probs = _inner_problems(monkeypatch, lambda: sweep_region(
+                ch, "proper-timesharing", np.linspace(0, 1, 21), eps=eps))
+            assert len(probs) >= 40
+            self._check(monkeypatch, probs)
+
+    @pytest.mark.parametrize("case", ["h21-zeroed", "h12-zeroed", "orthogonal", "collinear"])
+    def test_degenerate_cross_links(self, case, fig1, monkeypatch):
+        ch = {
+            "h21-zeroed": replace(fig1, h21=0 * fig1.h21),
+            "h12-zeroed": replace(fig1, h12=0 * fig1.h12),
+            "orthogonal": replace(fig1, h12=_orthogonal(fig1.h12, fig1.h11),
+                                  h21=_orthogonal(fig1.h21, fig1.h22)),
+            "collinear": _collinear(fig1),
+        }[case]
+        rng = np.random.default_rng(45)
+        dvs = [DualVariables(*rng.uniform(0, 2, 2), *10 ** rng.uniform(-3, 0, 2))
+               for _ in range(20)]
+        probs = _inner_problems(monkeypatch, lambda: (
+            cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2),
+            [solve_inner(ch, dv) for dv in dvs]))
+        self._check(monkeypatch, probs)
+
+    def test_lam_floor(self, fig1, fig2, fig3, monkeypatch):
+        # at the lam floor the resultant can be pure roundoff, and then
+        # hundreds of roots are candidates
+        rng = np.random.default_rng(46)
+        dvs = [DualVariables(20.0, 1.03e-9, 2.5e-8, LAMBDA_FLOOR)]
+        dvs += [DualVariables(*rng.uniform(0, 20, 2), LAMBDA_FLOOR,
+                              LAMBDA_FLOOR * 10 ** rng.uniform(0, 2)) for _ in range(20)]
+        probs = _inner_problems(monkeypatch, lambda: [
+            solve_inner(ch, dv) for ch in (fig1, fig2, fig3) for dv in dvs])
+        assert self._check(monkeypatch, probs) >= 200
+
+    @pytest.mark.parametrize("end", [-1.0, 1.0])
+    def test_root_near_a_piece_end_is_kept(self, end):
+        # a root at Re z = +-1 with Im z up to 1e-3 lies in the window of
+        # kept roots; alone, and times factors with roots far off the piece
+        # that weight the constant term, every piece keeps it
+        cheb = np.polynomial.chebyshev
+        rng = np.random.default_rng(47 + int(end))
+        for im in (0.0, 1e-4, 0.999e-3):
+            for far in range(12):
+                rest = rng.choice([-1, 1], far) * 10 ** rng.uniform(0.2, 2, far)
+                roots = [end + 1j * im, end - 1j * im, *rest]
+                c = cheb.chebfromroots(roots).real
+                coef = np.tile(np.r_[c, np.zeros(14 - len(c))], (len(_EDGES) - 1, 1))
+                coef *= 10 ** rng.uniform(-5, 5, (len(coef), 1))
+                got = _colleague_roots(coef)
+                assert np.array_equal(got, _all_pieces(coef))
+                piece_end = _EDGES[1:] if end > 0 else _EDGES[:-1]
+                near = np.abs(got[:, None] - piece_end) <= 1e-6 * np.diff(_EDGES)
+                assert near.any(axis=0).all(), (im, far)
+        # a linear series c_0 + c_1 T_1 with its root at the end has
+        # |c_0| / (|c_1| rho) = 0.969, the nearest to a skipped piece
+        coef = np.tile(np.r_[1.0, -end, np.zeros(12)], (len(_EDGES) - 1, 1))
+        assert len(_colleague_roots(coef)) >= len(coef)
+
+    def test_root_off_the_axis_is_kept(self):
+        # z^2 + d^2 = (1/2 + d^2) T_0 + T_2 / 2 has its roots +-i d inside
+        # the window; |c_0| exceeds |c_2|, so a bound on [-1, 1] alone would
+        # skip it, but not |c_2| rho^2
+        d = 0.999e-3
+        coef = np.tile(np.r_[0.5 + d * d, 0.0, 0.5, np.zeros(11)], (len(_EDGES) - 1, 1))
+        got = _colleague_roots(coef)
+        assert np.array_equal(got, _all_pieces(coef))
+        mid = 0.5 * (_EDGES[1:] + _EDGES[:-1])
+        assert (np.abs(got[:, None] - mid) <= 1e-9).sum(axis=0).min() == 2
+
+
 class TestDualValue:
     def test_weak_duality(self, fig1):
         prof = RateProfile(0.5, 0.5)
@@ -495,8 +614,10 @@ class _Stop(Exception):
 
 
 def _masters(monkeypatch, run, first=False):
-    """The ``(a, b, lo, hi)`` of every master LP that ``run()`` solves, or
-    of the first one only, where ``run`` is stopped."""
+    """The ``(a, b, lo, hi, work)`` of every master LP that ``run()`` solves,
+    as ``cutting_plane`` passes them (``work`` is the previous master's
+    working set, ``None`` at the first), or of the first one only, where
+    ``run`` is stopped."""
     seen = []
 
     def spy(*args):
@@ -524,9 +645,10 @@ def _random_cuts(rng, ch, n, low=0.0, high=3.0):
                 rates=rate_proper(ch, p1, p2), value=0.0) for p1, p2 in p]
 
 
-def _check_master(a, b, lo, hi):
-    """``_master`` against HiGHS on one cut model; returns its minimizer."""
-    y, bound = _master(a, b, lo, hi)
+def _check_master(a, b, lo, hi, work=None):
+    """``_master`` against HiGHS on one cut model, started from ``work``;
+    returns its minimizer."""
+    y, bound, final = _master(a, b, lo, hi, work)
     ref = linprog(np.eye(a.shape[1] + 1)[-1], A_ub=np.c_[a, -np.ones(len(b))],
                   b_ub=-b, bounds=[*zip(lo, hi), (None, None)], method="highs")
     assert ref.success
@@ -536,6 +658,11 @@ def _check_master(a, b, lo, hi):
     # weak duality, up to the roundoff of evaluating both sides
     assert bound <= model + 1e-15 * (1 + abs(model))
     assert model - bound <= 1e-10 * (1 + abs(model))
+    # the final working set is optimal: restarted from it, nothing pivots
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(timesharing, "_MAX_PIVOTS", 1)
+        again = _master(a, b, lo, hi, final)
+    assert np.array_equal(again[0], y) and np.array_equal(again[2], final)
     return y
 
 
@@ -543,10 +670,13 @@ class TestMaster:
     """The NumPy master LP of ``cutting_plane`` against HiGHS."""
 
     def test_sweep_masters(self, fig1, fig2, fig3, monkeypatch):
-        for ch in (fig1, fig2, fig3):
+        # each master as cutting_plane calls it: the first of each point from
+        # the cold start, the others from the previous master's working set
+        for ch, eps in itertools.product((fig1, fig2, fig3), (2e-2, 1e-3)):
             masters = _masters(monkeypatch, lambda: sweep_region(
-                ch, "proper-timesharing", np.linspace(0, 1, 21), eps=2e-2))
-            assert len(masters) >= 21
+                ch, "proper-timesharing", np.linspace(0, 1, 21), eps=eps))
+            assert sum(args[4] is None for args in masters) == 21
+            assert len(masters) >= 63
             for args in masters:
                 _check_master(*args)
 
@@ -558,7 +688,8 @@ class TestMaster:
             cuts = _random_cuts(rng, ch, rng.integers(1, 40))
             (args,) = _masters(monkeypatch, lambda: cutting_plane(
                 ch, RateProfile(*rho), eps=1e-2, seed_cuts=cuts), first=True)
-            a, b, lo, hi = args
+            a, b, lo, hi, work = args
+            assert work is None
             assert a.shape == (len(cuts), 3 if 0 < rho[0] < 1 else 2)
             _check_master(a, b, lo, hi)
             # duplicated cuts, and parallel copies below and above them
@@ -582,10 +713,39 @@ class TestMaster:
             assert np.allclose(y[-2:], want, rtol=1e-12, atol=0)
 
     def test_pivot_cap_raises_typed(self, monkeypatch):
-        # the upper corner is not optimal here, so one pivot is too few
+        # min max(y1 + y2, 0.5 - y1, 0.5 - y2) over [0, 1]^2 is 1/3 at
+        # y = (1/6, 1/6), where all three cuts are active; the cold start
+        # holds the first cut and both lower box rows, so it needs two pivots
+        # and one is too few
+        a = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        b, lo, hi = np.array([0.0, 0.5, 0.5]), np.zeros(2), np.ones(2)
+        y = _check_master(a, b, lo, hi)
+        assert np.allclose(y, 1 / 6, rtol=1e-14)
         monkeypatch.setattr(timesharing, "_MAX_PIVOTS", 1)
         with pytest.raises(ConvergenceError, match="pivots"):
-            _master(np.ones((1, 2)), np.zeros(1), np.zeros(2), np.ones(2))
+            _master(a, b, lo, hi)
+
+    def test_badly_scaled_cuts(self, monkeypatch):
+        # first-coordinate slopes spread over 1e0-1e10 and boxes up to 1e8
+        # wide, cold and warm: the bound may be loose here, but it is never
+        # above the model value, and no solve reaches the pivot cap
+        rng = np.random.default_rng(9)
+        for k in range(150):
+            ch = random_channel(rng, p=rng.uniform(1.0, 100.0))
+            cuts = _random_cuts(rng, ch, rng.integers(2, 40))
+            rho = [(0.3, 0.7), (1.0, 0.0), (0.5, 0.5)][k % 3]
+            (args,) = _masters(monkeypatch, lambda: cutting_plane(
+                ch, RateProfile(*rho), eps=1e-2, seed_cuts=cuts), first=True)
+            a, b, lo, hi, _ = args
+            a = a.copy()
+            a[:, 0] *= 10 ** rng.uniform(0, 10, len(b))
+            hi = lo + (hi - lo) * 10 ** rng.uniform(0, 8, len(hi))
+            _, _, work = _master(a[:-1], b[:-1], lo, hi)
+            for start in (None, work):
+                y, bound, _ = _master(a, b, lo, hi, start)
+                model = np.max(a @ y + b)
+                assert np.all(lo <= y) and np.all(y <= hi)
+                assert bound <= model + 1e-15 * (1 + abs(model))
 
 
 class TestCuttingPlane:
