@@ -10,6 +10,7 @@ import numpy as np
 
 from tinregion import (
     TxStrategy,
+    channel_from_transform,
     composite_cov_from_strategy,
     enhanced_upper_bound,
     preset_scenario,
@@ -45,11 +46,12 @@ print("\n-- the enhanced channel bounds every phase choice --")
 rng = np.random.default_rng(0)
 bound = enhanced_upper_bound(tc, x)
 print("upper bound:", bound)
+ch2 = channel_from_transform(tc, 0.0, 0.0)  # the transformed channel itself
 worst = np.inf
 for _ in range(500):
     a1, a2 = rng.uniform(0, 2 * np.pi, 2)
     y = TxStrategy(x.c1, x.c2, abs(x.ct1) * np.exp(1j * a1),
                    abs(x.ct2) * np.exp(1j * a2))
-    r = transformed_rates(tc, y, original_coords=False)
+    r = rate_complex(ch2, y)
     worst = min(worst, bound.r1 - r.r1, bound.r2 - r.r2)
 print(f"smallest margin over 500 random phase pairs: {worst:.3e} (>= 0)")

@@ -27,6 +27,7 @@ from .proper_pure import RateProfile, balance_pure_proper
 from .region import (
     METHODS,
     PRESETS,
+    convex_hull_2d,
     curve_to_csv_rows,
     curve_to_dict,
     preset_scenario,
@@ -145,9 +146,12 @@ def cmd_reproduce(args) -> int:
     curves = {}
     for method in METHODS:
         eps = 2e-2 if method == "proper-timesharing" else 1e-6
-        curves[method] = sweep_region(
-            ch, method, grid, eps=eps, seed=args.seed, n_starts=args.starts
-        )
+        if method == "convex-hull":  # the hull of the pure sweep above
+            curves[method] = convex_hull_2d(curves["proper-pure"].points())
+        else:
+            curves[method] = sweep_region(
+                ch, method, grid, eps=eps, seed=args.seed, n_starts=args.starts
+            )
         write_curve(outdir / f"{method}.csv", curves[method], fmt="csv")
 
     best, runs = multistart(ch, (1.0, 1.0), n_starts=args.starts, seed=args.seed)

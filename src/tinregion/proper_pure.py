@@ -31,7 +31,7 @@ __all__ = [
 GAMMA_CAP = 1e18
 
 _FP_MAX_ITER = 500
-FP_TOL = 1e-10  # default tolerance on the eigenvalue change per filter update
+FP_TOL = 1e-10  # tolerance on the eigenvalue change per filter update
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def _single_user_gamma(ch: SimoChannel, k: int, target: float):
     return gamma, powers
 
 
-def _gamma_powers(ch: SimoChannel, profile: RateProfile, R: float, eps: float):
+def _gamma_powers(ch: SimoChannel, profile: RateProfile, R: float):
     """Feasibility margin for targets ``rho_k * R`` plus achieving powers."""
     if R <= 0.0:
         return GAMMA_CAP, (0.0, 0.0)
@@ -150,7 +150,7 @@ def _gamma_powers(ch: SimoChannel, profile: RateProfile, R: float, eps: float):
                     "balance fixed point degenerated (zero eigenvalue)"
                 )
             p = v[:2]
-            if lam_prev is not None and abs(lam - lam_prev) <= eps * max(
+            if lam_prev is not None and abs(lam - lam_prev) <= FP_TOL * max(
                 1.0, abs(lam)
             ):
                 converged = True
@@ -167,16 +167,14 @@ def _gamma_powers(ch: SimoChannel, profile: RateProfile, R: float, eps: float):
     )
 
 
-def gamma_of_R(
-    ch: SimoChannel, profile: RateProfile, R: float, eps: float = FP_TOL
-) -> float:
+def gamma_of_R(ch: SimoChannel, profile: RateProfile, R: float) -> float:
     """Largest common SINR margin for the rate targets ``rho_k * R``.
 
     Values >= 1 mean the targets are feasible; nonincreasing in ``R``.
     ``R = 0`` reports :data:`GAMMA_CAP`.  If a user with a positive weight
     can reach no rate (a dead direct link or a zero budget), it is 0.
     """
-    gamma, _ = _gamma_powers(ch, profile, R, eps)
+    gamma, _ = _gamma_powers(ch, profile, R)
     return gamma
 
 
@@ -218,7 +216,7 @@ def balance_pure_proper(
             lo = mid
         else:
             hi = mid
-    _, powers = _gamma_powers(ch, profile, lo, FP_TOL)
+    _, powers = _gamma_powers(ch, profile, lo)
     return BalanceResult(
         R=lo, p1=powers[0], p2=powers[1], rates=rate_proper(ch, *powers)
     )

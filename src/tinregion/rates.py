@@ -167,19 +167,13 @@ def sinr(ch: SimoChannel, w1, w2, p1: float, p2: float) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def transformed_rates(
-    tc: TransformedChannel, x: TxStrategy, original_coords: bool = True
-) -> RatePoint:
-    """Rates of the two-antenna transformed channel for a strategy.
-
-    With ``original_coords`` the strategy is interpreted in the original
-    channel's coordinates and the internal phase bookkeeping is applied, so
-    the result matches the original channel's rates.
-    """
+def transformed_rates(tc: TransformedChannel, x: TxStrategy) -> RatePoint:
+    """Rates of the two-antenna transformed channel for a strategy given in
+    the original channel's coordinates; the internal phase bookkeeping is
+    applied, so the result matches the original channel's rates."""
     ch2 = channel_from_transform(tc, p1=0.0, p2=0.0)  # budgets unused here
-    if original_coords:
-        x = tc.map_strategy(x)
-    return rate_complex(ch2, x)  # validates x: the map keeps every magnitude
+    # validates x: the map keeps every magnitude
+    return rate_complex(ch2, tc.map_strategy(x))
 
 
 def enhanced_upper_bound(tc: TransformedChannel, x: TxStrategy) -> RatePoint:

@@ -45,10 +45,12 @@ _LN2 = math.log(2.0)
 _MAX_ITER = 200
 _MAX_PIVOTS = 1000
 # Root error allowed for in each cut's dual upper bound.  The slow oracle
-# test certifies it: a branch-and-bound at this tolerance, started from the
-# exact point, prunes every interval on 160 multipliers that the cutting
+# test certifies it with tests/conftest.py::inner_bnb, an interval
+# branch-and-bound over p2 with a closed-form cubic maximum over p1 that
+# shares no code with this module: at this tolerance, started from the
+# exact point, it prunes every interval on 160 multipliers that the cutting
 # plane visits or that sit at near ties.  On 2,520 other pairs the exact
-# value is at most 7.1e-13 below the oracle's incumbent.  Each decade of a
+# value is at most 7.0e-13 below the oracle's incumbent.  Each decade of a
 # tighter slack costs that check about sqrt(10) times more.
 _ROOT_SLACK = 1e-7
 # pieces of [0, 1] for the resultant's fit, graded toward both ends
@@ -118,9 +120,9 @@ class Cut:
 
 
 class _InnerProblem:
-    """The mixed-monotonic objective of the inner problem: the weighted
-    closed-form proper rate of :mod:`tinregion.rates` minus the power
-    penalty.  ``value`` works elementwise on scalars and arrays.
+    """The objective of the inner problem: the weighted closed-form proper
+    rate of :mod:`tinregion.rates` minus the power penalty.  ``value`` works
+    elementwise on scalars and arrays.
     """
 
     def __init__(self, ch: SimoChannel, dv: DualVariables):
@@ -134,16 +136,15 @@ class _InnerProblem:
             for mu, lam, g in zip(self.mu, self.lam, self.g)
         )
 
-    def value(self, x1, x2, y1, y2):
-        """Objective with signal powers ``x`` and penalized powers ``y``:
-        nondecreasing in ``x``, nonincreasing in ``y``, and on the diagonal
-        ``x == y`` the weighted proper sum rate minus the power penalty."""
-        q1 = _reduced_gain(self.g[0], self.x[0], self.n[0], y2)
-        q2 = _reduced_gain(self.g[1], self.x[1], self.n[1], y1)
+    def value(self, p1, p2):
+        """Weighted proper sum rate minus the power penalty at powers
+        ``(p1, p2)``."""
+        q1 = _reduced_gain(self.g[0], self.x[0], self.n[0], p2)
+        q2 = _reduced_gain(self.g[1], self.x[1], self.n[1], p1)
         return (
-            (self.mu[0] * np.log1p(x1 * q1) + self.mu[1] * np.log1p(x2 * q2)) / _LN2
-            - self.lam[0] * y1
-            - self.lam[1] * y2
+            (self.mu[0] * np.log1p(p1 * q1) + self.mu[1] * np.log1p(p2 * q2)) / _LN2
+            - self.lam[0] * p1
+            - self.lam[1] * p2
         )
 
     def swapped(self) -> "_InnerProblem":
@@ -153,23 +154,21 @@ class _InnerProblem:
             setattr(other, name, getattr(self, name)[::-1])
         return other
 
-    def p1_max(self, a, b, cap1: float):
-        """Maximizers and maxima of ``value(p1, b, p1, a)`` over ``p1`` in
-        ``[0, cap1]`` for 1-D arrays ``a <= b`` of user 2's power: exact at
-        ``p2 = a`` where ``a == b``, else (by monotonicity) an upper bound on
-        ``[0, cap1] x [a, b]``.  With ``A = q_1(a)``, ``B = 1 + b g_2``,
-        ``C = n_2 + b (g_2 n_2 - x_2)`` and ``N = n_2`` it maximizes
-        ``[mu1 ln(1 + A p1) + mu2 ln((B + C p1)/(1 + N p1))]/ln 2 - lam1 p1
-        - lam2 a``, whose derivative times its three positive denominators
-        is a cubic.  The cubic's roots and both ends are feasible candidates,
-        so a spurious root can only lose.
+    def p1_max(self, p2, cap1: float):
+        """Maximizers and maxima of ``value(p1, p2)`` over ``p1`` in
+        ``[0, cap1]`` for a 1-D array ``p2`` of user 2's power.  With
+        ``A = q_1(p2)``, ``B = 1 + p2 g_2``, ``C = n_2 + p2 (g_2 n_2 - x_2)``
+        and ``N = n_2`` it maximizes ``[mu1 ln(1 + A p1) + mu2 ln((B + C p1)
+        / (1 + N p1))]/ln 2 - lam1 p1 - lam2 p2``, whose derivative times its
+        three positive denominators is a cubic.  The cubic's roots and both
+        ends are feasible candidates, so a spurious root can only lose.
         """
         g, x, N = self.g[1], self.x[1], self.n[1]
         mu1, mu2 = self.mu
         lam = self.lam[0] * _LN2
-        A = _reduced_gain(self.g[0], self.x[0], self.n[0], a)
-        B = 1.0 + b * g
-        C = N + b * max(g * N - x, 0.0)  # g n >= x by Cauchy-Schwarz
+        A = _reduced_gain(self.g[0], self.x[0], self.n[0], p2)
+        B = 1.0 + p2 * g
+        C = N + p2 * max(g * N - x, 0.0)  # g n >= x by Cauchy-Schwarz
         # In the scaled power t = p1 / cap1 each linear factor is divided by
         # its value at t = 1 so that no product overflows: the derivative
         # times (1 + A p1)(B + C p1)(1 + N p1) is, up to a positive factor,
@@ -200,7 +199,7 @@ class _InnerProblem:
             t[deg, 1] = c0 / q
         # NaN or infinite roots (no real root, no quadratic) land in [0, 1]
         t = np.clip(np.nan_to_num(t, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
-        vals = self.value(cap1 * t, b[:, None], cap1 * t, a[:, None])
+        vals = self.value(cap1 * t, p2[:, None])
         best = np.argmax(vals, axis=1)
         rows = np.arange(len(c))
         return cap1 * t[rows, best], vals[rows, best]
@@ -307,7 +306,7 @@ def _exact_inner(prob: _InnerProblem):
     p2 = np.array([0.0, cap2])
     if cap1 > 0 and cap2 > 0 and share[1] > 0:
         p2 = np.concatenate([p2, cap2 * _stationary_t2(prob)])
-    p1, vals = prob.p1_max(p2, p2, cap1)
+    p1, vals = prob.p1_max(p2, cap1)
     i = int(np.argmax(vals))
     return (float(p1[i]), float(p2[i])), float(vals[i])
 

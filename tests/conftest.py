@@ -58,6 +58,15 @@ def root_corner(ch, dv):
     return tuple(corner)
 
 
+def proper_gains(ch):
+    """Per-user gains ``(g, x, n)`` of :func:`proper_rates`, each a pair
+    indexed by user from 0."""
+    g = (np.linalg.norm(ch.h11) ** 2, np.linalg.norm(ch.h22) ** 2)
+    x = (abs(np.vdot(ch.h12, ch.h11)) ** 2, abs(np.vdot(ch.h21, ch.h22)) ** 2)
+    n = (np.linalg.norm(ch.h12) ** 2, np.linalg.norm(ch.h21) ** 2)
+    return g, x, n
+
+
 def proper_rates(ch, p1, p2):
     """Closed-form proper TIN rates, vectorized over power arrays.
 
@@ -67,10 +76,7 @@ def proper_rates(ch, p1, p2):
     receive antennas.  It shares no code with the library, so tests can
     use it as an oracle.
     """
-    g1, g2 = np.linalg.norm(ch.h11) ** 2, np.linalg.norm(ch.h22) ** 2
-    x1 = abs(np.vdot(ch.h12, ch.h11)) ** 2
-    x2 = abs(np.vdot(ch.h21, ch.h22)) ** 2
-    n1, n2 = np.linalg.norm(ch.h12) ** 2, np.linalg.norm(ch.h21) ** 2
+    (g1, g2), (x1, x2), (n1, n2) = proper_gains(ch)
     r1 = np.log2(1 + p1 * np.clip(g1 - p2 * x1 / (1 + p2 * n1), 0, None))
     r2 = np.log2(1 + p2 * np.clip(g2 - p1 * x2 / (1 + p1 * n2), 0, None))
     return r1, r2
@@ -105,6 +111,143 @@ def pure_balanced_oracle(ch):
     return best
 
 
+# The oracle of the time-sharing inner problem, maximize
+# mu1 r1 + mu2 r2 - lam1 p1 - lam2 p2 over powers, built from the formulas of
+# proper_rates alone; it shares no code with tinregion.timesharing.
+
+
+def split_objective(gains, dv, p1, a, b):
+    """The inner objective by the formulas of :func:`proper_rates`, with
+    user 2 sending at ``b`` but interfering and penalized at ``a``; it
+    broadcasts over ``p1``, ``a`` and ``b``.  It is nondecreasing in ``b`` and
+    nonincreasing in ``a``, and at ``a == b`` it is the inner objective."""
+    (g1, g2), (x1, x2), (n1, n2) = gains
+    q1 = np.maximum(g1 - a * x1 / (1 + a * n1), 0)
+    q2 = np.maximum(g2 - p1 * x2 / (1 + p1 * n2), 0)
+    return (dv.mu1 * np.log2(1 + p1 * q1) + dv.mu2 * np.log2(1 + b * q2)
+            - dv.lam1 * p1 - dv.lam2 * a)
+
+
+def peak_box(gains, dv):
+    """``(peak_1, peak_2)``, where ``peak_k = mu_k / (lam_k ln 2) - 1/g_k``
+    (at least 0) is user k's interference-free optimum.  Interference only
+    lowers ``q_k <= g_k``, and ``q / (1 + p q)`` grows with ``q``, so past
+    ``peak_k`` the objective falls in ``p_k``: ``[0, peak_1] x [0, peak_2]``
+    holds every maximizer."""
+    return tuple(
+        max(mu / (lam * np.log(2)) - 1 / g, 0.0) if g > 0 else 0.0
+        for g, mu, lam in zip(gains[0], (dv.mu1, dv.mu2), (dv.lam1, dv.lam2)))
+
+
+def cubic_roots(c0, c1, c2, c3):
+    """Three real candidates per element for the roots of ``c0 + c1 t +
+    c2 t^2 + c3 t^3`` (1-D arrays), NaN where ``c3 == 0``.
+
+    With ``t = s - c2 / (3 c3)`` the monic cubic ``t^3 + a t^2 + b t + d``
+    becomes ``s^3 + p s + q``.  Where its three roots are real they come from
+    the trigonometric form; else from Cardano's real root ``u - p / (3u)``,
+    with ``u^3 = -q/2 - sign(q) sqrt(q^2/4 + p^3/27)`` free of cancellation.
+    The root ``r`` of largest magnitude is accurate; the other two, which a
+    large ``|a|`` would swamp, solve the quadratic it leaves, with sum
+    ``(b + d/r) / r`` and product ``-d/r``.  A complex pair gives its real
+    part twice: it is near a double root that roundoff split.
+    """
+    with np.errstate(all="ignore"):
+        a, b, d = c2 / c3, c1 / c3, c0 / c3
+        shift = a / 3
+        p = b - a * shift
+        q = d - shift * (b - 2 * shift * shift)
+        disc = q * q / 4 + (p / 3) ** 3
+        m = 2 * np.sqrt(p / -3)
+        theta = np.arccos(np.minimum(np.maximum(3 * q / (p * m), -1), 1)) / 3
+        trig = m[:, None] * np.cos(theta[:, None] - 2 * np.pi / 3 * np.arange(3))
+        u = np.cbrt(q / -2 - np.copysign(np.sqrt(np.maximum(disc, 0)), q))
+        real = np.where(u == 0, u, u - p / (3 * u))
+        r = np.where(disc[:, None] < 0, trig, real[:, None]) - shift[:, None]
+        big = r[np.arange(len(r)), np.abs(r).argmax(axis=1)]
+        prod = -d / big
+        total = (b - prod) / big
+        disc = total * total - 4 * prod
+        w = 0.5 * (total + np.copysign(np.sqrt(np.maximum(disc, 0)), total))
+        return big, w, np.where(disc < 0, w, prod / w)
+
+
+def quadratic_roots(c0, c1, c2):
+    """The two roots of ``c0 + c1 t + c2 t^2`` by the stable formula, the
+    real part twice for a complex pair; ``c0 / q`` also solves a linear one,
+    where ``c2 == 0``."""
+    with np.errstate(all="ignore"):
+        root = np.sqrt(np.maximum(c1 * c1 - 4 * c2 * c0, 0))
+        q = -0.5 * (c1 + np.copysign(root, c1))
+        return q / c2, c0 / q
+
+
+def p1_bound(gains, dv, a, b, cap1):
+    """Maximizers and maxima over ``p1`` in ``[0, cap1]`` of
+    :func:`split_objective` for 1-D arrays ``a <= b``: the exact maximum at
+    ``p2 = a`` where ``a == b``, else an upper bound of the objective on
+    ``[0, cap1] x [a, b]``.
+
+    With ``A = q_1(a)``, ``B = 1 + b g_2``, ``C = n_2 + b (g_2 n_2 - x_2)``
+    and ``N = n_2``, user 2's rate is ``log2((B + C p1) / (1 + N p1))``, so
+    the ``p1``-derivative times ``ln 2 (1 + A p1)(B + C p1)(1 + N p1)`` is the
+    cubic ``mu1 A (B + C p1)(1 + N p1) - mu2 b x_2 (1 + A p1) - lam1 ln 2
+    (1 + A p1)(B + C p1)(1 + N p1)``, here in ``t = p1 / cap1``.  The
+    candidates are its roots, each after one Newton step, and both ends;
+    where the cubic term vanishes (a dead cross link or a silent user 1) or
+    overflows the cubic formula, the roots of the quadratic part stand in.
+    Each is feasible, so a spurious one can only lose.
+    """
+    (g1, g2), (x1, x2), (n1, n2) = gains
+    A = np.maximum(g1 - a * x1 / (1 + a * n1), 0) * cap1
+    B = 1 + b * g2
+    C = (n2 + b * max(g2 * n2 - x2, 0.0)) * cap1
+    N = n2 * cap1
+    lam = dv.lam1 * np.log(2) * cap1
+    mu2 = dv.mu2 * x2 * cap1 * b
+    BNC, CN, muA = B * N + C, C * N, dv.mu1 * A
+    c = (muA * B - mu2 - lam * B,
+         muA * BNC - mu2 * A - lam * (BNC + A * B),
+         muA * CN - lam * (CN + A * BNC),
+         -lam * A * CN)
+    t = np.stack(cubic_roots(*c), axis=1)
+    quad = np.stack(quadratic_roots(*c[:3]), axis=1)
+    t[:, 1:] = np.where(np.isfinite(t[:, 1:]), t[:, 1:], quad)
+    c0, c1, c2, c3 = (v[:, None] for v in c)
+    with np.errstate(all="ignore"):
+        # one Newton step on the cubic, kept where it lowers |P|
+        P = ((c3 * t + c2) * t + c1) * t + c0
+        step = t - P / ((3 * c3 * t + 2 * c2) * t + c1)
+        better = np.abs(((c3 * step + c2) * step + c1) * step + c0) < np.abs(P)
+    ends = np.broadcast_to([0.0, 1.0], (len(t), 2))
+    t = np.concatenate([np.where(better, step, t), ends], axis=1)
+    t = np.fmin(np.fmax(t, 0.0), 1.0)  # NaN candidates go to 0, infinite ones to an end
+    vals = split_objective(gains, dv, cap1 * t, a[:, None], b[:, None])
+    rows, best = np.arange(len(t)), np.argmax(vals, axis=1)
+    return cap1 * t[rows, best], vals[rows, best]
+
+
+def grid_oracle(ch, dv):
+    """Maximum of the inner objective on a 400x400 grid of
+    ``[0, root_corner]``, refined seven times around its best point."""
+    gains = proper_gains(ch)
+    lo = np.zeros(2)
+    span = np.array(root_corner(ch, dv))
+    best = 0.0
+    for stage in range(8):
+        n = 400 if stage == 0 else 60
+        p1 = np.linspace(lo[0], lo[0] + span[0], n)
+        p2 = np.linspace(lo[1], lo[1] + span[1], n)
+        a, b = np.meshgrid(p1, p2, indexing="ij")
+        f = split_objective(gains, dv, a, b, b)
+        i = np.unravel_index(np.argmax(f), f.shape)
+        best = max(best, float(f[i]))
+        center = np.array([a[i], b[i]])
+        span = span * 0.2
+        lo = np.maximum(center - span / 2, 0.0)
+    return best
+
+
 def inner_bnb(ch, dv, eps, incumbent=None):
     """Interval branch-and-bound for the time-sharing inner problem, the
     oracle for the library's exact solve.  Returns ``(p, low, upper)``: a
@@ -113,21 +256,18 @@ def inner_bnb(ch, dv, eps, incumbent=None):
     starts the search from a known point, so that with a near-optimal one
     most intervals are pruned in the first rounds.
 
-    It searches ``p2`` over ``[0, peak_2]`` with the mixed-monotonic bound of
-    Matthiesen, Hellings, Jorswieck and Utschick (IEEE TSP 2020):
-    ``_InnerProblem.p1_max(a, b, peak_1)`` maximizes exactly over ``p1``
-    with user 2 sending at ``b`` and interfering at ``a``, which bounds the
-    objective on ``[0, peak_1] x [a, b]`` (``TestP1Max`` checks it against
-    grids).  Every live interval is halved each round; midpoints sharpen the
-    incumbent and halves whose bound cannot beat it by more than ``eps`` are
-    pruned.
+    It searches ``p2`` over ``[0, peak_2]`` of :func:`peak_box` with the
+    mixed-monotonic bound of Matthiesen, Hellings, Jorswieck and Utschick
+    (IEEE TSP 2020): :func:`p1_bound` of an interval ``[a, b]``.  Every live
+    interval is halved each round; midpoints sharpen the incumbent and
+    halves whose bound cannot beat it by more than ``eps`` are pruned.  The
+    returned bound is rounded outward by ``1e-14 (1 + |upper|)``, the
+    roundoff by which two independent codes may differ.
     """
-    from tinregion.timesharing import _InnerProblem
-
-    prob = _InnerProblem(ch, dv)
-    cap1, cap2 = prob.peak
-    p1, vals = prob.p1_max(np.array([0.0, 0.0, cap2]),
-                           np.array([cap2, 0.0, cap2]), cap1)
+    gains = proper_gains(ch)
+    cap1, cap2 = peak_box(gains, dv)
+    p1, vals = p1_bound(gains, dv, np.array([0.0, 0.0, cap2]),
+                        np.array([cap2, 0.0, cap2]), cap1)
     root_u = float(vals[0])
     i = 1 + int(np.argmax(vals[1:]))
     best_l, best_p = float(vals[i]), (float(p1[i]), (0.0, cap2)[i - 1])
@@ -138,12 +278,13 @@ def inner_bnb(ch, dv, eps, incumbent=None):
         # an interval that is numerically a point has only roundoff left
         live = (upper > best_l + eps) & (hi - lo > 1e-14 * (1.0 + hi))
         if not live.any():
-            return best_p, best_l, min(root_u, best_l + eps)
+            bound = min(root_u, best_l + eps)
+            return best_p, best_l, bound + 1e-14 * (1 + abs(bound))
         lo, hi = lo[live], hi[live]
         mid = 0.5 * (lo + hi)
         k = 2 * len(mid)
-        p1, vals = prob.p1_max(np.concatenate([lo, mid, mid]),
-                               np.concatenate([mid, hi, mid]), cap1)
+        p1, vals = p1_bound(gains, dv, np.concatenate([lo, mid, mid]),
+                            np.concatenate([mid, hi, mid]), cap1)
         i = k + int(np.argmax(vals[k:]))
         if vals[i] > best_l:
             best_l, best_p = float(vals[i]), (float(p1[i]), float(mid[i - k]))

@@ -30,6 +30,7 @@ from tinregion import (
     RateProfile,
     TxStrategy,
     balance_pure_proper,
+    channel_from_transform,
     composite_cov_from_strategy,
     contains,
     convex_hull_2d,
@@ -48,14 +49,13 @@ from tinregion import (
     wsr_gradient,
     wsr_objective,
 )
-from tinregion.timesharing import _InnerProblem
 
 from conftest import (
+    grid_oracle,
     proper_rates,
     pure_balanced_oracle,
     random_channel,
     random_strategy,
-    root_corner,
 )
 
 PRESET_NAMES = ("fig1", "fig2", "fig3")
@@ -453,38 +453,12 @@ def test_criterion_9_enhancement_dominance(channels):
             a1, a2 = rng.uniform(0, 2 * np.pi, 2)
             x = TxStrategy(c1, c2, m1 * np.exp(1j * a1), m2 * np.exp(1j * a2))
             bound = enhanced_upper_bound(tc, x)
-            act = transformed_rates(tc, x, original_coords=False)
+            act = rate_complex(channel_from_transform(tc, 0.0, 0.0), x)
             worst = max(worst, act.r1 - bound.r1, act.r2 - bound.r2)
     ok = worst <= 1e-10
     assert _report(
         "C9", ok, f"max bound violation {worst:.2e} (allowed 1e-10)"
     )
-
-
-def _grid_oracle(ch, dv):
-    prob = _InnerProblem(ch, dv)
-    lo = np.zeros(2)
-    span = np.array(root_corner(ch, dv))
-    best = 0.0
-    for stage in range(8):
-        n = 400 if stage == 0 else 60
-        p1 = np.linspace(lo[0], lo[0] + span[0], n)
-        p2 = np.linspace(lo[1], lo[1] + span[1], n)
-        a, b = np.meshgrid(p1, p2, indexing="ij")
-        q1 = np.clip(prob.g[0] - b * prob.x[0] / (1 + b * prob.n[0]), 0, None)
-        q2 = np.clip(prob.g[1] - a * prob.x[1] / (1 + a * prob.n[1]), 0, None)
-        f = (
-            dv.mu1 * np.log2(1 + a * q1)
-            + dv.mu2 * np.log2(1 + b * q2)
-            - dv.lam1 * a
-            - dv.lam2 * b
-        )
-        i = np.unravel_index(np.argmax(f), f.shape)
-        best = max(best, float(f[i]))
-        center = np.array([a[i], b[i]])
-        span = span * 0.2
-        lo = np.maximum(center - span / 2, 0.0)
-    return best
 
 
 def test_criterion_10_inner_oracle(channels):
@@ -498,7 +472,7 @@ def test_criterion_10_inner_oracle(channels):
                 mu1, 2 - mu1, rng.uniform(0.02, 0.5), rng.uniform(0.02, 0.5)
             )
             _, val = solve_inner(ch, dv)
-            worst = max(worst, abs(val - _grid_oracle(ch, dv)))
+            worst = max(worst, abs(val - grid_oracle(ch, dv)))
     ok = worst <= 1e-3
     assert _report(
         "C10", ok, f"max |solver - grid oracle| {worst:.2e} (allowed 1e-3)"

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from tinregion import cli, preset_scenario, region
 from tinregion.cli import main
 
 
@@ -130,6 +132,29 @@ def test_reproduce_bad_starts(tmp_path, capsys, count):
     assert rc == 2
     assert "--starts" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_reproduce_sweeps_pure_once(tmp_path, monkeypatch):
+    # the hull comes from the pure sweep: 21 balanced points plus the
+    # published pure-balanced check, where sweeping the hull on its own
+    # balances all 21 again; its bytes are those of that separate sweep
+    calls = []
+    balance = region.balance_pure_proper
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return balance(*args, **kwargs)
+
+    monkeypatch.setattr(region, "balance_pure_proper", counting)
+    monkeypatch.setattr(cli, "balance_pure_proper", counting)
+    outdir = tmp_path / "rep"
+    main(["reproduce", "fig1", "--starts", "2", "--out", str(outdir)])
+    assert len(calls) == 21 + 1
+    hull = region.sweep_region(preset_scenario("fig1"), "convex-hull",
+                               np.linspace(0, 1, 21), eps=1e-6)
+    region.write_curve(tmp_path / "hull.csv", hull, fmt="csv")
+    want = (tmp_path / "hull.csv").read_bytes()
+    assert (outdir / "convex-hull.csv").read_bytes() == want
 
 
 @pytest.mark.slow

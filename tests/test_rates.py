@@ -208,7 +208,7 @@ class TestEnhancedBound:
             bound = enhanced_upper_bound(tc, TxStrategy(c1, c2, m1, m2))
             a1, a2 = rng.uniform(0, 2 * np.pi, 2)
             x = TxStrategy(c1, c2, m1 * np.exp(1j * a1), m2 * np.exp(1j * a2))
-            act = transformed_rates(tc, x, original_coords=False)
+            act = rate_complex(channel_from_transform(tc, 0.0, 0.0), x)
             worst = max(worst, act.r1 - bound.r1, act.r2 - bound.r2)
         assert worst <= 1e-10
 
@@ -216,8 +216,8 @@ class TestEnhancedBound:
         tc = enhance_channel(transform_channel(fig1))
         x = TxStrategy(8.0, 9.0, 3.0, 4.0)
         bound = enhanced_upper_bound(tc, x)
-        attained = transformed_rates(
-            tc, TxStrategy(8.0, 9.0, 3.0, -4.0), original_coords=False
+        attained = rate_complex(
+            channel_from_transform(tc, 0.0, 0.0), TxStrategy(8.0, 9.0, 3.0, -4.0)
         )
         assert abs(bound.r1 - attained.r1) <= 1e-10
         assert abs(bound.r2 - attained.r2) <= 1e-10

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,50 +32,25 @@ from tinregion.timesharing import (
     _InnerProblem, _colleague_roots, _master, _lambda_max,
 )
 
-from conftest import inner_bnb, random_channel, root_corner
-
-
-def _grid_oracle(ch, dv, width=None):
-    """400x400 grid plus staged refinement of the penalized sum rate."""
-    prob = _InnerProblem(ch, dv)
-    if width is None:
-        width = np.array(root_corner(ch, dv))
-    lo = np.zeros(2)
-    span = np.asarray(width, dtype=float)
-    best = 0.0
-    for stage in range(8):
-        n = 400 if stage == 0 else 60
-        p1 = np.linspace(lo[0], lo[0] + span[0], n)
-        p2 = np.linspace(lo[1], lo[1] + span[1], n)
-        a, b = np.meshgrid(p1, p2, indexing="ij")
-        q1 = np.clip(prob.g[0] - b * prob.x[0] / (1 + b * prob.n[0]), 0, None)
-        q2 = np.clip(prob.g[1] - a * prob.x[1] / (1 + a * prob.n[1]), 0, None)
-        f = (
-            dv.mu1 * np.log2(1 + a * q1)
-            + dv.mu2 * np.log2(1 + b * q2)
-            - dv.lam1 * a
-            - dv.lam2 * b
-        )
-        i = np.unravel_index(np.argmax(f), f.shape)
-        best = max(best, float(f[i]))
-        center = np.array([a[i], b[i]])
-        span = span * 0.2
-        lo = np.maximum(center - span / 2, 0.0)
-    return best
+from conftest import (
+    grid_oracle, inner_bnb, p1_bound, peak_box, proper_gains, random_channel,
+    root_corner, split_objective,
+)
 
 
 class TestMmObjective:
-    # the mixed-monotonic objective of the inner problem, _InnerProblem.value
+    # the library's inner objective, _InnerProblem.value, and the oracle's
+    # mixed-monotonic one, conftest.split_objective
     def test_zero(self, fig1):
         prob = _InnerProblem(fig1, DualVariables(1.0, 1.0, 0.1, 0.1))
-        assert prob.value(0.0, 0.0, 0.0, 0.0) == 0.0
+        assert prob.value(0.0, 0.0) == 0.0
 
     def test_no_interference_no_penalty(self, fig1):
         prob = _InnerProblem(fig1, DualVariables(1.0, 1.0, LAMBDA_FLOOR, LAMBDA_FLOOR))
-        got = prob.value(4.0, 7.0, 0.0, 0.0)
+        got = prob.value(4.0, 0.0) + prob.value(0.0, 7.0)
         want = np.log2(1 + 4.0 * np.linalg.norm(fig1.h11) ** 2) + np.log2(
             1 + 7.0 * np.linalg.norm(fig1.h22) ** 2
-        )
+        ) - 11.0 * LAMBDA_FLOOR
         assert abs(got - want) <= 1e-9
 
     def test_diagonal_matches_penalized_rates(self, fig1):
@@ -87,23 +64,26 @@ class TestMmObjective:
             for p in powers:
                 r = rate_complex(fig1, TxStrategy(*p))
                 want = dv.mu1 * r.r1 + dv.mu2 * r.r2 - dv.lam1 * p[0] - dv.lam2 * p[1]
-                assert abs(prob.value(*p, *p) - want) <= 1e-10
+                assert abs(prob.value(*p) - want) <= 1e-10
+            # the array form is the scalar form elementwise
+            np.testing.assert_array_equal(
+                prob.value(*np.transpose(powers)), [prob.value(*p) for p in powers])
 
     def test_monotonicity(self, fig1):
-        prob = _InnerProblem(fig1, DualVariables(1.0, 0.7, 0.05, 0.08))
+        # the oracle's objective, user 2 sending at b but interfering and
+        # penalized at a, is the one solved directly from the MMSE gains;
+        # it rises with b and falls with a
+        dv = DualVariables(1.0, 0.7, 0.05, 0.08)
+        gains = proper_gains(fig1)
         rng = np.random.default_rng(30)
-        x, y = rng.uniform(0, 10, (2, 2, 200))
-        dx = rng.uniform(0, 2, (2, 200))
-        base = prob.value(*x, *y)
-        # the array form is the scalar form elementwise
-        np.testing.assert_array_equal(
-            [prob.value(*x[:, i], *y[:, i]) for i in range(200)], base
-        )
-        for k in (0, 1):
-            step = np.zeros_like(dx)
-            step[k] = dx[k]
-            assert (prob.value(*(x + step), *y) >= base - 1e-12).all()
-            assert (prob.value(*x, *(y + step)) <= base + 1e-12).all()
+        p1, a, b = rng.uniform(0, 10, (3, 200))
+        da, db = rng.uniform(0, 2, (2, 200))
+        base = split_objective(gains, dv, p1, a, b)
+        want = [_direct_objective(fig1, dv, p1[i], b[i], a[i])[0, 0]
+                for i in range(200)]
+        np.testing.assert_allclose(base, want, rtol=0, atol=1e-10)
+        assert (split_objective(gains, dv, p1, a, b + db) >= base - 1e-12).all()
+        assert (split_objective(gains, dv, p1, a + da, b) <= base + 1e-12).all()
 
 
 def _swap_users(ch):
@@ -145,8 +125,9 @@ def _p1_grid_max(ch, dv, x2, y2, cap1):
 
 
 class TestP1Max:
-    # _InnerProblem.p1_max against grids of the objective written out from
-    # log2 and the MMSE gains, sharing no code with the kernel
+    # _InnerProblem.p1_max and the oracle's p1_bound against grids of the
+    # objective written out from log2 and the MMSE gains, and against each
+    # other
     @staticmethod
     def _cases(fig1, fig2, fig3):
         rng = np.random.default_rng(36)
@@ -160,25 +141,43 @@ class TestP1Max:
         for ch, dv, (cap1, cap2), rng in self._cases(fig1, fig2, fig3):
             prob = _InnerProblem(ch, dv)
             p2 = np.concatenate([[0.0, cap2], rng.uniform(0, cap2, 3)])
-            p1, val = prob.p1_max(p2, p2, cap1)
+            p1, val = prob.p1_max(p2, cap1)
             assert ((0.0 <= p1) & (p1 <= cap1)).all()
-            np.testing.assert_allclose(val, prob.value(p1, p2, p1, p2), atol=1e-12)
+            np.testing.assert_allclose(val, prob.value(p1, p2), atol=1e-12)
             want = [_p1_grid_max(ch, dv, b, b, cap1) for b in p2]
             np.testing.assert_allclose(val, want, atol=1e-6)
 
     def test_interval_bound(self, fig1, fig2, fig3):
-        # the bound is the exact maximum of the objective with user 2's
-        # signal at b and its interference and penalty at a, so it is at
+        # the oracle's bound is the exact maximum of the objective with user
+        # 2's signal at b and its interference and penalty at a, so it is at
         # least the objective anywhere on [0, cap1] x [a, b]
         for ch, dv, (cap1, cap2), rng in self._cases(fig1, fig2, fig3):
-            prob = _InnerProblem(ch, dv)
+            gains = proper_gains(ch)
             for _ in range(4):
                 a, b = np.sort(rng.uniform(0, cap2, 2))
-                _, (bound,) = prob.p1_max(np.array([a]), np.array([b]), cap1)
+                _, (bound,) = p1_bound(gains, dv, np.array([a]), np.array([b]), cap1)
                 assert abs(bound - _p1_grid_max(ch, dv, b, a, cap1)) <= 1e-6
                 p2 = np.linspace(a, b, 41)
                 f = _direct_objective(ch, dv, np.linspace(0, cap1, 4001), p2, p2)
                 assert f.max() <= bound + 1e-9
+
+    def test_oracle_matches_library(self, fig1, fig2, fig3):
+        # at a == b the oracle's closed-form cubic and the library's
+        # eigensolve maximize the same function, so the two codes agree
+        cases = [(ch, dv, cap1, rng.uniform(0, cap2, 20))
+                 for ch, dv, (cap1, cap2), rng in self._cases(fig1, fig2, fig3)]
+        rng = np.random.default_rng(39)
+        for case in _INTERFERENCE_FREE:
+            ch = _interference_free(case, fig1, fig3)
+            for _ in range(10):
+                dv = DualVariables(*rng.uniform(0, 2, 2), *10 ** rng.uniform(-3, 0, 2))
+                cap1, cap2 = peak_box(proper_gains(ch), dv)
+                cases.append((ch, dv, cap1, rng.uniform(0, cap2, 20)))
+        for ch, dv, cap1, p2 in cases:
+            p2 = np.concatenate([[0.0], p2])
+            _, want = _InnerProblem(ch, dv).p1_max(p2, cap1)
+            _, got = p1_bound(proper_gains(ch), dv, p2, p2, cap1)
+            assert (np.abs(got - want) <= 1e-12 * (1 + np.abs(want))).all(), dv
 
 
 def _scaled_channel(rng):
@@ -201,7 +200,7 @@ class TestInnerBox:
             mu1 = rng.uniform(0, 2)
             dv = DualVariables(mu1, 2 - mu1, *10 ** rng.uniform(-4, 1, 2))
             _, val = solve_inner(ch, dv)
-            assert _grid_oracle(ch, dv) <= val + 1e-9 * (1 + abs(val))
+            assert grid_oracle(ch, dv) <= val + 1e-9 * (1 + abs(val))
 
     def test_priced_out_user_is_silent(self):
         # with lam_k ln 2 >= mu_k g_k user k's marginal is below its price
@@ -240,7 +239,7 @@ class TestSolveInner:
                 mu1, 2.0 - mu1, rng.uniform(0.02, 0.5), rng.uniform(0.02, 0.5)
             )
             _, val = solve_inner(fig1, dv)
-            oracle = _grid_oracle(fig1, dv)
+            oracle = grid_oracle(fig1, dv)
             assert abs(val - oracle) <= 1e-3
 
     @pytest.mark.parametrize("scale", [1e20, 1e40, 1e60])
@@ -293,7 +292,7 @@ class TestEngine:
         ch = request.getfixturevalue(name)
         dv = DualVariables(0.7, 1.3, 0.02, 0.3)
         _, val = solve_inner(ch, dv)
-        oracle = _grid_oracle(ch, dv)
+        oracle = grid_oracle(ch, dv)
         assert abs(val - oracle) <= 1e-3
         _check_against_oracle(ch, dv, 1e-6)
         _certify(ch, dv)
@@ -311,13 +310,30 @@ def _orthogonal(hkj, hkk):
     return hkj - np.vdot(hkk, hkj) / np.vdot(hkk, hkk) * hkk
 
 
+_INTERFERENCE_FREE = ["fig3-swapped", "fig1-h21-zeroed", "fig1-h21-orthogonal",
+                      "fig1-both-orthogonal"]
+
+
+def _interference_free(case, fig1, fig3):
+    """A channel whose cross link into receiver 2 carries nothing along
+    ``h22`` (``x_2 = 0``)."""
+    if case == "fig3-swapped":
+        return _swap_users(fig3)
+    if case == "fig1-h21-zeroed":
+        return replace(fig1, h21=0 * fig1.h21)
+    h21 = _orthogonal(fig1.h21, fig1.h22)
+    if case == "fig1-h21-orthogonal":
+        return replace(fig1, h21=h21)
+    return replace(fig1, h12=_orthogonal(fig1.h12, fig1.h11), h21=h21)
+
+
 def _solve_attained(ch, dv):
     """The exact solve, checked to return a power vector in the box and
     that vector's value."""
     p, val = solve_inner(ch, dv)
     prob = _InnerProblem(ch, dv)
     assert all(0.0 <= p[k] <= prob.peak[k] for k in (0, 1))
-    assert abs(prob.value(*p, *p) - val) <= 1e-12 * (1 + abs(val))
+    assert abs(prob.value(*p) - val) <= 1e-12 * (1 + abs(val))
     return p, val
 
 
@@ -369,22 +385,13 @@ def _near_ties(ch, lam, mu2, steps=40):
 
 class TestExactInner:
     # the resultant solve against the interval branch-and-bound oracle
-    @pytest.mark.parametrize("case", [
-        "fig3-swapped", "fig1-h21-zeroed", "fig1-h21-orthogonal",
-        "fig1-both-orthogonal",
-    ])
+    @pytest.mark.parametrize("case", _INTERFERENCE_FREE)
     def test_interference_free_receiver_2(self, case, fig1, fig3):
         # with x_2 = 0 (a cross link into receiver 2 that is dead or
         # orthogonal to h22) B_2 = (1 + g_2 p_2)(1 + n_2 p_1), so both
         # stationarity polynomials share a root in t1 and the 5x5 Sylvester
         # determinant vanishes, or is roundoff, and finds no critical point
-        ch = {
-            "fig3-swapped": _swap_users(fig3),
-            "fig1-h21-zeroed": replace(fig1, h21=0 * fig1.h21),
-            "fig1-h21-orthogonal": replace(fig1, h21=_orthogonal(fig1.h21, fig1.h22)),
-            "fig1-both-orthogonal": replace(fig1, h12=_orthogonal(fig1.h12, fig1.h11),
-                                            h21=_orthogonal(fig1.h21, fig1.h22)),
-        }[case]
+        ch = _interference_free(case, fig1, fig3)
         g, x, n = _proper_gains(ch)
         assert x[1] <= 1e-30 * g[1] * n[1]
         rng = np.random.default_rng(41)
@@ -455,6 +462,38 @@ class TestExactInner:
         assert len(hard) >= 150
         for ch, dv in hard:
             _certify(ch, dv)
+
+
+def _solver_imports(source):
+    """What ``source`` imports from ``tinregion.timesharing``, and where it
+    names that module or its ``_InnerProblem``."""
+    module = timesharing.__name__
+    defined = {name for name, obj in vars(timesharing).items()
+               if getattr(obj, "__module__", None) == module} | {"timesharing"}
+    watched = {"timesharing", "_InnerProblem"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith(module)]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(module):
+            found.append(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module == "tinregion":
+            found += [a.name for a in node.names if a.name in defined]
+        elif isinstance(node, ast.Name) and node.id in watched:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in watched:
+            found.append(node.attr)
+    return found
+
+
+def test_oracle_shares_no_code_with_the_solver():
+    # conftest's inner_bnb certifies _ROOT_SLACK, so a fault in the solve
+    # must not move it too
+    assert _solver_imports("from tinregion.timesharing import _InnerProblem")
+    assert _solver_imports("import tinregion\ntinregion.timesharing._InnerProblem")
+    assert _solver_imports("from tinregion import DualVariables, timesharing")
+    conftest = (Path(__file__).parent / "conftest.py").read_text()
+    assert _solver_imports(conftest) == []
 
 
 def _all_pieces(coef):
