@@ -25,7 +25,8 @@ from .channel import (
     validate_eps,
 )
 from .errors import ValidationError
-from .rates import RatePoint, _proper_gains, _reduced_gain, rate_composite
+from .rates import RatePoint, _proper_gains, rate_composite
+from .timesharing import _InnerProblem
 
 __all__ = [
     "GpResult",
@@ -42,7 +43,6 @@ GP_EPS = 1e-8
 GP_MAX_ITER = 5000
 _MIN_STEP = 1e-12
 _ARMIJO = 0.5  # share of its first-order gain <G, D> that a move D must make
-_EDGE_POINTS = 4097  # per full-power edge in the proper seed's search
 
 
 @dataclass(frozen=True)
@@ -201,16 +201,13 @@ def _ascend(ch: SimoChannel, w, m1, m2, eps: float, max_iter: int) -> list[GpRes
 
 
 def _proper_seed(ch: SimoChannel, w) -> tuple[float, float]:
-    """Powers of the best proper weighted sum rate on the two full-power
-    edges, where it lies, from a dense search of each edge."""
-    g, x, n = _proper_gains(ch)
-    t = np.linspace(1.0, 0.0, _EDGE_POINTS)  # ties go to the larger power
-    p1 = np.concatenate([np.full_like(t, ch.p1), ch.p1 * t])
-    p2 = np.concatenate([ch.p2 * t, np.full_like(t, ch.p2)])
-    r1 = np.log2(1.0 + p1 * _reduced_gain(g[0], x[0], n[0], p2))
-    r2 = np.log2(1.0 + p2 * _reduced_gain(g[1], x[1], n[1], p1))
-    i = int(np.argmax(w[0] * r1 + w[1] * r2))
-    return float(p1[i]), float(p2[i])
+    """Powers of the best proper weighted sum rate, which lies on one of the
+    two full-power edges: the exact maximum over the other user's power on
+    each edge, the time-sharing inner problem's with zero penalties."""
+    prob = _InnerProblem(_proper_gains(ch), tuple(w), (0.0, 0.0))
+    p1, v1 = prob.p1_max(np.array([ch.p2]), ch.p1)
+    p2, v2 = prob.swapped().p1_max(np.array([ch.p1]), ch.p2)
+    return (float(p1[0]), ch.p2) if v1[0] >= v2[0] else (ch.p1, float(p2[0]))
 
 
 def gradient_projection(

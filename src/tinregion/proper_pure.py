@@ -132,7 +132,7 @@ def _gamma_powers(ch: SimoChannel, profile: RateProfile, R: float):
         return _single_user_gamma(ch, 1, 2.0 ** (profile.rho1 * R) - 1.0)
     if profile.rho1 == 0.0:
         return _single_user_gamma(ch, 2, 2.0 ** (profile.rho2 * R) - 1.0)
-    g, _, _ = _proper_gains(ch)
+    g = _proper_gains(ch)[0]
     if ch.p1 * g[0] == 0.0 or ch.p2 * g[1] == 0.0:
         return 0.0, (0.0, 0.0)  # a weighted user can reach no rate
 
@@ -197,7 +197,7 @@ def balance_pure_proper(
         powers = (ch.p1, 0.0) if k == 1 else (0.0, ch.p2)
         rates = rate_proper(ch, *powers)
         return BalanceResult(R=rates[k - 1], p1=powers[0], p2=powers[1], rates=rates)
-    g, _, _ = _proper_gains(ch)
+    g = _proper_gains(ch)[0]
     if ch.p1 * g[0] == 0.0 or ch.p2 * g[1] == 0.0:
         return BalanceResult(R=0.0, p1=0.0, p2=0.0, rates=RatePoint(0.0, 0.0))
 

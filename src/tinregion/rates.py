@@ -6,8 +6,10 @@ user's signal as additional Gaussian noise.
 
 With proper inputs and MMSE receivers the rate has a closed form for any
 number of receive antennas, ``r_k = log2(1 + p_k q_k(p_j))``.  Its one copy,
-:func:`_proper_gains` and :func:`_reduced_gain`, also serves the
-time-sharing inner problem and the single-user shortcuts of pure balancing.
+:func:`_proper_gains` and :func:`_proper_rates`, also serves the
+time-sharing inner problem, the proper seed of the improper gradient
+projection (the exact proper optimum on the full-power edges) and the
+single-user shortcuts of pure balancing.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ __all__ = [
     "transformed_rates",
 ]
 
+_LN2 = float(np.log(2.0))
+
 
 class RatePoint(NamedTuple):
     r1: float
@@ -56,22 +60,27 @@ def _clip_rate(r: float) -> float:
 
 
 def _proper_gains(ch: SimoChannel):
-    """Per-user gains ``(g, x, n)`` of the closed-form proper rate, each a
-    pair indexed by user (0-based): ``g_k = |h_kk|^2``,
-    ``x_k = |h_kj^H h_kk|^2`` and ``n_k = |h_kj|^2``."""
-    links = ((ch.h11, ch.h12), (ch.h22, ch.h21))  # (h_kk, h_kj) per user
-    g = tuple(float(np.linalg.norm(hkk) ** 2) for hkk, _ in links)
-    x = tuple(float(abs(np.vdot(hkj, hkk)) ** 2) for hkk, hkj in links)
-    n = tuple(float(np.linalg.norm(hkj) ** 2) for _, hkj in links)
-    return g, x, n
+    """Per-user gains ``(g, x, n, c)`` of the closed-form proper rate, each a
+    pair indexed by user (0-based): ``g_k = |h_kk|^2``, ``x_k = |h_kj^H h_kk|^2``,
+    ``n_k = |h_kj|^2`` and ``c_k = g_k n_k - x_k``, by the Lagrange identity
+    half the squared Frobenius norm of ``a b^T - b a^T`` (``a = h_kk``,
+    ``b = h_kj``), which never cancels and is exactly 0 on one antenna."""
+    gains = []
+    for a, b in ((ch.h11, ch.h12), (ch.h22, ch.h21)):  # (h_kk, h_kj) per user
+        w = a[:, None] * b
+        w = w - w.T
+        gains.append((np.vdot(a, a), abs(np.vdot(b, a)) ** 2, np.vdot(b, b), np.vdot(w, w) / 2))
+    return tuple(tuple(float(v.real) for v in k) for k in zip(*gains))
 
 
-def _reduced_gain(g, x, n, p_j):
-    """MMSE gain ``q_k(p_j) = g_k - p_j x_k / (1 + p_j n_k)`` of a user under
-    interferer power ``p_j``, elementwise on arrays.  By the rank-one identity
-    it equals ``h_kk^H (I + p_j h_kj h_kj^H)^{-1} h_kk``, which is
-    nonnegative; the clamp only removes roundoff."""
-    return np.maximum(g - p_j * x / (1.0 + p_j * n), 0.0)
+def _proper_rates(gains, p1, p2):
+    """Proper rates ``(r1, r2)`` in bits at powers ``(p1, p2)``, elementwise,
+    from :func:`_proper_gains`.  The MMSE gain ``h_kk^H (I + p_j h_kj h_kj^H)^{-1}
+    h_kk`` is ``(g_k + p_j c_k) / (1 + p_j n_k)``, with no negative term."""
+    (g1, g2), _, (n1, n2), (c1, c2) = gains
+    r1 = np.log1p(p1 * (g1 + p2 * c1) / (1.0 + p2 * n1)) / _LN2
+    r2 = np.log1p(p2 * (g2 + p1 * c2) / (1.0 + p1 * n2)) / _LN2
+    return r1, r2
 
 
 def _rate_complex_one(hkk, hkj, ck, cj, ctk, ctj) -> float:
@@ -133,9 +142,7 @@ def rate_proper(ch: SimoChannel, p1: float, p2: float) -> RatePoint:
     """Rate pair for proper signaling with transmit powers ``(p1, p2)``."""
     if not (np.isfinite(p1) and np.isfinite(p2) and p1 >= 0 and p2 >= 0):
         raise ValidationError(f"powers must be finite and nonnegative, got {p1}, {p2}")
-    g, x, n = _proper_gains(ch)
-    r1 = np.log2(1.0 + p1 * _reduced_gain(g[0], x[0], n[0], p2))
-    r2 = np.log2(1.0 + p2 * _reduced_gain(g[1], x[1], n[1], p1))
+    r1, r2 = _proper_rates(_proper_gains(ch), p1, p2)
     return RatePoint(_clip_rate(r1), _clip_rate(r2))
 
 

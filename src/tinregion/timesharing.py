@@ -18,7 +18,6 @@ explicit mixture of at most four strategies (HiGHS, ``scipy.optimize.linprog``).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import astuple, dataclass
 
@@ -28,7 +27,7 @@ from scipy.optimize import linprog
 from .channel import SimoChannel, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
 from .proper_pure import RateProfile
-from .rates import RatePoint, _proper_gains, _reduced_gain, rate_proper
+from .rates import RatePoint, _proper_gains, _proper_rates, rate_proper
 
 __all__ = [
     "DualVariables",
@@ -120,55 +119,48 @@ class Cut:
 
 
 class _InnerProblem:
-    """The objective of the inner problem: the weighted closed-form proper
-    rate of :mod:`tinregion.rates` minus the power penalty.  ``value`` works
-    elementwise on scalars and arrays.
+    """The inner objective: the proper rates of ``gains`` weighted by ``mu``
+    (:func:`tinregion.rates._proper_rates`) minus the power penalty ``lam``.
+    ``value`` works elementwise on scalars and arrays.
     """
 
-    def __init__(self, ch: SimoChannel, dv: DualVariables):
-        self.g, self.x, self.n = _proper_gains(ch)
-        self.mu = (dv.mu1, dv.mu2)
-        self.lam = (dv.lam1, dv.lam2)
-        # maximizer of each user's interference-free objective, zero exactly
-        # when lam ln 2 >= mu g; a dead direct link earns nothing
-        self.peak = tuple(
+    def __init__(self, gains, mu, lam):
+        self.gains, self.mu, self.lam = gains, mu, lam
+
+    @property
+    def peak(self):
+        """Maximizer of each user's interference-free objective, for positive
+        ``lam``: zero exactly when lam ln 2 >= mu g or on a dead direct link."""
+        return tuple(
             max((mu * g - lam * _LN2) / (lam * _LN2 * g), 0.0) if g > 0 else 0.0
-            for mu, lam, g in zip(self.mu, self.lam, self.g)
+            for mu, lam, g in zip(self.mu, self.lam, self.gains[0])
         )
 
     def value(self, p1, p2):
-        """Weighted proper sum rate minus the power penalty at powers
-        ``(p1, p2)``."""
-        q1 = _reduced_gain(self.g[0], self.x[0], self.n[0], p2)
-        q2 = _reduced_gain(self.g[1], self.x[1], self.n[1], p1)
-        return (
-            (self.mu[0] * np.log1p(p1 * q1) + self.mu[1] * np.log1p(p2 * q2)) / _LN2
-            - self.lam[0] * p1
-            - self.lam[1] * p2
-        )
+        """Weighted proper sum rate minus the power penalty at ``(p1, p2)``."""
+        r1, r2 = _proper_rates(self.gains, p1, p2)
+        return self.mu[0] * r1 + self.mu[1] * r2 - self.lam[0] * p1 - self.lam[1] * p2
 
     def swapped(self) -> "_InnerProblem":
         """The same objective with the users' roles exchanged."""
-        other = copy.copy(self)
-        for name in ("g", "x", "n", "mu", "lam", "peak"):
-            setattr(other, name, getattr(self, name)[::-1])
-        return other
+        return _InnerProblem(tuple(v[::-1] for v in self.gains),
+                             self.mu[::-1], self.lam[::-1])
 
     def p1_max(self, p2, cap1: float):
         """Maximizers and maxima of ``value(p1, p2)`` over ``p1`` in
         ``[0, cap1]`` for a 1-D array ``p2`` of user 2's power.  With
-        ``A = q_1(p2)``, ``B = 1 + p2 g_2``, ``C = n_2 + p2 (g_2 n_2 - x_2)``
-        and ``N = n_2`` it maximizes ``[mu1 ln(1 + A p1) + mu2 ln((B + C p1)
+        ``A = q_1(p2) = (g_1 + p2 c_1) / (1 + p2 n_1)``, ``B = 1 + p2 g_2``,
+        ``C = n_2 + p2 c_2`` and ``N = n_2`` it maximizes ``[mu1 ln(1 + A p1) + mu2 ln((B + C p1)
         / (1 + N p1))]/ln 2 - lam1 p1 - lam2 p2``, whose derivative times its
         three positive denominators is a cubic.  The cubic's roots and both
         ends are feasible candidates, so a spurious root can only lose.
         """
-        g, x, N = self.g[1], self.x[1], self.n[1]
+        (g1, g), _, (n1, N), (c1, c) = self.gains
         mu1, mu2 = self.mu
         lam = self.lam[0] * _LN2
-        A = _reduced_gain(self.g[0], self.x[0], self.n[0], p2)
+        A = (g1 + p2 * c1) / (1.0 + p2 * n1)
         B = 1.0 + p2 * g
-        C = N + p2 * max(g * N - x, 0.0)  # g n >= x by Cauchy-Schwarz
+        C = N + p2 * c
         # In the scaled power t = p1 / cap1 each linear factor is divided by
         # its value at t = 1 so that no product overflows: the derivative
         # times (1 + A p1)(B + C p1)(1 + N p1) is, up to a positive factor,
@@ -225,10 +217,9 @@ def _stationary_t2(prob: _InnerProblem) -> np.ndarray:
     ``_EDGES``, with one scale per row and piece, and its roots come from
     :func:`_colleague_roots`.
     """
-    (g1, g2), (x1, x2), (n1, n2) = prob.g, prob.x, prob.n
+    (g1, g2), (x1, x2), (n1, n2), (c1, c2) = prob.gains
     (mu1, mu2), (cap1, cap2) = prob.mu, prob.peak
     lam1, lam2 = (lam * _LN2 for lam in prob.lam)
-    c1, c2 = max(g1 * n1 - x1, 0.0), max(g2 * n2 - x2, 0.0)
     t2 = _T2[..., None]
     # B_k = 1 + g_k p_k + n_k p_j + c_k p_1 p_2 and D_k = 1 + n_j p_k, each
     # divided by its value s_k, e_k at t = (1, 1) so that no product overflows
@@ -297,8 +288,7 @@ def _exact_inner(prob: _InnerProblem):
     direct link.  With both shares zero the objective separates and the
     ends suffice.
     """
-    share = [x / (g * n) if g * n > 0 else 0.0
-             for g, x, n in zip(prob.g, prob.x, prob.n)]
+    share = [x / (g * n) if g * n > 0 else 0.0 for g, x, n in zip(*prob.gains[:3])]
     if share[1] < share[0]:
         (p2, p1), val = _exact_inner(prob.swapped())
         return (p1, p2), val
@@ -318,7 +308,8 @@ def solve_inner(ch: SimoChannel, dv: DualVariables) -> tuple[tuple[float, float]
     roundoff of the resultant's roots (see :func:`_exact_inner`).
     """
     validate_channel(ch)
-    return _exact_inner(_InnerProblem(ch, dv))
+    prob = _InnerProblem(_proper_gains(ch), (dv.mu1, dv.mu2), (dv.lam1, dv.lam2))
+    return _exact_inner(prob)
 
 
 def dual_value(ch: SimoChannel, dv: DualVariables) -> float:
@@ -380,7 +371,7 @@ def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, work=N
 
 
 def _lambda_max(ch: SimoChannel, profile: RateProfile) -> float:
-    g, _, _ = _proper_gains(ch)
+    g = _proper_gains(ch)[0]
     rho = (profile.rho1, profile.rho2)
     return 10.0 * max(g[k] / rho[k] for k in (0, 1) if rho[k] > 0) / _LN2
 
@@ -435,10 +426,11 @@ def cutting_plane(
          for c in cuts]
     best_upper = math.inf
     best_dv = None
+    gains = _proper_gains(ch)
 
     def add_cut(dv: DualVariables):
         nonlocal best_upper, best_dv
-        p_star, val = _exact_inner(_InnerProblem(ch, dv))
+        p_star, val = _exact_inner(_InnerProblem(gains, (dv.mu1, dv.mu2), (dv.lam1, dv.lam2)))
         rates = rate_proper(ch, *p_star)
         value = dv.lam1 * ch.p1 + dv.lam2 * ch.p2 + val
         cuts.append(Cut(dv=dv, p_star=p_star, rates=rates, value=value))

@@ -59,26 +59,30 @@ def root_corner(ch, dv):
 
 
 def proper_gains(ch):
-    """Per-user gains ``(g, x, n)`` of :func:`proper_rates`, each a pair
-    indexed by user from 0."""
-    g = (np.linalg.norm(ch.h11) ** 2, np.linalg.norm(ch.h22) ** 2)
-    x = (abs(np.vdot(ch.h12, ch.h11)) ** 2, abs(np.vdot(ch.h21, ch.h22)) ** 2)
-    n = (np.linalg.norm(ch.h12) ** 2, np.linalg.norm(ch.h21) ** 2)
-    return g, x, n
+    """Per-user gains ``(g, x, n, c)`` of :func:`proper_rates`, each a pair
+    indexed by user from 0: ``g_k = |h_kk|^2``, ``x_k = |h_kj^H h_kk|^2``,
+    ``n_k = |h_kj|^2`` and ``c_k = g_k n_k - x_k``.  Here ``c_k`` is ``g_k``
+    times the squared residual of ``h_kj`` projected onto ``h_kk`` (0 where
+    ``g_k = 0``), free of the cancellation in ``g_k n_k - x_k``."""
+    gains = []
+    for hkk, hkj in ((ch.h11, ch.h12), (ch.h22, ch.h21)):
+        g = np.linalg.norm(hkk) ** 2
+        c = g * np.linalg.norm(hkj - np.vdot(hkk, hkj) / g * hkk) ** 2 if g > 0 else 0.0
+        gains.append((g, abs(np.vdot(hkj, hkk)) ** 2, np.linalg.norm(hkj) ** 2, c))
+    return tuple(zip(*gains))
 
 
 def proper_rates(ch, p1, p2):
     """Closed-form proper TIN rates, vectorized over power arrays.
 
     With an MMSE receiver the SINR of user k is
-    ``p_k (g_k - p_j x_k / (1 + p_j n_k))`` where ``g_k = |h_kk|^2``,
-    ``x_k = |h_kj^H h_kk|^2`` and ``n_k = |h_kj|^2``, for any number of
-    receive antennas.  It shares no code with the library, so tests can
-    use it as an oracle.
+    ``p_k (g_k + p_j c_k) / (1 + p_j n_k)`` with the gains of
+    :func:`proper_gains`, for any number of receive antennas.  It shares no
+    code with the library, so tests can use it as an oracle.
     """
-    (g1, g2), (x1, x2), (n1, n2) = proper_gains(ch)
-    r1 = np.log2(1 + p1 * np.clip(g1 - p2 * x1 / (1 + p2 * n1), 0, None))
-    r2 = np.log2(1 + p2 * np.clip(g2 - p1 * x2 / (1 + p1 * n2), 0, None))
+    (g1, g2), _, (n1, n2), (c1, c2) = proper_gains(ch)
+    r1 = np.log2(1 + p1 * (g1 + p2 * c1) / (1 + p2 * n1))
+    r2 = np.log2(1 + p2 * (g2 + p1 * c2) / (1 + p1 * n2))
     return r1, r2
 
 
@@ -121,9 +125,9 @@ def split_objective(gains, dv, p1, a, b):
     user 2 sending at ``b`` but interfering and penalized at ``a``; it
     broadcasts over ``p1``, ``a`` and ``b``.  It is nondecreasing in ``b`` and
     nonincreasing in ``a``, and at ``a == b`` it is the inner objective."""
-    (g1, g2), (x1, x2), (n1, n2) = gains
-    q1 = np.maximum(g1 - a * x1 / (1 + a * n1), 0)
-    q2 = np.maximum(g2 - p1 * x2 / (1 + p1 * n2), 0)
+    (g1, g2), _, (n1, n2), (c1, c2) = gains
+    q1 = (g1 + a * c1) / (1 + a * n1)
+    q2 = (g2 + p1 * c2) / (1 + p1 * n2)
     return (dv.mu1 * np.log2(1 + p1 * q1) + dv.mu2 * np.log2(1 + b * q2)
             - dv.lam1 * p1 - dv.lam2 * a)
 
@@ -188,7 +192,7 @@ def p1_bound(gains, dv, a, b, cap1):
     ``p2 = a`` where ``a == b``, else an upper bound of the objective on
     ``[0, cap1] x [a, b]``.
 
-    With ``A = q_1(a)``, ``B = 1 + b g_2``, ``C = n_2 + b (g_2 n_2 - x_2)``
+    With ``A = q_1(a)``, ``B = 1 + b g_2``, ``C = n_2 + b c_2``
     and ``N = n_2``, user 2's rate is ``log2((B + C p1) / (1 + N p1))``, so
     the ``p1``-derivative times ``ln 2 (1 + A p1)(B + C p1)(1 + N p1)`` is the
     cubic ``mu1 A (B + C p1)(1 + N p1) - mu2 b x_2 (1 + A p1) - lam1 ln 2
@@ -198,10 +202,10 @@ def p1_bound(gains, dv, a, b, cap1):
     overflows the cubic formula, the roots of the quadratic part stand in.
     Each is feasible, so a spurious one can only lose.
     """
-    (g1, g2), (x1, x2), (n1, n2) = gains
-    A = np.maximum(g1 - a * x1 / (1 + a * n1), 0) * cap1
+    (g1, g2), (_, x2), (n1, n2), (c1, c2) = gains
+    A = (g1 + a * c1) / (1 + a * n1) * cap1
     B = 1 + b * g2
-    C = (n2 + b * max(g2 * n2 - x2, 0.0)) * cap1
+    C = (n2 + b * c2) * cap1
     N = n2 * cap1
     lam = dv.lam1 * np.log(2) * cap1
     mu2 = dv.mu2 * x2 * cap1 * b

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,23 @@ class TestFormulaEquivalence:
                 rb = rate_complex(ch, TxStrategy(p1, p2))
                 assert abs(ra.r1 - rb.r1) <= 1e-12
                 assert abs(ra.r2 - rb.r2) <= 1e-12
+
+    def test_proper_cross_link_along_direct_link(self):
+        # where h_kj = s h_kk (always so on one antenna) the MMSE gain is
+        # g / (1 + p n); the form g - p x / (1 + p n) cancelled there, by up
+        # to 3.0e-6 bit at p = 1e9 and 2.6e-9 at 1e6 on these channels
+        rng = np.random.default_rng(13)
+        channels = [random_channel(rng, n1=1, n2=1) for _ in range(200)]
+        for _ in range(20):
+            ch = random_channel(rng)
+            s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            channels.append(replace(ch, h12=s[0] * ch.h11, h21=s[1] * ch.h22))
+        for ch in channels:
+            g = np.array([np.sum(np.abs(h) ** 2) for h in (ch.h11, ch.h22)])
+            n = np.array([np.sum(np.abs(h) ** 2) for h in (ch.h12, ch.h21)])
+            for p in (1e3, 1e6, 1e9):
+                want = np.log1p(p * g / (1 + p * n)) / np.log(2)
+                np.testing.assert_allclose(rate_proper(ch, p, p), want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("p1, p2", [
         (-1.0, 2.0), (2.0, -1e-300), (np.inf, 2.0), (2.0, np.nan),

@@ -42,11 +42,11 @@ class TestMmObjective:
     # the library's inner objective, _InnerProblem.value, and the oracle's
     # mixed-monotonic one, conftest.split_objective
     def test_zero(self, fig1):
-        prob = _InnerProblem(fig1, DualVariables(1.0, 1.0, 0.1, 0.1))
+        prob = _problem(fig1, DualVariables(1.0, 1.0, 0.1, 0.1))
         assert prob.value(0.0, 0.0) == 0.0
 
     def test_no_interference_no_penalty(self, fig1):
-        prob = _InnerProblem(fig1, DualVariables(1.0, 1.0, LAMBDA_FLOOR, LAMBDA_FLOOR))
+        prob = _problem(fig1, DualVariables(1.0, 1.0, LAMBDA_FLOOR, LAMBDA_FLOOR))
         got = prob.value(4.0, 0.0) + prob.value(0.0, 7.0)
         want = np.log2(1 + 4.0 * np.linalg.norm(fig1.h11) ** 2) + np.log2(
             1 + 7.0 * np.linalg.norm(fig1.h22) ** 2
@@ -60,7 +60,7 @@ class TestMmObjective:
         for dv in (
             DualVariables(1.0, 1.0, 0.1, 0.1), DualVariables(0.6, 1.4, 0.1, 0.3)
         ):
-            prob = _InnerProblem(fig1, dv)
+            prob = _problem(fig1, dv)
             for p in powers:
                 r = rate_complex(fig1, TxStrategy(*p))
                 want = dv.mu1 * r.r1 + dv.mu2 * r.r2 - dv.lam1 * p[0] - dv.lam2 * p[1]
@@ -84,6 +84,11 @@ class TestMmObjective:
         np.testing.assert_allclose(base, want, rtol=0, atol=1e-10)
         assert (split_objective(gains, dv, p1, a, b + db) >= base - 1e-12).all()
         assert (split_objective(gains, dv, p1, a + da, b) <= base + 1e-12).all()
+
+
+def _problem(ch, dv):
+    """The library's inner problem on ``ch`` at multipliers ``dv``."""
+    return _InnerProblem(_proper_gains(ch), (dv.mu1, dv.mu2), (dv.lam1, dv.lam2))
 
 
 def _swap_users(ch):
@@ -139,7 +144,7 @@ class TestP1Max:
 
     def test_exact_at_fixed_p2(self, fig1, fig2, fig3):
         for ch, dv, (cap1, cap2), rng in self._cases(fig1, fig2, fig3):
-            prob = _InnerProblem(ch, dv)
+            prob = _problem(ch, dv)
             p2 = np.concatenate([[0.0, cap2], rng.uniform(0, cap2, 3)])
             p1, val = prob.p1_max(p2, cap1)
             assert ((0.0 <= p1) & (p1 <= cap1)).all()
@@ -173,9 +178,14 @@ class TestP1Max:
                 dv = DualVariables(*rng.uniform(0, 2, 2), *10 ** rng.uniform(-3, 0, 2))
                 cap1, cap2 = peak_box(proper_gains(ch), dv)
                 cases.append((ch, dv, cap1, rng.uniform(0, cap2, 20)))
+        # a one-antenna receiver at a lam1 as low as the cutting plane
+        # visits, where the gain g - p x / (1 + p n) once cancelled
+        ch = random_channel(np.random.default_rng(3), 1, 1)
+        dv = DualVariables(1.5, 0.2, 2.7e-9, 2e-7)
+        cases.append((ch, dv, peak_box(proper_gains(ch), dv)[0], np.array([7e7, 7.5e7, 8e7])))
         for ch, dv, cap1, p2 in cases:
             p2 = np.concatenate([[0.0], p2])
-            _, want = _InnerProblem(ch, dv).p1_max(p2, cap1)
+            _, want = _problem(ch, dv).p1_max(p2, cap1)
             _, got = p1_bound(proper_gains(ch), dv, p2, p2, cap1)
             assert (np.abs(got - want) <= 1e-12 * (1 + np.abs(want))).all(), dv
 
@@ -331,7 +341,7 @@ def _solve_attained(ch, dv):
     """The exact solve, checked to return a power vector in the box and
     that vector's value."""
     p, val = solve_inner(ch, dv)
-    prob = _InnerProblem(ch, dv)
+    prob = _problem(ch, dv)
     assert all(0.0 <= p[k] <= prob.peak[k] for k in (0, 1))
     assert abs(prob.value(*p) - val) <= 1e-12 * (1 + abs(val))
     return p, val
@@ -392,7 +402,7 @@ class TestExactInner:
         # stationarity polynomials share a root in t1 and the 5x5 Sylvester
         # determinant vanishes, or is roundoff, and finds no critical point
         ch = _interference_free(case, fig1, fig3)
-        g, x, n = _proper_gains(ch)
+        g, x, n, _ = _proper_gains(ch)
         assert x[1] <= 1e-30 * g[1] * n[1]
         rng = np.random.default_rng(41)
         for _ in range(30):
@@ -420,7 +430,7 @@ class TestExactInner:
                 lam[k] = mu[k] * g[k] / np.log(2) * rng.uniform(1, 2)
             dv = DualVariables(*mu, *lam)
             if case.startswith(("priced-out", "dead")):
-                assert 0.0 in _InnerProblem(ch, dv).peak
+                assert 0.0 in _problem(ch, dv).peak
             _check_against_oracle(ch, dv, 1e-6)
 
     def test_near_ties(self, fig1, fig2, fig3):
@@ -465,20 +475,24 @@ class TestExactInner:
 
 
 def _solver_imports(source):
-    """What ``source`` imports from ``tinregion.timesharing``, and where it
-    names that module or its ``_InnerProblem``."""
+    """What ``source`` imports from ``tinregion.timesharing`` or of the
+    proper-rate kernel ``tinregion.rates._proper_gains`` and
+    ``_proper_rates``, and where it names that module, its
+    ``_InnerProblem`` or the kernel."""
     module = timesharing.__name__
     defined = {name for name, obj in vars(timesharing).items()
                if getattr(obj, "__module__", None) == module} | {"timesharing"}
-    watched = {"timesharing", "_InnerProblem"}
+    kernel = {"_proper_gains", "_proper_rates"}
+    watched = {"timesharing", "_InnerProblem"} | kernel
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [a.name for a in node.names if a.name.startswith(module)]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(module):
             found.append(node.module)
-        elif isinstance(node, ast.ImportFrom) and node.module == "tinregion":
-            found += [a.name for a in node.names if a.name in defined]
+        elif isinstance(node, ast.ImportFrom):
+            names = kernel | defined if node.module == "tinregion" else kernel
+            found += [a.name for a in node.names if a.name in names]
         elif isinstance(node, ast.Name) and node.id in watched:
             found.append(node.id)
         elif isinstance(node, ast.Attribute) and node.attr in watched:
@@ -488,12 +502,16 @@ def _solver_imports(source):
 
 def test_oracle_shares_no_code_with_the_solver():
     # conftest's inner_bnb certifies _ROOT_SLACK, so a fault in the solve
-    # must not move it too
+    # must not move it too; the solve's objective is the proper-rate kernel
+    # of tinregion.rates, so the oracle must not read that either
     assert _solver_imports("from tinregion.timesharing import _InnerProblem")
     assert _solver_imports("import tinregion\ntinregion.timesharing._InnerProblem")
     assert _solver_imports("from tinregion import DualVariables, timesharing")
+    assert _solver_imports("from tinregion import rates\nrates._proper_rates(g, 1, 2)")
     conftest = (Path(__file__).parent / "conftest.py").read_text()
     assert _solver_imports(conftest) == []
+    for name in ("_proper_gains", "_proper_rates"):
+        assert _solver_imports(f"{conftest}\nfrom tinregion.rates import RatePoint, {name}\n")
 
 
 def _all_pieces(coef):
