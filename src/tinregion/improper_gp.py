@@ -1,13 +1,15 @@
 """Weighted sum rate maximization with improper signals.
 
 Works in the composite real representation: each user's transmit state is a
-2x2 real PSD matrix with trace at most the power budget.  A projected
-gradient ascent with per-start adaptive steps climbs the (nonconvex)
-weighted sum rate from random improper starts and from the proper optimum;
-the starts ascend in lockstep as stacked ``(S, 2, 2)`` arrays, and the
-projection onto the power set is a closed form for 2x2 matrices.  From
-exactly proper matrices the iteration never leaves the proper set, which is
-why the other starts are improper.
+2x2 real PSD matrix with trace at most the power budget.  A spectral
+projected gradient ascent (Barzilai-Borwein steps under a nonmonotone line
+search, after Birgin, Martinez and Raydan) climbs the (nonconvex) weighted
+sum rate from random improper starts and from the proper optimum, and stops
+on a stationarity residual relative to the budgets.  The starts ascend in
+lockstep as stacked ``(S, 2, 2, 2)`` arrays, and the projection onto the
+power set is a closed form for 2x2 matrices.  From exactly proper matrices
+the iteration never leaves the proper set, which is why the other starts
+are improper.
 """
 
 from __future__ import annotations
@@ -39,10 +41,14 @@ __all__ = [
 ]
 
 _LN2 = float(np.log(2.0))
-GP_EPS = 1e-8
+# stop once ||proj(M + G) - M|| <= GP_EPS max(P1, P2); the absolute-gain stop
+# this replaced left fig1 and fig3 at residuals of 1.4e-6 P or less
+GP_EPS = 1e-6
 GP_MAX_ITER = 5000
-_MIN_STEP = 1e-12
-_ARMIJO = 0.5  # share of its first-order gain <G, D> that a move D must make
+_WINDOW = 10  # nonmonotone memory: the last W values a move is tested against
+_ARMIJO = 1e-4  # share of its first-order gain lam <G, d> that a move must make
+_STEP_MIN, _STEP_MAX = 1e-10, 1e10  # bounds on the spectral step
+_MIN_LAM = 1e-12  # a start whose backtracking falls below this stops
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,8 @@ class GpResult:
     m2: np.ndarray
     W: float
     rates: RatePoint
-    converged: bool
-    residual: float | None = None  # ||proj(M + G) - M|| over both users
+    converged: bool  # stopped on the residual test at m1, m2, its last iterate
+    residual: float | None = None  # ||proj(M + G) - M|| over both users at m1, m2
 
 
 class _CompositeChannel:
@@ -68,10 +74,11 @@ class _CompositeChannel:
         self.e = np.stack([np.pad(x, [(0, n - len(x)), (0, 0)]) for x in e])[:, None]
         self.noise = 0.5 * np.eye(n)
 
-    def evaluate(self, m1, m2, w):
+    def evaluate(self, x, w):
         """Covariances ``cy1, cs1, cy2, cs2`` ``(4, S, n, n)``, clipped rates
-        ``(2, S)`` and objectives ``(S,)`` of the stacks ``m1, m2``."""
-        cov = self.e @ np.stack([m1, m2, m2, m1]) @ self.e.swapaxes(2, 3)
+        ``(2, S)`` and objectives ``(S,)`` of the stack ``x`` ``(S, 2, 2, 2)``
+        of both users' matrices."""
+        cov = self.e @ x[:, [0, 1, 1, 0]].swapaxes(0, 1) @ self.e.swapaxes(2, 3)
         cov[1::2] += self.noise
         cov[::2] += cov[1::2]
         d = np.linalg.det(cov)
@@ -79,15 +86,14 @@ class _CompositeChannel:
         return cov, r, w[0] * r[0] + w[1] * r[1]
 
     def gradients(self, cov, w):
-        """Symmetric gradients ``(S, 2, 2)`` of the weighted sum rate at the
-        points whose covariances from :meth:`evaluate` are ``cov``."""
+        """Symmetric gradients ``(S, 2, 2, 2)`` of the weighted sum rate at
+        the points whose covariances from :meth:`evaluate` are ``cov``."""
         x = np.linalg.inv(cov)
         x[1::2] = x[::2] - x[1::2]  # iy1, iy1 - is1, iy2, iy2 - is2
         t = self.e.swapaxes(2, 3) @ x @ self.e
         c1, c2 = w / (2 * _LN2)
-        g1 = c1 * t[0] + c2 * t[3]
-        g2 = c2 * t[2] + c1 * t[1]
-        return 0.5 * (g1 + g1.swapaxes(1, 2)), 0.5 * (g2 + g2.swapaxes(1, 2))
+        g = np.stack([c1 * t[0] + c2 * t[3], c2 * t[2] + c1 * t[1]], axis=1)
+        return 0.5 * (g + g.swapaxes(2, 3))
 
 
 def _weights(w) -> np.ndarray:
@@ -115,13 +121,14 @@ def wsr_gradient(ch: SimoChannel, m1, m2, w) -> tuple[np.ndarray, np.ndarray]:
     m1 = check_composite_cov(m1)
     m2 = check_composite_cov(m2)
     comp = _CompositeChannel(ch)
-    g1, g2 = comp.gradients(comp.evaluate(m1[None], m2[None], w)[0], w)
-    return g1[0], g2[0]
+    g = comp.gradients(comp.evaluate(np.stack([m1, m2])[None], w)[0], w)
+    return g[0, 0], g[0, 1]
 
 
-def project_psd_trace(m, p: float) -> np.ndarray:
+def project_psd_trace(m, p) -> np.ndarray:
     """Nearest PSD matrix with trace at most ``p`` (Frobenius distance), for
-    one symmetric 2x2 matrix or a ``(..., 2, 2)`` stack of them.
+    one symmetric 2x2 matrix or a ``(..., 2, 2)`` stack of them.  ``p`` is one
+    budget or an array of them that broadcasts to the stack's shape ``(...)``.
 
     Closed form on the eigenvalues ``a ± r`` (``a`` half the trace, ``r``
     half the eigenvalue gap): clip both at zero, and only when the clipped
@@ -129,11 +136,15 @@ def project_psd_trace(m, p: float) -> np.ndarray:
     The result keeps the eigenvectors, so it is ``l I + t D`` with ``D`` the
     traceless part of the matrix.  A zero budget gives the zero matrix.
     """
-    if not p >= 0:
-        raise ValidationError("trace target must be nonnegative")
     arr = np.asarray(m, dtype=float)
     if arr.shape[-2:] != (2, 2):
         raise ValidationError(f"expected 2x2 matrices, got shape {arr.shape}")
+    try:
+        p = np.broadcast_to(np.asarray(p, dtype=float), arr.shape[:-2])
+    except ValueError:
+        raise ValidationError(f"trace targets {p!r} do not fit matrices {arr.shape}") from None
+    if not np.all(p >= 0):
+        raise ValidationError("trace target must be nonnegative")
     mid = 0.5 * (arr[..., 0, 0] + arr[..., 1, 1])
     half = 0.5 * (arr[..., 0, 0] - arr[..., 1, 1])
     off = 0.5 * (arr[..., 0, 1] + arr[..., 1, 0])
@@ -163,41 +174,91 @@ def random_improper_init(
     return mats[0], mats[1]
 
 
+def _inner(a, b):
+    """Inner products of the ``(S, 2, 2, 2)`` stacks, over both users."""
+    return (a * b).sum(axis=(1, 2, 3))
+
+
+def _norm(x):
+    return np.sqrt(_inner(x, x))
+
+
 def _ascend(ch: SimoChannel, w, m1, m2, eps: float, max_iter: int) -> list[GpResult]:
-    """Ascent from every start of the stacks ``m1, m2`` in lockstep; each
-    round computes only the live starts.  A start tries ``proj(m + step g)``
-    and moves there if that gains at least half the first-order gain
-    ``<g, move>``; it then doubles its step and stops converged on a gain
-    ``<= eps`` or unconverged after ``max_iter`` moves.  Otherwise it halves
-    its step and stops unconverged once the step is below 1e-12."""
+    """Spectral projected gradient from every start of the stacks ``m1, m2``
+    in lockstep; each round computes only the live starts.
+
+    A start at ``M`` with gradient ``G`` and spectral step ``alpha`` takes the
+    direction ``d = proj(M + alpha G) - M``; the same projection call gives
+    its stationarity residual ``||proj(M + G) - M||``.  It stops converged
+    once that is at most ``eps max(P1, P2)``, and unconverged after
+    ``max_iter`` moves.  Otherwise it backtracks, halving ``lam`` from 1,
+    until ``W(M + lam d)`` exceeds the least of its last ``_WINDOW`` values
+    by ``1e-4 lam <G, d>`` (the nonmonotone test of Grippo, Lampariello and
+    Lucidi), and stops unconverged once ``lam`` is below 1e-12.  A move by
+    ``s`` that changes the gradient by ``y`` sets the next ``alpha`` to
+    ``s.s / -s.y`` after odd moves and ``-s.y / y.y`` after even ones
+    (Barzilai and Borwein), clipped to ``[1e-10, 1e10]``, and to 1e10 when
+    ``-s.y <= 0``.  Every start returns its best iterate; one that becomes
+    stationary below it restarts from it with a unit step and a fresh
+    window, so a converged start's best iterate is its last."""
     comp = _CompositeChannel(ch)
-    m1, m2 = m1.copy(), m2.copy()
-    cov, rates, obj = comp.evaluate(m1, m2, w)
-    g1, g2 = comp.gradients(cov, w)
-    step, moves = np.ones(len(m1)), np.zeros(len(m1), dtype=int)
-    converged = np.zeros(len(m1), dtype=bool)
-    live = np.arange(len(m1) if max_iter > 0 else 0)
+    budget = np.array([ch.p1, ch.p2])
+    tol = eps * budget.max()
+    x = np.stack([m1, m2], axis=1)  # (S, user, 2, 2)
+    cov, _, obj = comp.evaluate(x, w)
+    g = comp.gradients(cov, w)
+    n = len(x)
+    best, best_g, best_obj = x.copy(), g.copy(), obj.copy()
+    window = np.repeat(obj[:, None], _WINDOW, axis=1)
+    d, alpha, lam, slope = np.zeros_like(x), np.ones(n), np.ones(n), np.zeros(n)
+    moves, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    live = np.arange(n)
     while live.size:
-        s = step[live, None, None]
-        c1 = project_psd_trace(m1[live] + s * g1[live], ch.p1)
-        c2 = project_psd_trace(m2[live] + s * g2[live], ch.p2)
-        cov, crates, cobj = comp.evaluate(c1, c2, w)
-        gain = cobj - obj[live]
-        pred = ((c1 - m1[live]) * g1[live] + (c2 - m2[live]) * g2[live]).sum(axis=(1, 2))
-        acc = gain >= _ARMIJO * pred
-        moved = live[acc]
-        step[live] *= np.where(acc, 2.0, 0.5)
+        # a fresh start tries proj(M + alpha G) and measures its residual; a
+        # backtracking one tries M + lam d
+        fresh = lam[live] == 1.0
+        k = live[fresh]
+        step = np.where(fresh, alpha[live], lam[live])[:, None, None, None]
+        trial = x[live] + step * np.where(fresh[:, None, None, None], g[live], d[live])
+        c = project_psd_trace(np.concatenate([trial, x[k] + g[k]]), budget)
+        c, done = c[:len(live)], _norm(c[len(live):] - x[k]) <= tol
+        d[k] = c[fresh] - x[k]
+        slope[k] = _ARMIJO * _inner(g[k], d[k])
+        behind = done & (obj[k] < best_obj[k])  # stationary below the best: restart
+        if behind.any():
+            j = k[behind]
+            x[j], g[j], obj[j], alpha[j] = best[j], best_g[j], best_obj[j], 1.0
+            window[j] = best_obj[j, None]
+            done &= ~behind
+        converged[k] = done
+        keep, wait = np.ones(len(live), dtype=bool), np.zeros(len(live), dtype=bool)
+        keep[fresh], wait[fresh] = ~done & (moves[k] < max_iter), behind
+        tried, c = live[keep & ~wait], c[keep & ~wait]
+        live = live[keep]
+        if not tried.size:
+            continue
+        cov, _, cobj = comp.evaluate(c, w)
+        acc = cobj >= window[tried].min(axis=1) + lam[tried] * slope[tried]
+        lam[tried] *= 0.5
+        moved, c, cobj = tried[acc], c[acc], cobj[acc]
         if moved.size:
-            m1[moved], m2[moved] = c1[acc], c2[acc]
-            rates[:, moved], obj[moved] = crates[:, acc], cobj[acc]
-            g1[moved], g2[moved] = comp.gradients(cov[:, acc], w)
+            cg = comp.gradients(cov[:, acc], w)
+            s, y = c - x[moved], cg - g[moved]
+            sy = -_inner(s, y)
+            pos = sy > 0
             moves[moved] += 1
-            converged[moved] = gain[acc] <= eps
-        live = live[~converged[live] & (moves[live] < max_iter) & (step[live] >= _MIN_STEP)]
-    d = np.stack([project_psd_trace(m1 + g1, ch.p1) - m1, project_psd_trace(m2 + g2, ch.p2) - m2])
-    residual = np.sqrt((d**2).sum(axis=(0, 2, 3)))
-    return [GpResult(m1[i], m2[i], float(obj[i]), RatePoint(*map(float, rates[:, i])),
-                     bool(converged[i]), float(residual[i])) for i in range(len(m1))]
+            bb = np.where(moves[moved] % 2 == 1, _inner(s, s) / np.where(pos, sy, 1.0),
+                          sy / np.where(pos, _inner(y, y), 1.0))
+            alpha[moved] = np.where(pos, np.clip(bb, _STEP_MIN, _STEP_MAX), _STEP_MAX)
+            x[moved], g[moved], obj[moved], lam[moved] = c, cg, cobj, 1.0
+            window[moved, moves[moved] % _WINDOW] = cobj
+            up = cobj > best_obj[moved]
+            best[moved[up]], best_g[moved[up]], best_obj[moved[up]] = c[up], cg[up], cobj[up]
+        live = live[lam[live] >= _MIN_LAM]
+    _, rates, obj = comp.evaluate(best, w)
+    residual = _norm(project_psd_trace(best + best_g, budget) - best)
+    return [GpResult(best[i, 0], best[i, 1], float(obj[i]), RatePoint(*map(float, rates[:, i])),
+                     bool(converged[i]), float(residual[i])) for i in range(n)]
 
 
 def _proper_seed(ch: SimoChannel, w) -> tuple[float, float]:
@@ -217,15 +278,18 @@ def gradient_projection(
     eps: float = GP_EPS,
     max_iter: int = GP_MAX_ITER,
 ) -> GpResult:
-    """Projected gradient ascent on ``{M PSD, trace M <= P}`` with a step
-    that starts at 1, doubles on an accepted move and halves on a rejected
-    one (a move that gains less than half its first-order gain).
+    """Spectral projected gradient ascent on ``{M PSD, trace M <= P}``.
 
-    The objective never falls; iteration stops converged when an accepted
-    move gains at most ``eps``.  ``max_iter`` moves, or a step below 1e-12,
-    return the last iterate flagged as not converged.  ``residual`` is the
-    stationarity measure ``||proj(M + G) - M||`` at the returned point.
-    This is the engine of :func:`multistart` on a batch of one start.
+    The step alternates the two Barzilai-Borwein formulas, starting at 1;
+    a move along ``d = proj(M + alpha G) - M`` is accepted by a nonmonotone
+    Armijo test against the least ``W`` of the last 10 iterates, halving
+    the move until it passes.  Iteration stops converged once the
+    stationarity residual ``||proj(M + G) - M||`` over both users is at
+    most ``eps max(P1, P2)``; ``max_iter`` moves, or a move halved below
+    1e-12, stop it unconverged.  A point that passes the residual test
+    below the best iterate restarts the ascent from the best one.  The
+    result is the best iterate, so ``W`` is never below the initial
+    point's; ``residual`` is measured there.  This is the engine of :func:`multistart` on a batch of one start.
     """
     validate_channel(ch)
     validate_eps(eps)
@@ -247,9 +311,10 @@ def multistart(
     """Run :func:`gradient_projection` as one lockstep batch from ``n_starts``
     random improper inits, drawn from a generator seeded with ``seed``, then
     from the proper weighted-sum-rate optimum on the full-power edges and a
-    5% improper copy of it; keep the best.  The ascent is monotone, so the
-    best ``W`` is at least the proper optimum.  Each start ends as it would
-    alone, so the ``n_starts + 2`` results do not depend on ``n_starts``."""
+    5% improper copy of it; keep the best.  Every start returns its best
+    iterate, so the best ``W`` is at least the proper optimum.  Each start
+    ends as it would alone, so the ``n_starts + 2`` results do not depend on
+    ``n_starts``."""
     validate_channel(ch)
     validate_eps(eps)
     w = _weights(w)

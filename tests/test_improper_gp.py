@@ -53,48 +53,71 @@ def _embed(h):
 
 
 def _reference_gp(ch, w, init, eps=GP_EPS, max_iter=GP_MAX_ITER):
-    """One start of the projected gradient ascent as a scalar loop, sharing
-    no code with the lockstep engine: the step starts at 1, doubles on a move
-    that gains at least half its first-order gain and halves otherwise.
-    Stops converged on a move gaining at most ``eps``, unconverged after
-    ``max_iter`` moves or once the step is below 1e-12.  Returns
-    ``(m1, m2, W, converged)``."""
+    """One start of the spectral projected gradient ascent as a scalar loop,
+    sharing no code with the lockstep engine.  Each iteration takes the
+    direction ``d = proj(M + alpha G) - M``; it stops converged once
+    ``||proj(M + G) - M|| <= eps max(P1, P2)`` and unconverged after
+    ``max_iter`` moves.  Otherwise ``lam`` halves from 1 until
+    ``W(M + lam d) >= min(last 10 W) + 1e-4 lam <G, d>``, or stops
+    unconverged below 1e-12.  After move ``k`` the step is the Barzilai-Borwein
+    ``s.s / -s.y`` (odd ``k``) or ``-s.y / y.y`` (even ``k``) in
+    ``[1e-10, 1e10]``, and 1e10 if ``-s.y <= 0``.  A stationary point below
+    the best iterate restarts the loop from the best one with a unit step.
+    Returns ``(m1, m2, W, converged)`` of the best iterate."""
     e11, e12, e21, e22 = (_embed(h) for h in (ch.h11, ch.h12, ch.h21, ch.h22))
     c1, c2 = w[0] / (2 * np.log(2)), w[1] / (2 * np.log(2))
+    tol = eps * max(ch.p1, ch.p2)
 
-    def objective(m1, m2):
-        r = rate_composite(ch, m1, m2)
+    def objective(m):
+        r = rate_composite(ch, m[0], m[1])
         return w[0] * r.r1 + w[1] * r.r2
 
-    def gradients(m1, m2):
-        cs1 = e12 @ m2 @ e12.T + 0.5 * np.eye(len(e12))
-        cs2 = e21 @ m1 @ e21.T + 0.5 * np.eye(len(e21))
-        cy1 = e11 @ m1 @ e11.T + cs1
-        cy2 = e22 @ m2 @ e22.T + cs2
+    def gradient(m):
+        cs1 = e12 @ m[1] @ e12.T + 0.5 * np.eye(len(e12))
+        cs2 = e21 @ m[0] @ e21.T + 0.5 * np.eye(len(e21))
+        cy1 = e11 @ m[0] @ e11.T + cs1
+        cy2 = e22 @ m[1] @ e22.T + cs2
         iy1, is1, iy2, is2 = (np.linalg.inv(c) for c in (cy1, cs1, cy2, cs2))
         g1 = c1 * e11.T @ iy1 @ e11 + c2 * e21.T @ (iy2 - is2) @ e21
         g2 = c2 * e22.T @ iy2 @ e22 + c1 * e12.T @ (iy1 - is1) @ e12
-        return 0.5 * (g1 + g1.T), 0.5 * (g2 + g2.T)
+        return np.array([0.5 * (g1 + g1.T), 0.5 * (g2 + g2.T)])
 
-    m1, m2 = init
-    obj = objective(m1, m2)
-    step, moves = 1.0, 0
-    g1, g2 = gradients(m1, m2)
-    while moves < max_iter and step >= 1e-12:
-        t1 = _eigh_projection(m1 + step * g1, ch.p1)
-        t2 = _eigh_projection(m2 + step * g2, ch.p2)
-        tobj = objective(t1, t2)
-        gain = tobj - obj
-        if gain < 0.5 * (np.sum((t1 - m1) * g1) + np.sum((t2 - m2) * g2)):
-            step *= 0.5
+    def proj(m):
+        return np.array([_eigh_projection(m[0], ch.p1), _eigh_projection(m[1], ch.p2)])
+
+    m = np.array(init, dtype=float)
+    obj, g = objective(m), gradient(m)
+    best, best_obj, history = m, obj, [obj]
+    alpha, moves = 1.0, 0
+    while True:
+        if np.linalg.norm(proj(m + g) - m) <= tol:
+            if obj >= best_obj:
+                return best[0], best[1], best_obj, True
+            # restart below the best iterate from it, with a fresh window
+            m, g, obj, history, alpha = best, gradient(best), best_obj, [best_obj], 1.0
             continue
-        m1, m2, obj = t1, t2, tobj
-        if gain <= eps:
-            return m1, m2, obj, True
-        step *= 2.0
+        if moves >= max_iter:
+            return best[0], best[1], best_obj, False
+        d = proj(m + alpha * g) - m
+        floor, slope, lam = min(history[-10:]), 1e-4 * np.sum(g * d), 1.0
+        while objective(m + lam * d) < floor + lam * slope:
+            lam *= 0.5
+            if lam < 1e-12:
+                return best[0], best[1], best_obj, False
+        new = m + lam * d
+        new_g = gradient(new)
+        s, y = new - m, new_g - g
+        m, g, obj = new, new_g, objective(new)
         moves += 1
-        g1, g2 = gradients(m1, m2)
-    return m1, m2, obj, False
+        history.append(obj)
+        if obj > best_obj:
+            best, best_obj = m, obj
+        sy = -np.sum(s * y)
+        if sy <= 0:
+            alpha = 1e10
+        else:
+            alpha = np.sum(s * s) / sy if moves % 2 == 1 else sy / np.sum(y * y)
+            alpha = min(max(alpha, 1e-10), 1e10)
 
 
 def _assert_matches_reference(res, ref):
@@ -269,6 +292,21 @@ class TestClosedFormProjection:
             single = [project_psd_trace(m, p) for m in ms]
             np.testing.assert_array_equal(project_psd_trace(ms, p), single)
 
+    def test_budget_array(self):
+        # one call projects both users' stacks, each against its own budget
+        rng = np.random.default_rng(53)
+        ms = self._symmetric(rng, 20).reshape(10, 2, 2, 2)
+        budget = np.array([0.5, 7.0])
+        out = project_psd_trace(ms, budget)
+        for i in range(10):
+            for u in range(2):
+                np.testing.assert_array_equal(out[i, u], project_psd_trace(ms[i, u], budget[u]))
+
+    @pytest.mark.parametrize("p", [[1.0, -1.0], [1.0, np.nan], [1.0, 2.0, 3.0], [[1.0, 2.0]] * 3])
+    def test_rejects_bad_budget_arrays(self, p):
+        with pytest.raises(ValidationError):
+            project_psd_trace(np.zeros((4, 2, 2, 2)), np.array(p))
+
     def test_rejects_other_shapes(self):
         with pytest.raises(ValidationError):
             project_psd_trace(np.eye(3), 1.0)
@@ -322,8 +360,7 @@ class TestLockstepEquivalence:
             _assert_matches_reference(res, _reference_gp(ch, (0.5, 0.5), init))
 
     def test_benchmark_extreme_weight_start(self, fig1):
-        # start 0 of the benchmark's fig1 op at weights (0.05, 0.95): the
-        # trace == P projection left it on its initialization
+        # start 0 of the benchmark's fig1 op at weights (0.05, 0.95)
         _, runs = multistart(fig1, (0.05, 0.95), n_starts=1, seed=0)
         init = random_improper_init(fig1, np.random.default_rng(0))
         ref = _reference_gp(fig1, (0.05, 0.95), init)
@@ -331,11 +368,27 @@ class TestLockstepEquivalence:
         assert runs[0].W > wsr_objective(fig1, *init, 0.05, 0.95) + 0.1
         _assert_matches_reference(runs[0], ref)
 
+    def test_restart_from_best(self, fig1):
+        # start 1 at seed 3 climbs to W 2.838 on its third move, falls to the
+        # maximally improper full-power face and becomes stationary there at
+        # W 2.701; it restarts from its best iterate and ends above it
+        _, runs = multistart(fig1, (0.5, 0.5), n_starts=2, seed=3)
+        rng = np.random.default_rng(3)
+        random_improper_init(fig1, rng)
+        ref = _reference_gp(fig1, (0.5, 0.5), random_improper_init(fig1, rng))
+        assert ref[3] and ref[2] > 2.9
+        _assert_matches_reference(runs[1], ref)
+
     def test_iteration_cap(self, fig1):
-        init = random_improper_init(fig1, np.random.default_rng(51))
-        res = gradient_projection(fig1, (1.0, 1.0), init, max_iter=3)
-        ref = _reference_gp(fig1, (1.0, 1.0), init, max_iter=3)
-        assert not ref[3]
+        # start 1 at seed 3 (see test_restart_from_best) capped at 4 moves:
+        # its fourth move falls from W 2.838 to 2.664, and the cap returns the
+        # third iterate, unconverged
+        rng = np.random.default_rng(3)
+        random_improper_init(fig1, rng)
+        init = random_improper_init(fig1, rng)
+        res = gradient_projection(fig1, (0.5, 0.5), init, max_iter=4)
+        ref = _reference_gp(fig1, (0.5, 0.5), init, max_iter=4)
+        assert not ref[3] and 2.83 < ref[2] < 2.84
         _assert_matches_reference(res, ref)
 
     def test_batch_independence(self, fig1):
@@ -513,7 +566,20 @@ def _case_channel(name):
         return replace(ch, h12=1.2 * ch.h11, h21=1.4 * ch.h22)
     if name.startswith("random-p"):
         return random_channel(np.random.default_rng(60), p=float(name[8:]))
+    if name == "one-antenna-p100":
+        return random_channel(np.random.default_rng(3), n1=1, n2=2, p=100.0)
+    if name == "low-snr":
+        return random_channel(np.random.default_rng(4), p=0.1)
     return preset_scenario(name)
+
+
+def _multistart_inits(ch, w, n_starts, seed):
+    """The starts of ``multistart``: the random improper ones, then the
+    proper seed and its 5% improper copy."""
+    rng = np.random.default_rng(seed)
+    inits = [random_improper_init(ch, rng) for _ in range(n_starts)]
+    c = improper_gp._proper_seed(ch, np.array(w))
+    return inits + [tuple(composite_cov_from_strategy(ck, f * ck) for ck in c) for f in (0.0, 0.05)]
 
 
 class TestFeasibleAscent:
@@ -527,14 +593,22 @@ class TestFeasibleAscent:
             assert w[0] * pt.r1 + w[1] * pt.r2 >= _proper_edge_optimum(ch, w) - 1e-9, beta
 
     # the benchmark's ops on fig1-3, the collinear channel of acceptance C4,
-    # and high-SNR random channels where the 1/s step ended on its caps
+    # high-SNR random channels where the 1/s step ended on its caps, a
+    # one-antenna receiver at P = 100 where the doubling/halving step
+    # zigzagged to its cap, and a P = 0.1 channel where an absolute-gain stop
+    # quit at residuals of 3.8e-3 P
     @pytest.mark.parametrize("name,beta", [
         *((n, b) for n in ("fig1", "fig2", "fig3") for b in (0.05, 0.5, 0.95)),
         ("collinear", 0.5),
         *((f"random-p{p}", 0.5) for p in range(100, 700, 100)),
+        ("one-antenna-p100", 0.8), ("one-antenna-p100", 0.9),
+        ("low-snr", 0.5), ("low-snr", 0.8),
     ])
     def test_every_start_converges(self, name, beta, monkeypatch):
         ch = _case_channel(name)
+        # the one-antenna channel as scanned: 10 starts at seed int(1000 beta)
+        n_starts, seed = {"one-antenna-p100": (10, int(1000 * beta)), "low-snr": (20, 0)}.get(
+            name, (20, 3))
         w, scale = (beta, 1.0 - beta), max(ch.p1, ch.p2)
         worst = []
 
@@ -545,11 +619,13 @@ class TestFeasibleAscent:
             return out
 
         monkeypatch.setattr(improper_gp, "project_psd_trace", checked)
-        _, runs = multistart(ch, w, n_starts=20, seed=3)
+        _, runs = multistart(ch, w, n_starts=n_starts, seed=seed)
         assert max(worst) <= 1e-12 * scale  # every candidate is feasible
-        rng = np.random.default_rng(3)
-        for res in runs[:20]:
-            assert res.W >= wsr_objective(ch, *random_improper_init(ch, rng), *w) - 1e-12
-        for res in runs:
+        inits = _multistart_inits(ch, w, n_starts, seed)
+        assert len(runs) == len(inits)
+        for res, init in zip(runs, inits):
             assert res.converged
             assert res.residual <= 1e-4 * scale
+            # W is the objective at the returned point, no worse than the start's
+            assert abs(wsr_objective(ch, res.m1, res.m2, *w) - res.W) <= 1e-12
+            assert res.W >= wsr_objective(ch, *init, *w) - 1e-12
