@@ -2,11 +2,17 @@
 
 For a rate profile ``(rho1, rho2)`` the balancing problem maximizes the
 common scaling ``R`` such that ``r_k >= rho_k * R`` subject to per-user
-power caps.  A bisection over ``R`` reduces it to feasibility checks, each
-a fixed point of MMSE filter updates and the Perron root of the extended
-3x3 nonnegative coupling matrix (Schubert and Boche), computed directly
-from its eigenvalues.  One user's power constraint is active at the fixed
-point, and the other user's power is checked for admissibility.
+power caps.  Scaling both powers up raises both MMSE SINRs, so the optimum
+lies on a full-power edge ``p1 = P1`` or ``p2 = P2``, where both rates are
+closed form in one power and the balance condition has one root
+(Charafeddine, Sezgin and Paulraj, Allerton 2007); :func:`balance_pure_proper`
+finds it with a certified gap in ``R``.
+
+:func:`gamma_of_R` is the feasibility margin of the targets ``rho_k * R``
+by a different route: a fixed point of MMSE filter updates and the Perron
+root of the extended 3x3 nonnegative coupling matrix (Schubert and Boche),
+computed directly from its eigenvalues.  It no longer drives the balancing;
+the tests check the edge root against it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .channel import SimoChannel, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
-from .rates import RatePoint, _proper_gains, mmse_filter, rate_proper
+from .rates import RatePoint, _proper_gains, _proper_rates, mmse_filter, rate_proper
 
 __all__ = [
     "RateProfile",
@@ -32,6 +38,10 @@ GAMMA_CAP = 1e18
 
 _FP_MAX_ITER = 500
 FP_TOL = 1e-10  # tolerance on the eigenvalue change per filter update
+
+# Illinois steps of the edge root; it converges superlinearly, so the cap is
+# reached only when eps is below the resolution of the rates.
+_ROOT_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,8 @@ def dominant_eigenpair(a):
 
 
 def _balance_matrix(ch: SimoChannel, profile: RateProfile, R: float, p, i: int):
-    """Filters, coupling matrix, and noise vector at the current powers."""
+    """Extended 3x3 coupling matrix at the current powers, with user ``i``'s
+    power constraint in its last row."""
     w1 = mmse_filter(ch, 1, p[1])
     w2 = mmse_filter(ch, 2, p[0])
     targets = (2.0 ** (profile.rho1 * R) - 1.0, 2.0 ** (profile.rho2 * R) - 1.0)
@@ -112,7 +123,7 @@ def _balance_matrix(ch: SimoChannel, profile: RateProfile, R: float, p, i: int):
     a[:2, 2] = sigma
     a[2, :2] = psi[i - 1] / pk
     a[2, 2] = sigma[i - 1] / pk
-    return a, (w1, w2)
+    return a
 
 
 def _single_user_gamma(ch: SimoChannel, k: int, target: float):
@@ -125,7 +136,9 @@ def _single_user_gamma(ch: SimoChannel, k: int, target: float):
 
 
 def _gamma_powers(ch: SimoChannel, profile: RateProfile, R: float):
-    """Feasibility margin for targets ``rho_k * R`` plus achieving powers."""
+    """Feasibility margin for targets ``rho_k * R`` plus achieving powers, by
+    the Schubert--Boche filter/Perron fixed point: the independent check on
+    :func:`balance_pure_proper`, which does not call it."""
     if R <= 0.0:
         return GAMMA_CAP, (0.0, 0.0)
     if profile.rho2 == 0.0:
@@ -143,7 +156,7 @@ def _gamma_powers(ch: SimoChannel, profile: RateProfile, R: float):
         lam = 0.0
         converged = False
         for _ in range(_FP_MAX_ITER):
-            a, _ = _balance_matrix(ch, profile, R, p, i)
+            a = _balance_matrix(ch, profile, R, p, i)
             lam, v = dominant_eigenpair(a)
             if lam <= 0.0 or abs(v[2]) < 1e-12:
                 raise ConvergenceError(
@@ -170,7 +183,9 @@ def _gamma_powers(ch: SimoChannel, profile: RateProfile, R: float):
 def gamma_of_R(ch: SimoChannel, profile: RateProfile, R: float) -> float:
     """Largest common SINR margin for the rate targets ``rho_k * R``.
 
-    Values >= 1 mean the targets are feasible; nonincreasing in ``R``.
+    Values >= 1 mean the targets are feasible; nonincreasing in ``R``.  It
+    is the Schubert--Boche fixed point, kept as a feasibility test that
+    shares no code path with the edge root of :func:`balance_pure_proper`.
     ``R = 0`` reports :data:`GAMMA_CAP`.  If a user with a positive weight
     can reach no rate (a dead direct link or a zero budget), it is 0.
     """
@@ -181,42 +196,64 @@ def gamma_of_R(ch: SimoChannel, profile: RateProfile, R: float) -> float:
 def balance_pure_proper(
     ch: SimoChannel, profile: RateProfile, eps: float = 1e-8
 ) -> BalanceResult:
-    """Solve the rate balancing problem by bisection on the scaling ``R``.
+    """Solve the rate balancing problem by one root on a full-power edge.
 
-    Returns the feasible endpoint of the final bracket, so the reported
-    powers achieve rates of at least ``rho_k * R - eps``.  If a user with a
-    positive weight can reach no rate (a dead direct link or a zero power
-    budget), the balanced point is ``R = 0`` at zero powers.
+    The corner ``(P1, P2)`` picks the edge.  Along it the full-power user's
+    scaled rate ``u = r_k / rho_k`` falls and the other's ``v`` rises, so
+    ``u - v`` has one root, found by Illinois steps on a sign bracket
+    ``[a, b]``.  ``R`` is at most ``min(u(a), v(b))`` and at least the best
+    ``min(u, v)`` evaluated; once the two are within ``eps`` the powers of
+    the lower one are returned, and their rates meet ``rho_k * R``.  If a
+    user with a positive weight can reach no rate (a dead direct link or a
+    zero power budget), the balanced point is ``R = 0`` at zero powers.
     """
     validate_channel(ch)
     validate_eps(eps)
 
-    # Degenerate single-user profiles skip the bisection entirely.
+    # Degenerate single-user profiles need no root.
     if profile.rho2 == 0.0 or profile.rho1 == 0.0:
         k = 1 if profile.rho2 == 0.0 else 2
         powers = (ch.p1, 0.0) if k == 1 else (0.0, ch.p2)
         rates = rate_proper(ch, *powers)
         return BalanceResult(R=rates[k - 1], p1=powers[0], p2=powers[1], rates=rates)
-    g = _proper_gains(ch)[0]
-    if ch.p1 * g[0] == 0.0 or ch.p2 * g[1] == 0.0:
+    gains = _proper_gains(ch)
+    if ch.p1 * gains[0][0] == 0.0 or ch.p2 * gains[0][1] == 0.0:
         return BalanceResult(R=0.0, p1=0.0, p2=0.0, rates=RatePoint(0.0, 0.0))
 
-    # The bracket top, the sum of the interference-free single-user rates, is
-    # infeasible by construction; widen defensively anyway.
-    lo, hi = 0.0, np.log2(1.0 + ch.p1 * g[0]) + np.log2(1.0 + ch.p2 * g[1])
-    for _ in range(4):
-        if gamma_of_R(ch, profile, hi) < 1.0:
+    rho = (profile.rho1, profile.rho2)
+    corner = (ch.p1, ch.p2)
+    r1, r2 = _proper_rates(gains, *corner)
+    k = 0 if rho[1] * r1 - rho[0] * r2 <= 0.0 else 1  # the full-power user
+
+    def scaled(t):  # powers with the other user at t, then u and v
+        p = list(corner)
+        p[1 - k] = t
+        r = _proper_rates(gains, *p)
+        return p, float(r[k] / rho[k]), float(r[1 - k] / rho[1 - k])
+
+    # Bracket [a, b]: gap g = u - v > 0 at a (v(0) = 0), g <= 0 at b.
+    (_, ua, va), (best, ub, vb) = scaled(0.0), scaled(corner[1 - k])
+    a, b, ga, gb = 0.0, corner[1 - k], ua - va, ub - vb
+    lower, side = min(ub, vb), 0
+    for _ in range(_ROOT_MAX_STEPS):
+        if min(ua, vb) - lower <= eps:
             break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("could not bracket the balancing optimum")
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
-        if gamma_of_R(ch, profile, mid) >= 1.0:
-            lo = mid
+        t = b - gb * (b - a) / (gb - ga)
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        p, u, v = scaled(t)
+        if min(u, v) > lower:
+            lower, best = min(u, v), p
+        if u - v > 0.0:
+            a, ua, ga = t, u, u - v
+            gb = 0.5 * gb if side == 1 else gb  # Illinois: damp the kept end
+            side = 1
         else:
-            hi = mid
-    _, powers = _gamma_powers(ch, profile, lo)
+            b, vb, gb = t, v, u - v
+            ga = 0.5 * ga if side == -1 else ga
+            side = -1
+    else:
+        raise ConvergenceError("the balancing edge root did not converge")
     return BalanceResult(
-        R=lo, p1=powers[0], p2=powers[1], rates=rate_proper(ch, *powers)
+        R=lower, p1=best[0], p2=best[1], rates=rate_proper(ch, *best)
     )

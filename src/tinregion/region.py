@@ -82,10 +82,15 @@ def _solve_beta(ch, method, beta, eps, seed, n_starts):
     if method == "proper-pure":
         return balance_pure_proper(ch, RateProfile.from_beta(beta), eps=eps).rates
     # improper-heuristic; mix the seed per beta so starts differ along the sweep
-    best, _ = multistart(
+    best, results = multistart(
         ch, (beta, 1.0 - beta), n_starts=n_starts,
         seed=seed + int(round(beta * 10_000)),
     )
+    if beta in (0.0, 1.0):
+        # W ignores the zero-weight user; break exact ties toward its rate.
+        other = 1 if beta == 1.0 else 0
+        tied = (r for r in results if r.W == best.W)
+        best = max(tied, key=lambda r: r.rates[other])
     return best.rates
 
 
@@ -183,14 +188,16 @@ def contains(region: RegionCurve, pt, tol: float = 0.0) -> bool:
 
     The region is the union of everything dominated by a sample or by the
     piecewise-linear interpolation between consecutive samples (sorted by
-    the first rate), with free rate reduction toward the axes.
+    the first rate, then falling in the second, as a Pareto curve runs),
+    with free rate reduction toward the axes.
     """
     if not region.samples:
         raise ValidationError("empty region")
     x, y = _rate_pair(pt)
     if x < 0 or y < 0:
         return False
-    pts = sorted((p.r1, p.r2) for p in region.points())
+    pts = sorted(((p.r1, p.r2) for p in region.points()),
+                 key=lambda p: (p[0], -p[1]))
     xq = x - tol
     best = -math.inf
     for px, py in pts:

@@ -13,7 +13,8 @@ polynomials (Nakatsukasa, Noferini and Townsend, Numer. Math. 2015), found
 from piecewise Chebyshev interpolants and colleague matrices (Boyd, SIAM
 Review 2013); user 1's best power for each is a root of a cubic.  A
 restricted primal LP over the collected inner maximizers recovers an
-explicit mixture of at most four strategies (HiGHS, ``scipy.optimize.linprog``).
+explicit mixture of at most four strategies (HiGHS, ``scipy.optimize.linprog``,
+imported on the first recovery).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channel import SimoChannel, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
@@ -38,6 +38,16 @@ __all__ = [
     "primal_recovery",
     "Cut",
 ]
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: the primal
+    recovery is the only LP, and SciPy is most of the package's import time
+    and memory."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
+
 
 LAMBDA_FLOOR = 1e-9
 _LN2 = math.log(2.0)

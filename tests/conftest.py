@@ -86,15 +86,22 @@ def proper_rates(ch, p1, p2):
     return r1, r2
 
 
-def pure_balanced_oracle(ch):
-    """Max-min pure proper point by root finding on the full-power edges.
+def pure_balanced_oracle(ch, rho=(1.0, 1.0)):
+    """Max-min pure proper point of ``r_k / rho_k`` by root finding on the
+    full-power edges.
 
     Scaling both powers up raises both MMSE SINRs, so at the max-min point
     one user transmits at full power.  Along the edge ``p_k = P_k`` the
-    rate gap ``r_k - r_j`` falls strictly in ``p_j``, so ``r1 = r2`` has at
-    most one root there; the better of the two edge roots is the optimum.
-    Returns the balanced rate and its powers.
+    scaled-rate gap ``r_k / rho_k - r_j / rho_j`` falls strictly in ``p_j``,
+    so it has at most one root there; the better of the two edge roots is
+    the optimum.  With one weight zero the other user sends alone.  Returns
+    the balanced value (the common rate at the default ``rho``) and its
+    powers.
     """
+    for k in (1, 2):
+        if rho[2 - k] == 0.0:  # only user k counts
+            pw = (ch.p1, 0.0) if k == 1 else (0.0, ch.p2)
+            return float(proper_rates(ch, *pw)[k - 1]) / rho[k - 1], pw
     best = None
     for k in (1, 2):
         top = ch.p2 if k == 1 else ch.p1
@@ -104,12 +111,12 @@ def pure_balanced_oracle(ch):
 
         def gap(p, k=k):
             r1, r2 = proper_rates(ch, *powers(p))
-            return (r1 - r2) if k == 1 else (r2 - r1)
+            return (r1 / rho[0] - r2 / rho[1]) * (1 if k == 1 else -1)
 
         if gap(top) > 0:  # this user stays ahead on the whole edge
             continue
         pw = powers(brentq(gap, 0.0, top, xtol=1e-14))
-        value = float(proper_rates(ch, *pw)[0])
+        value = float(proper_rates(ch, *pw)[0]) / rho[0]
         if best is None or value > best[0]:
             best = (value, pw)
     return best

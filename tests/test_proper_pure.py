@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tinregion import (
+    ConvergenceError,
     RateProfile,
     ValidationError,
     balance_pure_proper,
@@ -125,7 +126,9 @@ class TestBalance:
         res = balance_pure_proper(fig1, RateProfile(0.0, 1.0))
         assert abs(res.rates.r2 - 4.77534426964198) <= 1e-3
 
-    def test_bisection_certificate(self, fig1):
+    def test_edge_root_gap_certificate(self, fig1):
+        # R from the edge root is feasible by the Perron margin, and the
+        # certified gap leaves nothing feasible 1e-5 above it
         prof = RateProfile(0.5, 0.5)
         res = balance_pure_proper(fig1, prof, eps=1e-6)
         assert gamma_of_R(fig1, prof, res.R) >= 1.0 - 1e-9
@@ -183,6 +186,65 @@ class TestBalance:
             res = balance_pure_proper(ch, RateProfile(0.4, 0.6), eps=1e-6)
             assert res.rates.r1 >= 0.4 * res.R - 1e-4
             assert res.rates.r2 >= 0.6 * res.R - 1e-4
+
+
+def _edge_root_channels():
+    """Random draws with 1-4 antennas and budgets from 1e-2 to 1e3, a zeroed
+    cross link, and cross links nearly along the direct links."""
+    rng = np.random.default_rng(24)
+    chans = [
+        random_channel(rng, n1=n, n2=m, p=p)
+        for n, m, p in ((1, 1, 1e-2), (1, 2, 1.0), (2, 1, 1e3), (2, 2, 10.0),
+                        (3, 3, 1e2), (4, 2, 0.1), (4, 4, 1e3), (3, 1, 30.0))
+    ]
+    base = random_channel(rng, n1=2, n2=3, p=10.0)
+    chans.append(replace(base, h21=np.zeros(3)))
+    tilt = lambda h: 0.7 * h + 1e-6 * (rng.standard_normal(h.shape)
+                                       + 1j * rng.standard_normal(h.shape))
+    chans.append(replace(base, h12=tilt(base.h11), h21=tilt(base.h22), p1=1e2))
+    return chans
+
+
+class TestEdgeRoot:
+    """The edge root against two oracles that share no code with it: the
+    brentq edge oracle of the tests and the Perron feasibility margin."""
+
+    @pytest.mark.parametrize("ch", _edge_root_channels())
+    def test_against_oracles(self, ch):
+        eps = 1e-8
+        for beta in np.linspace(0.0, 1.0, 11):
+            prof = RateProfile.from_beta(beta)
+            res = balance_pure_proper(ch, prof, eps=eps)
+            oracle, _ = pure_balanced_oracle(ch, (prof.rho1, prof.rho2))
+            assert abs(res.R - oracle) <= eps + 1e-12 * oracle, beta
+            assert gamma_of_R(ch, prof, res.R) >= 1.0 - 1e-9, beta
+            assert gamma_of_R(ch, prof, res.R + 1e-5) < 1.0, beta
+            assert res.rates.r1 >= prof.rho1 * res.R * (1 - 1e-15)
+            assert res.rates.r2 >= prof.rho2 * res.R * (1 - 1e-15)
+            assert 0.0 <= res.p1 <= ch.p1 and 0.0 <= res.p2 <= ch.p2
+
+    def test_rates_are_those_of_the_powers(self, fig2):
+        res = balance_pure_proper(fig2, RateProfile(0.3, 0.7))
+        assert tuple(res.rates) == tuple(rate_proper(fig2, res.p1, res.p2))
+        assert max(res.p1 / fig2.p1, res.p2 / fig2.p2) == 1.0
+
+    def test_eps_below_rate_resolution_ends(self):
+        # the step cap ends the search: a point at the oracle, or a typed error
+        rng = np.random.default_rng(25)
+        outcomes = set()
+        for _ in range(40):
+            ch = random_channel(rng, n1=rng.integers(1, 5), n2=rng.integers(1, 5),
+                                p=10 ** rng.uniform(-2, 3))
+            prof = RateProfile.from_beta(rng.uniform())
+            try:
+                res = balance_pure_proper(ch, prof, eps=1e-300)
+            except ConvergenceError:
+                outcomes.add("raised")
+                continue
+            oracle, _ = pure_balanced_oracle(ch, (prof.rho1, prof.rho2))
+            assert abs(res.R - oracle) <= 1e-11 * oracle
+            outcomes.add("solved")
+        assert "solved" in outcomes
 
 
 class TestMmseFilterProperties:

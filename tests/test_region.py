@@ -52,6 +52,20 @@ class TestSweep:
         b = sweep_region(fig1, "improper-heuristic", [0.5], seed=7, n_starts=2)
         assert a.samples == b.samples
 
+    def test_improper_end_point_breaks_ties_toward_the_other_rate(self, fig3):
+        # at beta 1 several starts reach the same W = r1; the curve keeps
+        # the one with the largest r2, not the first
+        from tinregion.improper_gp import multistart
+
+        _, runs = multistart(fig3, (1.0, 0.0), n_starts=20, seed=10_000)
+        top = max(r.W for r in runs)
+        tied = [r.rates.r2 for r in runs if r.W == top]
+        assert len(tied) > 1 and min(tied) < max(tied) - 1.0
+        (_, point), = sweep_region(fig3, "improper-heuristic", [1.0]).samples
+        assert point.r1 == top
+        assert point.r2 == max(tied)
+        assert abs(point.r2 - 3.2764083089246) <= 1e-9
+
     def test_bad_inputs(self, fig1):
         with pytest.raises(ValidationError):
             sweep_region(fig1, "nope", [0.5])
@@ -118,6 +132,16 @@ class TestContains:
         assert not contains(c, (2.0, 3.2), tol=0.1)
         assert not contains(c, (4.2, 0.5), tol=0.1)
         assert not contains(c, (-1.0, 1.0))
+
+    def test_vertical_drop(self):
+        # a hull whose last vertex shares r1 with its axis point: the chord
+        # into that r1 ends at the upper vertex, not at the axis
+        samples = ((0.0, RatePoint(0.0, 4.0)), (0.5, RatePoint(4.0, 3.0)),
+                   (1.0, RatePoint(4.0, 0.0)))
+        c = RegionCurve(method="convex-hull", samples=samples)
+        assert contains(c, (1.0, 3.7))
+        assert contains(c, (4.0, 3.0))
+        assert not contains(c, (1.0, 3.8), tol=1e-3)
 
     def test_tolerance(self):
         c = self._curve()
