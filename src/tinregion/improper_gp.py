@@ -5,23 +5,26 @@ Works in the composite real representation: each user's transmit state is a
 projected gradient ascent (Barzilai-Borwein steps under a nonmonotone line
 search, after Birgin, Martinez and Raydan) climbs the (nonconvex) weighted
 sum rate from random improper starts and from the proper optimum, and stops
-on a stationarity residual relative to the budgets.  The starts ascend in
-lockstep as stacked ``(S, 2, 2, 2)`` arrays, and the projection onto the
-power set is a closed form for 2x2 matrices.  From exactly proper matrices
-the iteration never leaves the proper set, which is why the other starts
-are improper.
+on a stationarity residual relative to the budgets.  Each start is one
+scalar loop on the users' (variance, pseudovariance) pairs ``(c, ct)``,
+whose matrices are ``M = (c I + S(ct)) / 2`` with ``S(ct) = [[Re ct, Im ct],
+[Im ct, -Re ct]]``.  Sylvester's determinant identity and the Woodbury
+identity turn each receiver's rate and its gradient into closed forms in
+these pairs, and the projection onto the power set is a closed form on the
+eigenvalues ``(c ± |ct|) / 2``.  From exactly proper matrices the iteration
+never leaves the proper set, which is why the other starts are improper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log1p, sqrt
 
 import numpy as np
 
 from .channel import (
     SimoChannel,
     composite_cov_from_strategy,
-    composite_real_embed,
     check_composite_cov,
     validate_channel,
     validate_eps,
@@ -61,46 +64,82 @@ class GpResult:
     residual: float | None = None  # ||proj(M + G) - M|| over both users at m1, m2
 
 
-class _CompositeChannel:
-    """Pre-embedded channel matrices shared across iterations.  Receivers
-    are zero-padded to a common real dimension: a padded coordinate holds
-    only noise, which scales both determinants of a rate alike and adds
-    nothing to the gradients."""
-
-    def __init__(self, ch: SimoChannel):
-        # the links through which m1, m2, m2, m1 reach cy1, cs1, cy2, cs2
-        e = [composite_real_embed(h) for h in (ch.h11, ch.h12, ch.h22, ch.h21)]
-        n = max(len(x) for x in e)
-        self.e = np.stack([np.pad(x, [(0, n - len(x)), (0, 0)]) for x in e])[:, None]
-        self.noise = 0.5 * np.eye(n)
-
-    def evaluate(self, x, w):
-        """Covariances ``cy1, cs1, cy2, cs2`` ``(4, S, n, n)``, clipped rates
-        ``(2, S)`` and objectives ``(S,)`` of the stack ``x`` ``(S, 2, 2, 2)``
-        of both users' matrices."""
-        cov = self.e @ x[:, [0, 1, 1, 0]].swapaxes(0, 1) @ self.e.swapaxes(2, 3)
-        cov[1::2] += self.noise
-        cov[::2] += cov[1::2]
-        d = np.linalg.det(cov)
-        r = np.maximum(0.5 * np.log2(d[::2] / d[1::2]), 0.0)
-        return cov, r, w[0] * r[0] + w[1] * r[1]
-
-    def gradients(self, cov, w):
-        """Symmetric gradients ``(S, 2, 2, 2)`` of the weighted sum rate at
-        the points whose covariances from :meth:`evaluate` are ``cov``."""
-        x = np.linalg.inv(cov)
-        x[1::2] = x[::2] - x[1::2]  # iy1, iy1 - is1, iy2, iy2 - is2
-        t = self.e.swapaxes(2, 3) @ x @ self.e
-        c1, c2 = w / (2 * _LN2)
-        g = np.stack([c1 * t[0] + c2 * t[3], c2 * t[2] + c1 * t[1]], axis=1)
-        return 0.5 * (g + g.swapaxes(2, 3))
+def _receivers(ch: SimoChannel):
+    """Constants ``(c/n, x/n, x, n, conj(z)^2)`` of each receiver for
+    :func:`_receiver_rate`, from the proper gains ``(g, x, n, c)`` of
+    :func:`~tinregion.rates._proper_gains` (``c = g n - x``) and ``z =
+    h_kj^H h_kk``.  A dead cross link (``n = 0``) gives ``(g, 0, 0, 0, 0)``."""
+    out = []
+    for (g, x, n, c), hkk, hkj in zip(zip(*_proper_gains(ch)), (ch.h11, ch.h22), (ch.h12, ch.h21)):
+        z = complex(np.vdot(hkj, hkk))
+        out.append((c / n, x / n, x, n, z.conjugate() ** 2) if n else (g, 0.0, 0.0, 0.0, 0j))
+    return tuple(out)
 
 
-def _weights(w) -> np.ndarray:
+def _receiver_rate(k, ck, tk, cj, tj):
+    """``T - 1`` at receiver ``k``, whose rate is ``log2(T) / 2``, with the
+    gradients of ``T`` in ``ck, tk`` (its user's variance and pseudovariance)
+    and ``cj, tj`` (the interferer's); a complex gradient is ``d/dRe + i
+    d/dIm``.
+
+    Sylvester's identity gives ``T = det(I + M_k A)`` with ``A = E_kk^T
+    Cs^-1 E_kk``, and Woodbury gives ``A = a I + S(b)`` with ``D = det(I +
+    2n M_j) / 2``, ``a = 2(g - x/n) + (x/n + x cj) / D`` and ``b = -conj(z)^2
+    tj / D``, so ``T = 1 + ck a + Re(tk conj b) + (ck^2 - |tk|^2)(a^2 -
+    |b|^2) / 4``.  The proper gain ``c/n`` stands for ``g - x/n``, which
+    cancels on cross links along the direct ones."""
+    cn, xn, x, n, zz = k
+    u, v = 1.0 + n * cj, n * abs(tj)
+    d = 0.5 * (u - v) * (u + v)
+    a, b = 2.0 * cn + (xn + x * cj) / d, -zz * tj / d
+    mk, mb = abs(tk), abs(b)
+    ek, p = (ck - mk) * (ck + mk), (a - mb) * (a + mb)
+    ta, tb = ck + 0.5 * ek * a, tk - 0.5 * ek * b
+    rho = (tb.conjugate() * b).real / d
+    return (ck * a + (tk * b.conjugate()).real + 0.25 * ek * p, a + 0.5 * ck * p,
+            b - 0.5 * tk * p, -0.5 * ta * x * (u * u + v * v) / (d * d) - rho * n * u,
+            ta * x * n * u * tj / (d * d) - tb * zz.conjugate() / d + rho * n * n * tj)
+
+
+def _point(ks, w, x):
+    """``W``, the rates and the gradient of ``W`` at the state ``x = (c1,
+    ct1, c2, ct2)``.  The gradient is the state of the symmetric matrix
+    gradient, so ``x + alpha G`` is the state of ``M + alpha G``."""
+    c1, t1, c2, t2 = x
+    q1, a1, b1, e1, f1 = _receiver_rate(ks[0], c1, t1, c2, t2)
+    q2, a2, b2, e2, f2 = _receiver_rate(ks[1], c2, t2, c1, t1)
+    r1, r2 = max(log1p(q1), 0.0) / (2.0 * _LN2), max(log1p(q2), 0.0) / (2.0 * _LN2)
+    k1, k2 = w[0] / (_LN2 * (1.0 + q1)), w[1] / (_LN2 * (1.0 + q2))
+    return (w[0] * r1 + w[1] * r2, (r1, r2),
+            (k1 * a1 + k2 * e2, k1 * b1 + k2 * f2, k2 * a2 + k1 * e1, k2 * b2 + k1 * f1))
+
+
+def _state(m):
+    """``(c, ct)`` of a 2x2 matrix, its symmetric part read as ``(c I + S(ct)) / 2``."""
+    (a, b), (e, d) = np.asarray(m, dtype=float).tolist()
+    return a + d, complex(a - d, b + e)
+
+
+def _matrix(c, ct) -> np.ndarray:
+    return 0.5 * np.array([[c + ct.real, ct.imag], [ct.imag, c - ct.real]])
+
+
+def _axpy(x, lam, d):
+    return x[0] + lam * d[0], x[1] + lam * d[1], x[2] + lam * d[2], x[3] + lam * d[3]
+
+
+def _dot(a, b):
+    """Frobenius inner product of the matrices of two states: half the
+    Euclidean one of ``(c1, ct1, c2, ct2)``."""
+    return 0.5 * (a[0] * b[0] + a[2] * b[2] + (a[1] * b[1].conjugate()).real
+                  + (a[3] * b[3].conjugate()).real)
+
+
+def _weights(w) -> tuple[float, float]:
     arr = np.asarray(w, dtype=float)
     if arr.shape != (2,) or not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise ValidationError(f"weights must be two finite nonnegative numbers: {w!r}")
-    return arr
+    return float(arr[0]), float(arr[1])
 
 
 def wsr_objective(ch: SimoChannel, m1, m2, w1: float, w2: float) -> float:
@@ -114,27 +153,37 @@ def wsr_gradient(ch: SimoChannel, m1, m2, w) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the weighted sum rate w.r.t. each composite covariance.
 
     Own-link term plus the (negative semidefinite) cross term through the
-    other receiver's interference covariance; matches central finite
-    differences of :func:`wsr_objective`.
+    other receiver's interference covariance, from the closed-form rate
+    kernel; matches central finite differences of :func:`wsr_objective`.
     """
     w = _weights(w)
-    m1 = check_composite_cov(m1)
-    m2 = check_composite_cov(m2)
-    comp = _CompositeChannel(ch)
-    g = comp.gradients(comp.evaluate(np.stack([m1, m2])[None], w)[0], w)
-    return g[0, 0], g[0, 1]
+    x = _state(check_composite_cov(m1)) + _state(check_composite_cov(m2))
+    g = _point(_receivers(ch), w, x)[2]
+    return _matrix(g[0], g[1]), _matrix(g[2], g[3])
+
+
+def _project(c, ct, p):
+    """The state of the nearest matrix to that of ``(c, ct)`` (Frobenius
+    distance) that is PSD with trace at most ``p``.  The eigenvalues ``(c ±
+    |ct|) / 2`` are clipped at zero and, only when their sum is then over
+    ``p``, water-filled down to ``p/2 ± min(|ct|, p)/2``.  The eigenvectors,
+    and so the phase of ``ct``, are kept; a zero budget gives ``(0, 0)``."""
+    m = abs(ct)
+    hi, lo = c + m, c - m  # twice the eigenvalues
+    hi, lo = hi if hi > 0.0 else 0.0, lo if lo > 0.0 else 0.0
+    if hi + lo > 2.0 * p:
+        k = m if m < p else p
+        hi, lo = p + k, p - k
+    return 0.5 * (hi + lo), (ct * (0.5 * (hi - lo) / m) if m > 0 else 0j)
 
 
 def project_psd_trace(m, p) -> np.ndarray:
     """Nearest PSD matrix with trace at most ``p`` (Frobenius distance), for
     one symmetric 2x2 matrix or a ``(..., 2, 2)`` stack of them.  ``p`` is one
     budget or an array of them that broadcasts to the stack's shape ``(...)``.
-
-    Closed form on the eigenvalues ``a ± r`` (``a`` half the trace, ``r``
-    half the eigenvalue gap): clip both at zero, and only when the clipped
-    sum is over ``p`` water-fill down to it, which gives ``p/2 ± min(r, p/2)``.
-    The result keeps the eigenvectors, so it is ``l I + t D`` with ``D`` the
-    traceless part of the matrix.  A zero budget gives the zero matrix.
+    Each matrix goes through the gradient projection's closed form on its
+    eigenvalues, which keeps the eigenvectors.  A zero budget gives the zero
+    matrix.
     """
     arr = np.asarray(m, dtype=float)
     if arr.shape[-2:] != (2, 2):
@@ -145,19 +194,9 @@ def project_psd_trace(m, p) -> np.ndarray:
         raise ValidationError(f"trace targets {p!r} do not fit matrices {arr.shape}") from None
     if not np.all(p >= 0):
         raise ValidationError("trace target must be nonnegative")
-    mid = 0.5 * (arr[..., 0, 0] + arr[..., 1, 1])
-    half = 0.5 * (arr[..., 0, 0] - arr[..., 1, 1])
-    off = 0.5 * (arr[..., 0, 1] + arr[..., 1, 0])
-    r = np.hypot(half, off)
-    hi, lo = np.maximum(mid + r, 0.0), np.maximum(mid - r, 0.0)
-    over = hi + lo > p
-    k = np.minimum(r, 0.5 * p)
-    hi, lo = np.where(over, 0.5 * p + k, hi), np.where(over, 0.5 * p - k, lo)
-    t = np.divide(hi - lo, 2.0 * r, out=np.zeros_like(r), where=r > 0)
     out = np.empty(arr.shape)
-    out[..., 0, 0] = 0.5 * (hi + lo) + t * half
-    out[..., 1, 1] = 0.5 * (hi + lo) - t * half
-    out[..., 0, 1] = out[..., 1, 0] = t * off
+    for i in np.ndindex(p.shape):
+        out[i] = _matrix(*_project(*_state(arr[i]), float(p[i])))
     return out
 
 
@@ -174,91 +213,68 @@ def random_improper_init(
     return mats[0], mats[1]
 
 
-def _inner(a, b):
-    """Inner products of the ``(S, 2, 2, 2)`` stacks, over both users."""
-    return (a * b).sum(axis=(1, 2, 3))
+def _ascend(ks, w, budget, x, eps: float, max_iter: int) -> GpResult:
+    """Spectral projected gradient from the state ``x`` of :func:`_point`.
 
-
-def _norm(x):
-    return np.sqrt(_inner(x, x))
-
-
-def _ascend(ch: SimoChannel, w, m1, m2, eps: float, max_iter: int) -> list[GpResult]:
-    """Spectral projected gradient from every start of the stacks ``m1, m2``
-    in lockstep; each round computes only the live starts.
-
-    A start at ``M`` with gradient ``G`` and spectral step ``alpha`` takes the
-    direction ``d = proj(M + alpha G) - M``; the same projection call gives
-    its stationarity residual ``||proj(M + G) - M||``.  It stops converged
-    once that is at most ``eps max(P1, P2)``, and unconverged after
-    ``max_iter`` moves.  Otherwise it backtracks, halving ``lam`` from 1,
-    until ``W(M + lam d)`` exceeds the least of its last ``_WINDOW`` values
+    At ``M`` with gradient ``G`` and spectral step ``alpha`` the direction is
+    ``d = proj(M + alpha G) - M``.  The start stops converged once
+    ``||proj(M + G) - M||`` is at most ``eps max(P1, P2)``, and unconverged
+    after ``max_iter`` moves.  Otherwise it backtracks, halving ``lam`` from
+    1, until ``W(M + lam d)`` exceeds the least of its last ``_WINDOW`` values
     by ``1e-4 lam <G, d>`` (the nonmonotone test of Grippo, Lampariello and
     Lucidi), and stops unconverged once ``lam`` is below 1e-12.  A move by
     ``s`` that changes the gradient by ``y`` sets the next ``alpha`` to
     ``s.s / -s.y`` after odd moves and ``-s.y / y.y`` after even ones
     (Barzilai and Borwein), clipped to ``[1e-10, 1e10]``, and to 1e10 when
-    ``-s.y <= 0``.  Every start returns its best iterate; one that becomes
+    ``-s.y <= 0``.  The start returns its best iterate; one that becomes
     stationary below it restarts from it with a unit step and a fresh
     window, so a converged start's best iterate is its last."""
-    comp = _CompositeChannel(ch)
-    budget = np.array([ch.p1, ch.p2])
-    tol = eps * budget.max()
-    x = np.stack([m1, m2], axis=1)  # (S, user, 2, 2)
-    cov, _, obj = comp.evaluate(x, w)
-    g = comp.gradients(cov, w)
-    n = len(x)
-    best, best_g, best_obj = x.copy(), g.copy(), obj.copy()
-    window = np.repeat(obj[:, None], _WINDOW, axis=1)
-    d, alpha, lam, slope = np.zeros_like(x), np.ones(n), np.ones(n), np.zeros(n)
-    moves, converged = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
-    live = np.arange(n)
-    while live.size:
-        # a fresh start tries proj(M + alpha G) and measures its residual; a
-        # backtracking one tries M + lam d
-        fresh = lam[live] == 1.0
-        k = live[fresh]
-        step = np.where(fresh, alpha[live], lam[live])[:, None, None, None]
-        trial = x[live] + step * np.where(fresh[:, None, None, None], g[live], d[live])
-        c = project_psd_trace(np.concatenate([trial, x[k] + g[k]]), budget)
-        c, done = c[:len(live)], _norm(c[len(live):] - x[k]) <= tol
-        d[k] = c[fresh] - x[k]
-        slope[k] = _ARMIJO * _inner(g[k], d[k])
-        behind = done & (obj[k] < best_obj[k])  # stationary below the best: restart
-        if behind.any():
-            j = k[behind]
-            x[j], g[j], obj[j], alpha[j] = best[j], best_g[j], best_obj[j], 1.0
-            window[j] = best_obj[j, None]
-            done &= ~behind
-        converged[k] = done
-        keep, wait = np.ones(len(live), dtype=bool), np.zeros(len(live), dtype=bool)
-        keep[fresh], wait[fresh] = ~done & (moves[k] < max_iter), behind
-        tried, c = live[keep & ~wait], c[keep & ~wait]
-        live = live[keep]
-        if not tried.size:
+    p1, p2 = budget
+    tol = eps * max(budget)
+
+    def toward(y, lam, d):  # the state of proj(M + lam D) - M
+        c1, t1 = _project(y[0] + lam * d[0], y[1] + lam * d[1], p1)
+        c2, t2 = _project(y[2] + lam * d[2], y[3] + lam * d[3], p2)
+        return c1 - y[0], t1 - y[1], c2 - y[2], t2 - y[3]
+
+    obj, rates, g = _point(ks, w, x)
+    best = x, obj, rates, g
+    window, alpha, moves, converged = [obj] * _WINDOW, 1.0, 0, False
+    while True:
+        r = toward(x, 1.0, g)
+        if sqrt(_dot(r, r)) <= tol:
+            if obj >= best[1]:
+                converged = True
+                break
+            x, obj, _, g = best  # stationary below the best iterate: restart
+            window, alpha = [obj] * _WINDOW, 1.0
             continue
-        cov, _, cobj = comp.evaluate(c, w)
-        acc = cobj >= window[tried].min(axis=1) + lam[tried] * slope[tried]
-        lam[tried] *= 0.5
-        moved, c, cobj = tried[acc], c[acc], cobj[acc]
-        if moved.size:
-            cg = comp.gradients(cov[:, acc], w)
-            s, y = c - x[moved], cg - g[moved]
-            sy = -_inner(s, y)
-            pos = sy > 0
-            moves[moved] += 1
-            bb = np.where(moves[moved] % 2 == 1, _inner(s, s) / np.where(pos, sy, 1.0),
-                          sy / np.where(pos, _inner(y, y), 1.0))
-            alpha[moved] = np.where(pos, np.clip(bb, _STEP_MIN, _STEP_MAX), _STEP_MAX)
-            x[moved], g[moved], obj[moved], lam[moved] = c, cg, cobj, 1.0
-            window[moved, moves[moved] % _WINDOW] = cobj
-            up = cobj > best_obj[moved]
-            best[moved[up]], best_g[moved[up]], best_obj[moved[up]] = c[up], cg[up], cobj[up]
-        live = live[lam[live] >= _MIN_LAM]
-    _, rates, obj = comp.evaluate(best, w)
-    residual = _norm(project_psd_trace(best + best_g, budget) - best)
-    return [GpResult(best[i, 0], best[i, 1], float(obj[i]), RatePoint(*map(float, rates[:, i])),
-                     bool(converged[i]), float(residual[i])) for i in range(n)]
+        if moves >= max_iter:
+            break
+        d = toward(x, alpha, g)
+        floor, slope, lam = min(window), _ARMIJO * _dot(g, d), 1.0
+        while True:
+            y = _axpy(x, lam, d)
+            yobj, yrates, yg = _point(ks, w, y)
+            if yobj >= floor + lam * slope:
+                break
+            lam *= 0.5
+            if lam < _MIN_LAM:
+                break
+        if lam < _MIN_LAM:
+            break  # no move passes the test
+        s, v = _axpy(y, -1.0, x), _axpy(yg, -1.0, g)
+        sy, moves = -_dot(s, v), moves + 1
+        bb = (_dot(s, s) / sy if moves % 2 else sy / _dot(v, v)) if sy > 0 else _STEP_MAX
+        alpha = min(max(bb, _STEP_MIN), _STEP_MAX)
+        x, obj, g = y, yobj, yg
+        window[moves % _WINDOW] = obj
+        if obj > best[1]:
+            best = y, yobj, yrates, yg
+    x, obj, rates, g = best
+    r = toward(x, 1.0, g)
+    return GpResult(_matrix(x[0], x[1]), _matrix(x[2], x[3]), obj, RatePoint(*rates),
+                    converged, sqrt(_dot(r, r)))
 
 
 def _proper_seed(ch: SimoChannel, w) -> tuple[float, float]:
@@ -289,7 +305,8 @@ def gradient_projection(
     1e-12, stop it unconverged.  A point that passes the residual test
     below the best iterate restarts the ascent from the best one.  The
     result is the best iterate, so ``W`` is never below the initial
-    point's; ``residual`` is measured there.  This is the engine of :func:`multistart` on a batch of one start.
+    point's; ``residual`` is measured there.  Each start of
+    :func:`multistart` runs this same scalar loop.
     """
     validate_channel(ch)
     validate_eps(eps)
@@ -298,7 +315,8 @@ def gradient_projection(
     for m, p in ((m1, ch.p1), (m2, ch.p2)):
         if np.trace(m) > p * (1 + 1e-9):
             raise ValidationError(f"initial trace {np.trace(m)!r} above budget {p}")
-    return _ascend(ch, w, m1[None], m2[None], eps, max_iter)[0]
+    budget = (float(ch.p1), float(ch.p2))
+    return _ascend(_receivers(ch), w, budget, _state(m1) + _state(m2), eps, max_iter)
 
 
 def multistart(
@@ -308,23 +326,24 @@ def multistart(
     seed: int = 0,
     eps: float = GP_EPS,
 ) -> tuple[GpResult, list[GpResult]]:
-    """Run :func:`gradient_projection` as one lockstep batch from ``n_starts``
-    random improper inits, drawn from a generator seeded with ``seed``, then
-    from the proper weighted-sum-rate optimum on the full-power edges and a
-    5% improper copy of it; keep the best.  Every start returns its best
-    iterate, so the best ``W`` is at least the proper optimum.  Each start
-    ends as it would alone, so the ``n_starts + 2`` results do not depend on
-    ``n_starts``."""
+    """Run the loop of :func:`gradient_projection` from ``n_starts`` random
+    improper inits, drawn from a generator seeded with ``seed``, then from
+    the proper weighted-sum-rate optimum on the full-power edges and a 5%
+    improper copy of it; keep the best.  Every start returns its best
+    iterate, so the best ``W`` is at least the proper optimum.  The starts
+    run one after another and share nothing but the channel's constants, so
+    the ``n_starts + 2`` results do not depend on ``n_starts``."""
     validate_channel(ch)
     validate_eps(eps)
     w = _weights(w)
     if not isinstance(n_starts, (int, np.integer)) or n_starts < 1:
         raise ValidationError(f"need a positive integer number of starts: {n_starts!r}")
     rng = np.random.default_rng(seed)
-    inits = [random_improper_init(ch, rng) for _ in range(n_starts)]
-    c = _proper_seed(ch, w)
-    inits += [tuple(composite_cov_from_strategy(ck, f * ck) for ck in c) for f in (0.0, 0.05)]
-    m1, m2 = (np.stack(m) for m in zip(*inits))
-    results = _ascend(ch, w, m1, m2, eps, GP_MAX_ITER)
+    inits = [_state(m1) + _state(m2) for m1, m2 in
+             (random_improper_init(ch, rng) for _ in range(n_starts))]
+    c1, c2 = _proper_seed(ch, w)
+    inits += [(c1, complex(f * c1), c2, complex(f * c2)) for f in (0.0, 0.05)]
+    ks, budget = _receivers(ch), (float(ch.p1), float(ch.p2))
+    results = [_ascend(ks, w, budget, x, eps, GP_MAX_ITER) for x in inits]
     best = max(results, key=lambda r: r.W)
     return best, results

@@ -1,6 +1,7 @@
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -53,8 +54,10 @@ def _embed(h):
 
 
 def _reference_gp(ch, w, init, eps=GP_EPS, max_iter=GP_MAX_ITER):
-    """One start of the spectral projected gradient ascent as a scalar loop,
-    sharing no code with the lockstep engine.  Each iteration takes the
+    """One start of the spectral projected gradient ascent on the 2x2
+    matrices themselves, sharing no code with the engine's closed forms: rates
+    from ``rate_composite``'s determinants, gradients from matrix inverses and
+    projections from ``eigh``.  Each iteration takes the
     direction ``d = proj(M + alpha G) - M``; it stops converged once
     ``||proj(M + G) - M|| <= eps max(P1, P2)`` and unconverged after
     ``max_iter`` moves.  Otherwise ``lam`` halves from 1 until
@@ -187,6 +190,83 @@ class TestGradient:
         assert np.linalg.eigvalsh(g1).max() <= 1e-12
 
 
+def _mp_rates_and_gradients(ch, x):
+    """Rates ``(r1, r2)`` and the gradient of each in the state ``x = (c1,
+    ct1, c2, ct2)``, from the composite-real determinants at 50 digits:
+    ``r_k = log2(det Cy / det Cs) / 2`` with ``Cs = E_kj M_j E_kj^T + I/2``
+    and ``Cy = E_kk M_k E_kk^T + Cs``.  The matrix gradients are ``E_kk^T
+    Cy^-1 E_kk`` (own) and ``E_kj^T (Cy^-1 - Cs^-1) E_kj`` (cross), over
+    ``2 ln 2``; a symmetric ``G`` is written as the state ``(tr G, G00 - G11 +
+    i (G01 + G10))``, six reals per rate."""
+    with mpmath.workdps(50):
+        def emb(h):
+            return mpmath.matrix([[v.real, -v.imag] for v in h] + [[v.imag, v.real] for v in h])
+
+        def mat(c, ct):
+            c, re, im = mpmath.mpf(c), mpmath.mpf(ct.real), mpmath.mpf(ct.imag)
+            return mpmath.matrix([[c + re, im], [im, c - re]]) / 2
+
+        m, scale = (mat(x[0], x[1]), mat(x[2], x[3])), 2 * mpmath.log(2)
+        rates, grads = [], []
+        for k, (hkk, hkj) in enumerate(((ch.h11, ch.h12), (ch.h22, ch.h21))):
+            ek, ej = emb(hkk), emb(hkj)
+            cs = ej * m[1 - k] * ej.T + mpmath.eye(ek.rows) / 2
+            cy = ek * m[k] * ek.T + cs
+            iy = mpmath.inverse(cy)
+            own, cross = ek.T * iy * ek, ej.T * (iy - mpmath.inverse(cs)) * ej
+            rates.append(float(mpmath.log(mpmath.det(cy) / mpmath.det(cs)) / scale))
+            g = []
+            for gm in ((own, cross) if k == 0 else (cross, own)):
+                gm = gm / scale
+                g += [gm[0, 0] + gm[1, 1], gm[0, 0] - gm[1, 1], gm[0, 1] + gm[1, 0]]
+            grads.append(np.array([float(v) for v in g]))
+    return rates, grads
+
+
+def _kernel_channel(rng, case):
+    """A channel of the kernel accuracy test: random with 1-4 antennas per
+    receiver, with a dead cross link, or with cross links within 1e-6 of
+    the direct ones at P = 1e4."""
+    ch = random_channel(rng, *map(int, rng.integers(1, 5, 2)), p=float(10 ** rng.uniform(-1, 4)))
+    if case == "near-collinear":
+        near = lambda h: h + 1e-6 * (rng.standard_normal(len(h)) + 1j * rng.standard_normal(len(h)))
+        return replace(ch, h12=near(1.3 * ch.h11), h21=near(0.7j * ch.h22), p1=1e4, p2=1e4)
+    zero = {"dead-h12": ("h12",), "dead-h21": ("h21",), "dead-both": ("h12", "h21")}.get(case, ())
+    return replace(ch, **{name: 0 * getattr(ch, name) for name in zero})
+
+
+class TestRateKernel:
+    # the GP's closed-form rates and gradient against 50-digit determinants;
+    # on the near-collinear draws rate_complex is up to 4e-11 off
+    @pytest.mark.parametrize("case", ["random", "dead-h12", "dead-h21", "dead-both",
+                                      "near-collinear"])
+    @pytest.mark.parametrize("kind", ["improper", "proper", "maximally-improper"])
+    def test_matches_mp_determinants(self, case, kind):
+        rng = np.random.default_rng([61, len(case), len(kind)])
+        for _ in range(4):
+            ch = _kernel_channel(rng, case)
+            x = []
+            for p in (ch.p1, ch.p2):
+                c = p * rng.uniform(0.05, 1.0)
+                mag = {"improper": c * rng.uniform(0.0, 0.9), "proper": 0.0}.get(kind, c)
+                x += [c, complex(mag * np.exp(2j * np.pi * rng.uniform()))]
+            rates, grads = _mp_rates_and_gradients(ch, x)
+            slack = np.zeros(2)
+            if kind == "maximally-improper":
+                # on |ct| = c the exact gradient moves by up to ~2e-11 of its
+                # size when |ct| moves by one ulp, more than the kernel's error
+                off = _mp_rates_and_gradients(ch, [x[0], x[1] * (1 - 2**-52),
+                                                   x[2], x[3] * (1 - 2**-52)])[1]
+                slack = [np.abs(a - b).max() / np.abs(a).max() for a, b in zip(grads, off)]
+            ks = improper_gp._receivers(ch)
+            for k, w in enumerate(((1.0, 0.0), (0.0, 1.0))):
+                _, r, g = improper_gp._point(ks, w, tuple(x))
+                assert abs(r[k] - rates[k]) <= 1e-12 * rates[k]
+                got = np.array([g[0], g[1].real, g[1].imag, g[2], g[3].real, g[3].imag])
+                err = np.abs(got - grads[k]).max() / np.abs(grads[k]).max()
+                assert err <= 1e-12 + 2 * slack[k], (k, err, slack[k])
+
+
 class TestProjection:
     def test_analytic_cases(self):
         cases = [
@@ -302,6 +382,18 @@ class TestClosedFormProjection:
             for u in range(2):
                 np.testing.assert_array_equal(out[i, u], project_psd_trace(ms[i, u], budget[u]))
 
+    def test_matches_engine_projection(self):
+        # matrix by matrix, project_psd_trace is the engine's projection of (c, ct)
+        rng = np.random.default_rng(54)
+        ms = self._symmetric(rng, 200)
+        ps = rng.uniform(0, 30, 200)
+        ps[:5] = 0.0
+        for m, p, out in zip(ms, ps, project_psd_trace(ms, ps)):
+            c, ct = improper_gp._project(m[0, 0] + m[1, 1],
+                                         complex(m[0, 0] - m[1, 1], m[0, 1] + m[1, 0]), p)
+            np.testing.assert_array_equal(
+                out, 0.5 * np.array([[c + ct.real, ct.imag], [ct.imag, c - ct.real]]))
+
     @pytest.mark.parametrize("p", [[1.0, -1.0], [1.0, np.nan], [1.0, 2.0, 3.0], [[1.0, 2.0]] * 3])
     def test_rejects_bad_budget_arrays(self, p):
         with pytest.raises(ValidationError):
@@ -346,8 +438,8 @@ class TestGradientProjection:
         assert abs(ct1) <= 1e-9 and abs(ct2) <= 1e-9
 
 
-class TestLockstepEquivalence:
-    # the lockstep engine against the scalar reference loop, start by start
+class TestReferenceEquivalence:
+    # the engine against the matrix reference loop _reference_gp, start by start
     @pytest.mark.parametrize("name", ["fig1", "fig3", "mixed"])
     def test_multistart_matches_reference(self, fig1, fig3, name):
         # "mixed" has one antenna at receiver 1 and three at receiver 2
@@ -612,13 +704,15 @@ class TestFeasibleAscent:
         w, scale = (beta, 1.0 - beta), max(ch.p1, ch.p2)
         worst = []
 
-        def checked(m, p):
-            out = project_psd_trace(m, p)
-            worst.append(max((np.trace(out, axis1=-2, axis2=-1) - p).max(),
-                             -np.linalg.eigvalsh(out).min()))
+        project = improper_gp._project
+
+        def checked(c, ct, p):
+            # the engine's per-user projection: trace c, eigenvalues (c ± |ct|) / 2
+            out = project(c, ct, p)
+            worst.append(max(out[0] - p, -0.5 * (out[0] - abs(out[1]))))
             return out
 
-        monkeypatch.setattr(improper_gp, "project_psd_trace", checked)
+        monkeypatch.setattr(improper_gp, "_project", checked)
         _, runs = multistart(ch, w, n_starts=n_starts, seed=seed)
         assert max(worst) <= 1e-12 * scale  # every candidate is feasible
         inits = _multistart_inits(ch, w, n_starts, seed)
