@@ -12,26 +12,13 @@ value objects and safe for concurrent use.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-
-__all__ = [
-    "SimoChannel",
-    "TxStrategy",
-    "TransformedChannel",
-    "validate_channel",
-    "composite_real_embed",
-    "composite_cov_from_strategy",
-    "strategy_from_composite_cov",
-    "transform_channel",
-    "enhance_channel",
-    "channel_from_transform",
-    "load_scenario",
-    "scenario_to_dict",
-]
 
 # Eigenvalues of a nominally PSD matrix may dip below zero by this much
 # before we call the matrix indefinite.
@@ -81,12 +68,31 @@ class TxStrategy:
         return self.ct1 if k == 1 else self.ct2
 
 
+_REAL = (int, float, np.integer, np.floating)
+_NUMBER = (*_REAL, complex, np.complexfloating)
+
+
+def real_scalar(name: str, v) -> float:
+    """``v`` as a float, or ``ValidationError`` unless it is one real number
+    (a Python or NumPy integer or float; not a string, array or complex)."""
+    if not isinstance(v, _REAL):
+        raise ValidationError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
+def complex_scalar(name: str, v) -> complex:
+    """``v`` as a complex, or ``ValidationError`` unless it is one number."""
+    if not isinstance(v, _NUMBER):
+        raise ValidationError(f"{name} must be a number, got {v!r}")
+    return complex(v)
+
+
 def validate_strategy(x: TxStrategy, tol: float = 1e-9) -> TxStrategy:
     """Check finiteness, nonnegative variances, and |ct_k| <= c_k."""
     for k in (1, 2):
-        c = x.var(k)
-        ct = complex(x.pvar(k))
-        if not np.isfinite(c) or not np.isfinite(ct.real) or not np.isfinite(ct.imag):
+        c = real_scalar(f"strategy user {k}: variance", x.var(k))
+        ct = complex_scalar(f"strategy user {k}: pseudovariance", x.pvar(k))
+        if not (math.isfinite(c) and cmath.isfinite(ct)):
             raise ValidationError(f"strategy user {k}: non-finite entry")
         if c < -tol:
             raise ValidationError(f"strategy user {k}: negative variance {c}")
@@ -100,7 +106,7 @@ def validate_strategy(x: TxStrategy, tol: float = 1e-9) -> TxStrategy:
 
 def validate_eps(eps: float) -> float:
     """Check that a solver tolerance is positive and finite; return it."""
-    if not 0 < eps < np.inf:
+    if not 0 < real_scalar("eps", eps) < np.inf:
         raise ValidationError(f"eps must be positive and finite, got {eps}")
     return eps
 
@@ -129,7 +135,7 @@ def validate_channel(ch: SimoChannel) -> SimoChannel:
             f"h21: dimension mismatch (len {len(h21)} != len(h22) {len(h22)})"
         )
     for name, p in (("p1", ch.p1), ("p2", ch.p2)):
-        if not np.isfinite(p):
+        if not math.isfinite(real_scalar(name, p)):
             raise ValidationError(f"{name}: non-finite power")
         if p < 0:
             raise ValidationError(f"{name}: negative power {p}")
@@ -163,7 +169,9 @@ def composite_cov_from_strategy(c: float, ct: complex) -> np.ndarray:
     ``a = arg(ct)``; the trace equals ``c`` and the eigenvalues are
     ``(c ± |ct|)/2``.
     """
-    ct = complex(ct)
+    c, ct = real_scalar("variance", c), complex_scalar("pseudovariance", ct)
+    if not (math.isfinite(c) and cmath.isfinite(ct)):
+        raise ValidationError(f"non-finite strategy: c={c}, ct={ct}")
     if abs(ct) > c + 1e-9:
         raise ValidationError(
             f"invalid pseudovariance: |ct|={abs(ct):.6g} exceeds variance c={c:.6g}"
@@ -178,7 +186,10 @@ def check_composite_cov(m, tol: float = PSD_TOL) -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.shape != (2, 2):
         raise ValidationError(f"composite covariance must be 2x2, got {arr.shape}")
-    scale = max(1.0, float(np.abs(arr).max()))
+    top = float(np.abs(arr).max())  # NaN if any entry is
+    if not math.isfinite(top):
+        raise ValidationError("composite covariance: non-finite entry")
+    scale = max(1.0, top)
     if abs(arr[0, 1] - arr[1, 0]) > 1e-9 * scale:
         raise ValidationError("composite covariance must be symmetric")
     tr = arr[0, 0] + arr[1, 1]
@@ -307,14 +318,3 @@ def load_scenario(source) -> SimoChannel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"scenario: bad powers: {exc}") from exc
     return validate_channel(SimoChannel(p1=p1, p2=p2, **vecs))
-
-
-def scenario_to_dict(ch: SimoChannel) -> dict:
-    """Inverse of :func:`load_scenario`."""
-    out = {}
-    for name in ("h11", "h12", "h21", "h22"):
-        v = getattr(ch, name)
-        out[name] = [[float(z.real), float(z.imag)] for z in np.asarray(v)]
-    out["p1"] = float(ch.p1)
-    out["p2"] = float(ch.p2)
-    return out

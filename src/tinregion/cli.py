@@ -28,8 +28,6 @@ from .region import (
     METHODS,
     PRESETS,
     convex_hull_2d,
-    curve_to_csv_rows,
-    curve_to_dict,
     preset_scenario,
     sweep_region,
     write_curve,
@@ -86,6 +84,8 @@ def cmd_region(args) -> int:
     ch = _resolve_scenario(args.scenario, args.seed)
     betas = _parse_betas(args.betas)
     methods = [tok.strip() for tok in args.method.split(",") if tok.strip()]
+    if not methods:
+        raise ValidationError(f"no method in {args.method!r}")
     curves = []
     t0 = time.perf_counter()
     for raw in methods:
@@ -105,18 +105,7 @@ def cmd_region(args) -> int:
 
     out = Path(args.out) if args.out else None
     if out is not None:
-        if len(curves) == 1:
-            write_curve(out, curves[0], fmt=args.format)
-        elif args.format == "csv":
-            rows = curve_to_csv_rows(curves[0])
-            for c in curves[1:]:
-                rows.extend(curve_to_csv_rows(c)[1:])  # one header only
-            out.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        else:
-            out.write_text(
-                json.dumps([curve_to_dict(c) for c in curves], indent=2) + "\n",
-                encoding="utf-8",
-            )
+        write_curve(out, *curves, fmt=args.format)
 
     for c in curves:
         first = c.samples[0][1]
@@ -216,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = dict(add_help=True)
-    p_region = sub.add_parser("region", help="sweep a rate region", **common)
+    p_region = sub.add_parser("region", help="sweep a rate region")
     p_region.add_argument("--scenario", required=True,
                           help="preset name, JSON file, or 'random'")
     p_region.add_argument("--method", default="proper-pure",
@@ -230,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--format", choices=("csv", "json"), default="csv")
     p_region.set_defaults(func=cmd_region)
 
-    p_rep = sub.add_parser("reproduce", help="reproduce a bundled scenario",
-                           **common)
+    p_rep = sub.add_parser("reproduce", help="reproduce a bundled scenario")
     p_rep.add_argument("figure", choices=sorted(PRESETS))
     p_rep.add_argument("--betas", type=int, default=21)
     p_rep.add_argument("--seed", type=int, default=0)

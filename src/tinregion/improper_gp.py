@@ -30,18 +30,8 @@ from .channel import (
     validate_eps,
 )
 from .errors import ValidationError
-from .rates import RatePoint, _proper_gains, rate_composite
+from .rates import RatePoint, _proper_gains
 from .timesharing import _InnerProblem
-
-__all__ = [
-    "GpResult",
-    "wsr_objective",
-    "wsr_gradient",
-    "project_psd_trace",
-    "gradient_projection",
-    "multistart",
-    "random_improper_init",
-]
 
 _LN2 = float(np.log(2.0))
 # stop once ||proj(M + G) - M|| <= GP_EPS max(P1, P2); the absolute-gain stop
@@ -142,19 +132,13 @@ def _weights(w) -> tuple[float, float]:
     return float(arr[0]), float(arr[1])
 
 
-def wsr_objective(ch: SimoChannel, m1, m2, w1: float, w2: float) -> float:
-    """Weighted sum of the composite-real rates."""
-    w1, w2 = _weights((w1, w2))
-    r = rate_composite(ch, m1, m2)
-    return w1 * r.r1 + w2 * r.r2
-
-
 def wsr_gradient(ch: SimoChannel, m1, m2, w) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the weighted sum rate w.r.t. each composite covariance.
 
     Own-link term plus the (negative semidefinite) cross term through the
     other receiver's interference covariance, from the closed-form rate
-    kernel; matches central finite differences of :func:`wsr_objective`.
+    kernel; matches central finite differences of ``w1 r1 + w2 r2`` from
+    :func:`~tinregion.rates.rate_composite`.
     """
     w = _weights(w)
     x = _state(check_composite_cov(m1)) + _state(check_composite_cov(m2))

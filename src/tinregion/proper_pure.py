@@ -21,17 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SimoChannel, validate_channel, validate_eps
+from .channel import SimoChannel, real_scalar, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
 from .rates import RatePoint, _proper_gains, _proper_rates, mmse_filter, rate_proper
-
-__all__ = [
-    "RateProfile",
-    "BalanceResult",
-    "dominant_eigenpair",
-    "gamma_of_R",
-    "balance_pure_proper",
-]
 
 # Feasibility margin reported for R = 0 (all-zero rate targets).
 GAMMA_CAP = 1e18
@@ -50,14 +42,16 @@ class RateProfile:
     rho2: float
 
     def __post_init__(self):
-        if not (0.0 <= self.rho1 <= 1.0 and 0.0 <= self.rho2 <= 1.0):
+        rho1, rho2 = real_scalar("rho1", self.rho1), real_scalar("rho2", self.rho2)
+        if not (0.0 <= rho1 <= 1.0 and 0.0 <= rho2 <= 1.0):
             raise ValidationError("profile entries must lie in [0, 1]")
-        if abs(self.rho1 + self.rho2 - 1.0) > 1e-9:
+        if abs(rho1 + rho2 - 1.0) > 1e-9:
             raise ValidationError("profile must sum to 1")
 
     @classmethod
     def from_beta(cls, beta: float) -> "RateProfile":
-        return cls(float(beta), float(1.0 - beta))
+        beta = real_scalar("beta", beta)
+        return cls(beta, 1.0 - beta)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """TIN rate formulas: improper complex form, composite-real form, proper
-special case, filter-SINR form, and the enhanced-channel upper bound.
+special case, the MMSE receive filter, and the enhanced-channel upper bound.
 
 All rates are in bits per channel use.  Each receiver treats the other
 user's signal as additional Gaussian noise.
@@ -14,6 +14,7 @@ single-user shortcuts of pure balancing.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -26,20 +27,10 @@ from .channel import (
     check_composite_cov,
     composite_real_embed,
     enhance_channel,
+    real_scalar,
     validate_strategy,
 )
 from .errors import TinRegionError, ValidationError
-
-__all__ = [
-    "RatePoint",
-    "rate_complex",
-    "rate_composite",
-    "rate_proper",
-    "sinr",
-    "mmse_filter",
-    "enhanced_upper_bound",
-    "transformed_rates",
-]
 
 _LN2 = float(np.log(2.0))
 
@@ -140,7 +131,8 @@ def rate_composite(ch: SimoChannel, m1, m2) -> RatePoint:
 
 def rate_proper(ch: SimoChannel, p1: float, p2: float) -> RatePoint:
     """Rate pair for proper signaling with transmit powers ``(p1, p2)``."""
-    if not (np.isfinite(p1) and np.isfinite(p2) and p1 >= 0 and p2 >= 0):
+    p1, p2 = real_scalar("p1", p1), real_scalar("p2", p2)
+    if not (math.isfinite(p1) and math.isfinite(p2) and p1 >= 0 and p2 >= 0):
         raise ValidationError(f"powers must be finite and nonnegative, got {p1}, {p2}")
     r1, r2 = _proper_rates(_proper_gains(ch), p1, p2)
     return RatePoint(_clip_rate(r1), _clip_rate(r2))
@@ -158,20 +150,6 @@ def mmse_filter(ch: SimoChannel, k: int, p_j: float) -> np.ndarray:
     hkj = ch.cross(k)
     cs = p_j * np.outer(hkj, hkj.conj()) + np.eye(len(hkk))
     return np.linalg.solve(cs, hkk)
-
-
-def sinr(ch: SimoChannel, w1, w2, p1: float, p2: float) -> tuple[float, float]:
-    """Per-user SINRs for given receive filters and transmit powers."""
-    out = []
-    for k, w, pk, pj in ((1, w1, p1, p2), (2, w2, p2, p1)):
-        w = np.asarray(w, dtype=complex)
-        nw = float(np.vdot(w, w).real)
-        if nw <= 0.0:
-            raise ValidationError(f"zero receive filter for user {k}")
-        sig = abs(np.vdot(w, ch.direct(k))) ** 2 * pk
-        intf = abs(np.vdot(w, ch.cross(k))) ** 2 * pj
-        out.append(sig / (intf + nw))
-    return out[0], out[1]
 
 
 def transformed_rates(tc: TransformedChannel, x: TxStrategy) -> RatePoint:

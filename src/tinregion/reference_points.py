@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ReferenceCheck", "REFERENCE_CHECKS"]
-
 
 @dataclass(frozen=True)
 class ReferenceCheck:

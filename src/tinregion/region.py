@@ -7,24 +7,12 @@ import json
 import math
 from dataclasses import dataclass
 
-from .channel import SimoChannel, load_scenario, validate_channel
+from .channel import SimoChannel, load_scenario, real_scalar, validate_channel
 from .errors import ValidationError
 from .improper_gp import multistart
 from .proper_pure import RateProfile, balance_pure_proper
 from .rates import RatePoint
 from .timesharing import cutting_plane, primal_recovery
-
-__all__ = [
-    "RegionCurve",
-    "METHODS",
-    "sweep_region",
-    "convex_hull_2d",
-    "contains",
-    "preset_scenario",
-    "PRESETS",
-    "curve_to_csv_rows",
-    "curve_to_dict",
-]
 
 METHODS = (
     "proper-pure",
@@ -113,7 +101,7 @@ def sweep_region(
     validate_channel(ch)
     if eps is None:
         eps = 1e-2 if method == "proper-timesharing" else 1e-6
-    betas = sorted(float(b) for b in betas)
+    betas = sorted(real_scalar("betas", b) for b in betas)
     if not betas:
         raise ValidationError("empty beta grid")
     if not all(0 <= b <= 1 for b in betas):
@@ -211,8 +199,11 @@ def contains(region: RegionCurve, pt, tol: float = 0.0) -> bool:
     return y <= best + tol
 
 
+CSV_HEADER = "method,beta,r1,r2"
+
+
 def curve_to_csv_rows(curve: RegionCurve) -> list[str]:
-    rows = ["method,beta,r1,r2"]
+    rows = [CSV_HEADER]
     for beta, p in curve.samples:
         rows.append(f"{curve.method},{beta:.12g},{p.r1:.12g},{p.r2:.12g}")
     return rows
@@ -227,11 +218,15 @@ def curve_to_dict(curve: RegionCurve) -> dict:
     }
 
 
-def write_curve(path, curve: RegionCurve, fmt: str = "csv") -> None:
+def write_curve(path, *curves: RegionCurve, fmt: str = "csv") -> None:
+    """Write one or more curves: CSV rows under one header, or JSON (one
+    curve's object, or a list of them)."""
     if fmt == "csv":
-        text = "\n".join(curve_to_csv_rows(curve)) + "\n"
+        rows = [row for c in curves for row in curve_to_csv_rows(c)[1:]]
+        text = "\n".join([CSV_HEADER, *rows]) + "\n"
     elif fmt == "json":
-        text = json.dumps(curve_to_dict(curve), indent=2) + "\n"
+        dicts = [curve_to_dict(c) for c in curves]
+        text = json.dumps(dicts[0] if len(dicts) == 1 else dicts, indent=2) + "\n"
     else:
         raise ValidationError(f"unknown format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:

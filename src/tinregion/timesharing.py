@@ -24,20 +24,10 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .channel import SimoChannel, validate_channel, validate_eps
+from .channel import SimoChannel, real_scalar, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
 from .proper_pure import RateProfile
 from .rates import RatePoint, _proper_gains, _proper_rates, rate_proper
-
-__all__ = [
-    "DualVariables",
-    "TimeSharingSolution",
-    "solve_inner",
-    "dual_value",
-    "cutting_plane",
-    "primal_recovery",
-    "Cut",
-]
 
 
 def linprog(*args, **kwargs):
@@ -87,7 +77,7 @@ class DualVariables:
     lam2: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, astuple(self))):
+        if not all(math.isfinite(real_scalar("multipliers", v)) for v in astuple(self)):
             raise ValidationError("multipliers must be finite")
         if self.mu1 < 0 or self.mu2 < 0:
             raise ValidationError("rate multipliers must be nonnegative")
@@ -309,23 +299,6 @@ def _exact_inner(prob: _InnerProblem):
     p1, vals = prob.p1_max(p2, cap1)
     i = int(np.argmax(vals))
     return (float(p1[i]), float(p2[i])), float(vals[i])
-
-
-def solve_inner(ch: SimoChannel, dv: DualVariables) -> tuple[tuple[float, float], float]:
-    """Global maximization of the penalized proper sum rate.
-
-    Returns a maximizing power vector and the maximum, exact up to the
-    roundoff of the resultant's roots (see :func:`_exact_inner`).
-    """
-    validate_channel(ch)
-    prob = _InnerProblem(_proper_gains(ch), (dv.mu1, dv.mu2), (dv.lam1, dv.lam2))
-    return _exact_inner(prob)
-
-
-def dual_value(ch: SimoChannel, dv: DualVariables) -> float:
-    """Dual objective: power-budget term plus the inner maximum."""
-    _, val = solve_inner(ch, dv)
-    return dv.lam1 * ch.p1 + dv.lam2 * ch.p2 + val
 
 
 def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, work=None):

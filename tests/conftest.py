@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from tinregion import preset_scenario
+from tinregion import preset_scenario, rate_composite
 from tinregion.channel import SimoChannel, validate_channel
 
 
@@ -40,6 +40,31 @@ def random_strategy(rng, p1=10.0, p2=10.0):
         ct1=c1 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
         ct2=c2 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
     )
+
+
+def scenario_dict(ch):
+    """The scenario object that ``load_scenario`` reads back as ``ch``."""
+    out = {name: [[float(z.real), float(z.imag)] for z in np.asarray(getattr(ch, name))]
+           for name in ("h11", "h12", "h21", "h22")}
+    return dict(out, p1=float(ch.p1), p2=float(ch.p2))
+
+
+def filter_sinr(ch, w1, w2, p1, p2):
+    """Per-user SINRs ``|w^H h_kk|^2 p_k / (|w^H h_kj|^2 p_j + |w|^2)`` of the
+    receive filters ``w1``, ``w2`` at transmit powers ``(p1, p2)``."""
+    out = []
+    for w, hkk, hkj, pk, pj in ((w1, ch.h11, ch.h12, p1, p2), (w2, ch.h22, ch.h21, p2, p1)):
+        w = np.asarray(w, dtype=complex)
+        out.append(abs(np.vdot(w, hkk)) ** 2 * pk
+                   / (abs(np.vdot(w, hkj)) ** 2 * pj + np.vdot(w, w).real))
+    return out[0], out[1]
+
+
+def wsr(ch, m1, m2, w1, w2):
+    """Weighted sum of the composite-real rates, the objective whose finite
+    differences check ``improper_gp.wsr_gradient``."""
+    r = rate_composite(ch, m1, m2)
+    return w1 * r.r1 + w2 * r.r2
 
 
 def root_corner(ch, dv):

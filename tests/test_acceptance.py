@@ -42,13 +42,14 @@ from tinregion import (
     rate_complex,
     rate_composite,
     rate_proper,
-    solve_inner,
     sweep_region,
     transform_channel,
     transformed_rates,
-    wsr_gradient,
-    wsr_objective,
 )
+from tinregion.channel import validate_channel
+from tinregion.improper_gp import wsr_gradient
+from tinregion.rates import _proper_gains
+from tinregion.timesharing import _exact_inner, _InnerProblem
 
 from conftest import (
     grid_oracle,
@@ -56,6 +57,7 @@ from conftest import (
     pure_balanced_oracle,
     random_channel,
     random_strategy,
+    wsr,
 )
 
 PRESET_NAMES = ("fig1", "fig2", "fig3")
@@ -471,7 +473,9 @@ def test_criterion_10_inner_oracle(channels):
             dv = DualVariables(
                 mu1, 2 - mu1, rng.uniform(0.02, 0.5), rng.uniform(0.02, 0.5)
             )
-            _, val = solve_inner(ch, dv)
+            prob = _InnerProblem(_proper_gains(validate_channel(ch)),
+                                 (dv.mu1, dv.mu2), (dv.lam1, dv.lam2))
+            _, val = _exact_inner(prob)
             worst = max(worst, abs(val - grid_oracle(ch, dv)))
     ok = worst <= 1e-3
     assert _report(
@@ -506,8 +510,8 @@ def test_criterion_11_gradient_check(channels):
                     up[which] = m + h * e
                     dn[which] = m - h * e
                     fd = (
-                        wsr_objective(ch, up[0], up[1], *w)
-                        - wsr_objective(ch, dn[0], dn[1], *w)
+                        wsr(ch, up[0], up[1], *w)
+                        - wsr(ch, dn[0], dn[1], *w)
                     ) / (2 * h)
                     an = g[i, j] * (2.0 if i != j else 1.0)
                     worst = max(worst, abs(fd - an) / max(1e-8, abs(fd)))

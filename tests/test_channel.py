@@ -1,28 +1,33 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tinregion import (
+    DualVariables,
     RateProfile,
     SimoChannel,
     TxStrategy,
     ValidationError,
     balance_pure_proper,
     composite_cov_from_strategy,
-    composite_real_embed,
     cutting_plane,
-    enhance_channel,
-    gradient_projection,
     multistart,
     rate_complex,
+    rate_composite,
+    rate_proper,
     strategy_from_composite_cov,
+    sweep_region,
     transform_channel,
     transformed_rates,
     validate_channel,
 )
-from tinregion.channel import _reduced_qr, load_scenario, scenario_to_dict
-from tinregion.improper_gp import random_improper_init
+from tinregion.channel import (
+    _reduced_qr, composite_real_embed, enhance_channel, load_scenario, validate_eps,
+)
+from tinregion.improper_gp import gradient_projection, random_improper_init
 
-from conftest import random_channel, random_strategy
+from conftest import random_channel, random_strategy, scenario_dict
 
 
 class TestValidation:
@@ -66,6 +71,31 @@ _EPS_SOLVERS = {
 def test_solver_rejects_bad_eps(fig1, solver, eps):
     with pytest.raises(ValidationError, match="eps must be positive and finite"):
         _EPS_SOLVERS[solver](fig1, eps)
+
+
+_NON_REAL = {
+    "p1-str": lambda ch: validate_channel(replace(ch, p1="10")),
+    "p1-none": lambda ch: validate_channel(replace(ch, p1=None)),
+    "p1-complex": lambda ch: validate_channel(replace(ch, p1=1 + 1j)),
+    "p1-array": lambda ch: validate_channel(replace(ch, p1=np.array([1.0, 2.0]))),
+    "eps": lambda ch: validate_eps("x"),
+    "balance-eps": lambda ch: balance_pure_proper(ch, RateProfile(0.5, 0.5), eps="x"),
+    "cutting-plane-eps": lambda ch: cutting_plane(ch, RateProfile(0.5, 0.5), eps="x"),
+    "rate-proper-power": lambda ch: rate_proper(ch, "1", 2),
+    "strategy-variance": lambda ch: rate_complex(ch, TxStrategy("a", 1)),
+    "strategy-pseudovariance": lambda ch: rate_complex(ch, TxStrategy(1, 1, "a")),
+    "composite-pseudovariance": lambda ch: composite_cov_from_strategy(1.0, "a"),
+    "profile": lambda ch: RateProfile("a", 0.5),
+    "profile-beta": lambda ch: RateProfile.from_beta("0.5"),
+    "multiplier": lambda ch: DualVariables("a", 1.0, 0.1, 0.1),
+    "beta": lambda ch: sweep_region(ch, "proper-pure", ["a"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_REAL))
+def test_non_real_scalars_raise_validation_error(fig1, case):
+    with pytest.raises(ValidationError, match="must be a"):
+        _NON_REAL[case](fig1)
 
 
 class TestEmbedding:
@@ -142,6 +172,17 @@ class TestCompositeCov:
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError, match="indefinite"):
             strategy_from_composite_cov([[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, fig1, bad):
+        for m in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(ValidationError, match="non-finite"):
+                strategy_from_composite_cov(m)
+            with pytest.raises(ValidationError, match="non-finite"):
+                rate_composite(fig1, m, np.eye(2))
+        for c, ct in ((bad, 0.0), (1.0, complex(0.0, bad)), (bad, bad)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                composite_cov_from_strategy(c, ct)
 
 
 class TestReducedQr:
@@ -240,7 +281,7 @@ class TestTransform:
 
 class TestScenarioIo:
     def test_round_trip(self, fig2):
-        again = load_scenario(scenario_to_dict(fig2))
+        again = load_scenario(scenario_dict(fig2))
         np.testing.assert_allclose(again.h11, fig2.h11)
         np.testing.assert_allclose(again.h21, fig2.h21)
         assert again.p1 == fig2.p1

@@ -6,6 +6,8 @@ import pytest
 from tinregion import cli, preset_scenario, region
 from tinregion.cli import main
 
+from conftest import scenario_dict
+
 
 def test_region_csv(tmp_path, capsys):
     out = tmp_path / "r.csv"
@@ -56,6 +58,30 @@ def test_region_multi_method_csv(tmp_path):
     assert files["proper-pure,hull"].read_bytes() == want
 
 
+def test_region_multi_method_json(tmp_path):
+    # a list of the per-method objects, each as its own file has it
+    base = ["region", "--scenario", "fig1", "--betas", "0.2,0.5,0.9",
+            "--format", "json"]
+    files = {}
+    for method in ("proper-pure,hull", "proper-pure", "hull"):
+        files[method] = tmp_path / f"{method.replace(',', '+')}.json"
+        assert main(base + ["--method", method, "--out", str(files[method])]) == 0
+    singles = [json.loads(files[m].read_text()) for m in ("proper-pure", "hull")]
+    assert [s["method"] for s in singles] == ["proper-pure", "convex-hull"]
+    text = files["proper-pure,hull"].read_text()
+    assert json.loads(text) == singles
+    assert text == json.dumps(singles, indent=2) + "\n"
+
+
+def test_region_no_method(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    rc = main(["region", "--scenario", "fig1", "--method", ",", "--betas", "3",
+               "--out", str(out)])
+    assert rc == 2
+    assert "no method" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_region_deterministic_bytes(tmp_path):
     args = [
         "region", "--scenario", "fig3", "--method", "improper",
@@ -84,11 +110,8 @@ def test_region_unknown_method(capsys):
 
 
 def test_region_scenario_file_roundtrip(tmp_path):
-    from tinregion import preset_scenario
-    from tinregion.channel import scenario_to_dict
-
     path = tmp_path / "scen.json"
-    path.write_text(json.dumps(scenario_to_dict(preset_scenario("fig1"))))
+    path.write_text(json.dumps(scenario_dict(preset_scenario("fig1"))))
     out = tmp_path / "r.csv"
     rc = main(["region", "--scenario", str(path), "--method", "proper-pure",
                "--betas", "0.5", "--out", str(out)])

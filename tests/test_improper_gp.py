@@ -11,21 +11,20 @@ from tinregion import (
     SimoChannel,
     ValidationError,
     composite_cov_from_strategy,
-    gradient_projection,
     improper_gp,
     multistart,
     preset_scenario,
-    project_psd_trace,
     rate_composite,
     rate_proper,
     strategy_from_composite_cov,
     sweep_region,
-    wsr_gradient,
-    wsr_objective,
 )
-from tinregion.improper_gp import GP_EPS, GP_MAX_ITER, random_improper_init
+from tinregion.improper_gp import (
+    GP_EPS, GP_MAX_ITER, gradient_projection, project_psd_trace, random_improper_init,
+    wsr_gradient,
+)
 
-from conftest import proper_rates, random_channel
+from conftest import proper_rates, random_channel, wsr
 
 
 def _random_improper(rng, p):
@@ -133,7 +132,7 @@ def _assert_matches_reference(res, ref):
 
 class TestObjective:
     def test_zero(self, fig1):
-        assert wsr_objective(fig1, np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1.0) == 0.0
+        assert wsr(fig1, np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1.0) == 0.0
 
     def test_single_weight(self, fig1):
         m1 = composite_cov_from_strategy(6.0, 2.0)
@@ -141,13 +140,13 @@ class TestObjective:
         from tinregion import rate_composite
 
         r = rate_composite(fig1, m1, m2)
-        assert abs(wsr_objective(fig1, m1, m2, 1.0, 0.0) - r.r1) <= 1e-12
+        assert abs(wsr(fig1, m1, m2, 1.0, 0.0) - r.r1) <= 1e-12
 
     def test_full_power_proper(self, fig1):
         m1 = np.diag([5.0, 5.0])
         m2 = np.diag([5.0, 5.0])
         r = rate_proper(fig1, 10.0, 10.0)
-        assert abs(wsr_objective(fig1, m1, m2, 1.0, 1.0) - (r.r1 + r.r2)) <= 1e-10
+        assert abs(wsr(fig1, m1, m2, 1.0, 1.0) - (r.r1 + r.r2)) <= 1e-10
 
 
 class TestGradient:
@@ -170,8 +169,8 @@ class TestGradient:
                         up[which] = m + h * e
                         dn[which] = m - h * e
                         fd = (
-                            wsr_objective(fig1, up[0], up[1], *w)
-                            - wsr_objective(fig1, dn[0], dn[1], *w)
+                            wsr(fig1, up[0], up[1], *w)
+                            - wsr(fig1, dn[0], dn[1], *w)
                         ) / (2 * h)
                         an = g[i, j] * (2.0 if i != j else 1.0)
                         worst = max(worst, abs(fd - an) / max(1e-8, abs(fd)))
@@ -423,7 +422,7 @@ class TestGradientProjection:
     def test_monotone_and_feasible(self, fig1):
         rng = np.random.default_rng(44)
         init = random_improper_init(fig1, rng)
-        w0 = wsr_objective(fig1, init[0], init[1], 1.0, 1.0)
+        w0 = wsr(fig1, init[0], init[1], 1.0, 1.0)
         res = gradient_projection(fig1, (1.0, 1.0), init)
         assert res.W >= w0 - 1e-12
         for m, p in ((res.m1, fig1.p1), (res.m2, fig1.p2)):
@@ -457,7 +456,7 @@ class TestReferenceEquivalence:
         init = random_improper_init(fig1, np.random.default_rng(0))
         ref = _reference_gp(fig1, (0.05, 0.95), init)
         assert ref[3]
-        assert runs[0].W > wsr_objective(fig1, *init, 0.05, 0.95) + 0.1
+        assert runs[0].W > wsr(fig1, *init, 0.05, 0.95) + 0.1
         _assert_matches_reference(runs[0], ref)
 
     def test_restart_from_best(self, fig1):
@@ -505,9 +504,8 @@ class TestInputValidation:
             gradient_projection(fig1, w, (m, m))
         with pytest.raises(ValidationError):
             wsr_gradient(fig1, m, m, w)
-        if len(w) == 2:
-            with pytest.raises(ValidationError):
-                wsr_objective(fig1, m, m, *w)
+        with pytest.raises(ValidationError):
+            improper_gp._weights(w)
 
     @pytest.mark.parametrize("user", [0, 1])
     def test_init_over_budget(self, fig1, user):
@@ -721,5 +719,5 @@ class TestFeasibleAscent:
             assert res.converged
             assert res.residual <= 1e-4 * scale
             # W is the objective at the returned point, no worse than the start's
-            assert abs(wsr_objective(ch, res.m1, res.m2, *w) - res.W) <= 1e-12
-            assert res.W >= wsr_objective(ch, *init, *w) - 1e-12
+            assert abs(wsr(ch, res.m1, res.m2, *w) - res.W) <= 1e-12
+            assert res.W >= wsr(ch, *init, *w) - 1e-12

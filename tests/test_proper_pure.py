@@ -8,14 +8,12 @@ from tinregion import (
     RateProfile,
     ValidationError,
     balance_pure_proper,
-    dominant_eigenpair,
-    gamma_of_R,
-    mmse_filter,
     rate_proper,
 )
-from tinregion.proper_pure import GAMMA_CAP
+from tinregion.proper_pure import GAMMA_CAP, dominant_eigenpair, gamma_of_R
+from tinregion.rates import mmse_filter
 
-from conftest import pure_balanced_oracle, random_channel
+from conftest import filter_sinr, pure_balanced_oracle, random_channel
 
 
 def _char_poly_dominant_root(a):
@@ -250,12 +248,10 @@ class TestEdgeRoot:
 class TestMmseFilterProperties:
     def test_filter_optimal_within_balance(self, fig2):
         # the returned filter beats sampled alternatives at the same powers
-        from tinregion.rates import sinr
-
         rng = np.random.default_rng(22)
         w1 = mmse_filter(fig2, 1, 3.0)
-        base, _ = sinr(fig2, w1, fig2.h22, 5.0, 3.0)
+        base, _ = filter_sinr(fig2, w1, fig2.h22, 5.0, 3.0)
         for _ in range(100):
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            g, _ = sinr(fig2, w, fig2.h22, 5.0, 3.0)
+            g, _ = filter_sinr(fig2, w, fig2.h22, 5.0, 3.0)
             assert g <= base + 1e-12

@@ -6,20 +6,19 @@ import pytest
 from tinregion import (
     TxStrategy,
     ValidationError,
+    channel_from_transform,
     composite_cov_from_strategy,
-    enhance_channel,
     enhanced_upper_bound,
-    mmse_filter,
     rate_complex,
     rate_composite,
     rate_proper,
-    sinr,
     transform_channel,
     transformed_rates,
 )
-from tinregion.channel import channel_from_transform
+from tinregion.channel import enhance_channel
+from tinregion.rates import mmse_filter
 
-from conftest import random_channel, random_strategy
+from conftest import filter_sinr, random_channel, random_strategy
 
 
 class TestEndpoints:
@@ -139,7 +138,7 @@ class TestComposite:
 
 class TestSinr:
     def test_matched_filter_no_interference(self, fig1):
-        g1, g2 = sinr(fig1, fig1.h11, fig1.h22, 3.0, 0.0)
+        g1, g2 = filter_sinr(fig1, fig1.h11, fig1.h22, 3.0, 0.0)
         assert abs(g1 - 3.0 * np.linalg.norm(fig1.h11) ** 2) <= 1e-10
         assert g2 == 0.0
 
@@ -147,7 +146,7 @@ class TestSinr:
         for ch in (fig1, fig2):
             w1 = mmse_filter(ch, 1, 10.0)
             w2 = mmse_filter(ch, 2, 10.0)
-            g1, g2 = sinr(ch, w1, w2, 10.0, 10.0)
+            g1, g2 = filter_sinr(ch, w1, w2, 10.0, 10.0)
             r = rate_proper(ch, 10.0, 10.0)
             assert abs(np.log2(1 + g1) - r.r1) <= 1e-10
             assert abs(np.log2(1 + g2) - r.r2) <= 1e-10
@@ -155,10 +154,10 @@ class TestSinr:
     def test_mmse_dominates_random_filters(self, fig1):
         rng = np.random.default_rng(13)
         w1 = mmse_filter(fig1, 1, 10.0)
-        g_best, _ = sinr(fig1, w1, fig1.h22, 10.0, 10.0)
+        g_best, _ = filter_sinr(fig1, w1, fig1.h22, 10.0, 10.0)
         for _ in range(100):
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            g, _ = sinr(fig1, w, fig1.h22, 10.0, 10.0)
+            g, _ = filter_sinr(fig1, w, fig1.h22, 10.0, 10.0)
             assert g <= g_best + 1e-12
 
     def test_mmse_reduces_to_matched(self, fig1):

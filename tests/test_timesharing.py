@@ -15,21 +15,19 @@ from tinregion import (
     ValidationError,
     balance_pure_proper,
     cutting_plane,
-    dual_value,
-    gamma_of_R,
     primal_recovery,
     rate_complex,
     rate_proper,
-    solve_inner,
     sweep_region,
 )
 from tinregion import region, timesharing
-from tinregion.channel import SimoChannel
+from tinregion.channel import SimoChannel, validate_channel
 from tinregion.errors import ConvergenceError
+from tinregion.proper_pure import gamma_of_R
 from tinregion.rates import _proper_gains
 from tinregion.timesharing import (
     _COLLEAGUE, _COLLEAGUE_WEIGHT, _EDGES, LAMBDA_FLOOR, _ROOT_SLACK, Cut,
-    _InnerProblem, _colleague_roots, _master, _lambda_max,
+    _InnerProblem, _colleague_roots, _exact_inner, _master, _lambda_max,
 )
 
 from conftest import (
@@ -89,6 +87,16 @@ class TestMmObjective:
 def _problem(ch, dv):
     """The library's inner problem on ``ch`` at multipliers ``dv``."""
     return _InnerProblem(_proper_gains(ch), (dv.mu1, dv.mu2), (dv.lam1, dv.lam2))
+
+
+def solve_inner(ch, dv):
+    """The inner maximizer and maximum that ``cutting_plane`` cuts with."""
+    return _exact_inner(_problem(validate_channel(ch), dv))
+
+
+def dual_value(ch, dv):
+    """Dual objective: power-budget term plus the inner maximum."""
+    return dv.lam1 * ch.p1 + dv.lam2 * ch.p2 + solve_inner(ch, dv)[1]
 
 
 def _swap_users(ch):
