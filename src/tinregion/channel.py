@@ -80,6 +80,14 @@ def real_scalar(name: str, v) -> float:
     return float(v)
 
 
+def int_scalar(name: str, v, least: int = 0) -> int:
+    """``v`` as an int, or ``ValidationError`` unless it is one integer (a
+    Python or NumPy integer, not a float or string) of at least ``least``."""
+    if not isinstance(v, (int, np.integer)) or v < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {v!r}")
+    return int(v)
+
+
 def complex_scalar(name: str, v) -> complex:
     """``v`` as a complex, or ``ValidationError`` unless it is one number."""
     if not isinstance(v, _NUMBER):
@@ -112,16 +120,20 @@ def validate_eps(eps: float) -> float:
 
 
 def _as_cvector(name: str, v) -> np.ndarray:
-    arr = np.asarray(v, dtype=complex)
+    arr = np.asarray(v)
+    if arr.dtype.kind not in "biufc":
+        raise ValidationError(f"{name} must be a vector of numbers, got {v!r}")
     if arr.ndim != 1 or arr.size < 1:
         raise ValidationError(f"{name}: expected a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name}: non-finite entry")
-    return arr
+    return arr.astype(complex)
 
 
 def validate_channel(ch: SimoChannel) -> SimoChannel:
     """Validate dimensions, finiteness, and power budgets; return ``ch``."""
+    if not isinstance(ch, SimoChannel):
+        raise ValidationError(f"channel must be a SimoChannel, got {ch!r}")
     h11 = _as_cvector("h11", ch.h11)
     h12 = _as_cvector("h12", ch.h12)
     h21 = _as_cvector("h21", ch.h21)

@@ -26,6 +26,7 @@ from .channel import (
     SimoChannel,
     composite_cov_from_strategy,
     check_composite_cov,
+    int_scalar,
     validate_channel,
     validate_eps,
 )
@@ -320,9 +321,8 @@ def multistart(
     validate_channel(ch)
     validate_eps(eps)
     w = _weights(w)
-    if not isinstance(n_starts, (int, np.integer)) or n_starts < 1:
-        raise ValidationError(f"need a positive integer number of starts: {n_starts!r}")
-    rng = np.random.default_rng(seed)
+    n_starts = int_scalar("n_starts", n_starts, 1)
+    rng = np.random.default_rng(int_scalar("seed", seed))
     inits = [_state(m1) + _state(m2) for m1, m2 in
              (random_improper_init(ch, rng) for _ in range(n_starts))]
     c1, c2 = _proper_seed(ch, w)

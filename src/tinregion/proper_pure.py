@@ -54,6 +54,12 @@ class RateProfile:
         return cls(beta, 1.0 - beta)
 
 
+def validate_profile(profile: RateProfile) -> None:
+    """Check that ``profile`` is a :class:`RateProfile`."""
+    if not isinstance(profile, RateProfile):
+        raise ValidationError(f"profile must be a RateProfile, got {profile!r}")
+
+
 @dataclass(frozen=True)
 class BalanceResult:
     R: float
@@ -202,6 +208,7 @@ def balance_pure_proper(
     zero power budget), the balanced point is ``R = 0`` at zero powers.
     """
     validate_channel(ch)
+    validate_profile(profile)
     validate_eps(eps)
 
     # Degenerate single-user profiles need no root.

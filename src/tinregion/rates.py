@@ -144,7 +144,7 @@ def mmse_filter(ch: SimoChannel, k: int, p_j: float) -> np.ndarray:
     ``w = (h_kj p_j h_kj^H + I)^{-1} h_kk``; maximizes the SINR over all
     receive filters.
     """
-    if not 0 <= p_j < np.inf:
+    if not 0 <= real_scalar("interferer power", p_j) < np.inf:
         raise ValidationError(f"interferer power must be finite and >= 0, got {p_j}")
     hkk = ch.direct(k)
     hkj = ch.cross(k)

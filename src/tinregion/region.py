@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .channel import SimoChannel, load_scenario, real_scalar, validate_channel
+from .channel import SimoChannel, int_scalar, load_scenario, real_scalar, validate_channel
 from .errors import ValidationError
 from .improper_gp import multistart
 from .proper_pure import RateProfile, balance_pure_proper
@@ -99,6 +99,7 @@ def sweep_region(
     time-sharing solver.
     """
     validate_channel(ch)
+    int_scalar("seed", seed)
     if eps is None:
         eps = 1e-2 if method == "proper-timesharing" else 1e-6
     betas = sorted(real_scalar("betas", b) for b in betas)
@@ -132,7 +133,7 @@ def sweep_region(
 
 
 def _rate_pair(p) -> tuple[float, float]:
-    x, y = float(p[0]), float(p[1])
+    x, y = real_scalar("rate", p[0]), real_scalar("rate", p[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValidationError(f"non-finite rate pair ({x}, {y})")
     return x, y
@@ -182,6 +183,8 @@ def contains(region: RegionCurve, pt, tol: float = 0.0) -> bool:
     if not region.samples:
         raise ValidationError("empty region")
     x, y = _rate_pair(pt)
+    if not math.isfinite(real_scalar("tol", tol)):
+        raise ValidationError(f"tol must be a finite number, got {tol!r}")
     if x < 0 or y < 0:
         return False
     pts = sorted(((p.r1, p.r2) for p in region.points()),

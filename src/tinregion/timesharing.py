@@ -11,10 +11,10 @@ model.  The candidate powers of user 2 are both ends of its range and the
 real roots of the hidden-variable resultant of the two stationarity
 polynomials (Nakatsukasa, Noferini and Townsend, Numer. Math. 2015), found
 from piecewise Chebyshev interpolants and colleague matrices (Boyd, SIAM
-Review 2013); user 1's best power for each is a root of a cubic.  A
-restricted primal LP over the collected inner maximizers recovers an
-explicit mixture of at most four strategies (HiGHS, ``scipy.optimize.linprog``,
-imported on the first recovery).
+Review 2013); user 1's best power for each is a root of a cubic.  The
+explicit mixture is the primal side of the same LP (Dantzig and Wolfe,
+Oper. Res. 1960): the convex weights of one more master, over the inner
+maximizers and the budget corners, mix at most four strategies.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ import numpy as np
 
 from .channel import SimoChannel, real_scalar, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
-from .proper_pure import RateProfile
+from .proper_pure import RateProfile, validate_profile
 from .rates import RatePoint, _proper_gains, _proper_rates, rate_proper
 
 
+# Called by nothing in the package; perfbench/layers.py wraps it (ROADMAP item 0).
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call: the primal
-    recovery is the only LP, and SciPy is most of the package's import time
-    and memory."""
+    """``scipy.optimize.linprog``, imported on the first call."""
     from scipy.optimize import linprog as highs
 
     return highs(*args, **kwargs)
@@ -303,14 +302,15 @@ def _exact_inner(prob: _InnerProblem):
 
 def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, work=None):
     """Minimizer ``y`` of the cut model ``max_i a_i . y + b_i`` over the box
-    ``lo <= y <= hi``, a certified lower bound on its minimum, and the final
-    working set, which stays dual feasible when cuts are appended.
+    ``lo <= y <= hi``, a certified lower bound on its minimum, the final
+    working set, which stays dual feasible when cuts are appended, and the
+    convex weights ``tau`` of the cuts, at most ``d + 1`` of them nonzero.
 
     A dual simplex on the epigraph ``t >= a_i . y + b_i`` from ``work``, or
     else from the highest cut at ``hi`` and the box rows its slope points
     to.  Each pivot enters the first violated row and drops the row the
     dual ratio test picks, ties to the first (Bland's rule).  By weak
-    duality the convex weights ``tau`` of the cut multipliers give the bound
+    duality ``tau``, the cut multipliers scaled to sum 1, gives the bound
     ``tau . b + min over the box of (tau a) . y``, whatever roundoff the
     pivots made.
     """
@@ -336,13 +336,14 @@ def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, work=N
         enter = np.nonzero(slack < -1e-12 * (np.abs(G) @ np.abs(x) + np.abs(h)))[0]
         if not enter.size:
             # only cut rows have a t-coefficient; theirs is 1 / norm
-            w = np.where(basis[:, d] > 0, mult, 0.0)
-            v = w @ basis
-            g = v[:d] / -v[d]
-            bound = (w @ rhs) / v[d] + np.minimum(g * lo, g * hi).sum()
+            tau = np.zeros(len(G))
+            tau[work] = np.where(basis[:, d] > 0, mult, 0.0) / norm[work]
+            tau = tau[2 * d:] / tau.sum()
+            g = tau @ a
+            bound = tau @ b + np.minimum(g * lo, g * hi).sum()
             # one refinement step: a steep cut magnifies the error of y
             x += inv @ (rhs - basis @ x)
-            return np.clip(x[:d], lo, hi), bound, work
+            return np.clip(x[:d], lo, hi), bound, work, tau
         alpha = G[enter[0]] @ inv  # the entering row in terms of the basis
         pos = alpha > 1e-12 * np.abs(alpha).max()
         ratio = np.where(pos, mult, np.inf) / np.where(pos, alpha, 1.0)
@@ -359,6 +360,22 @@ def _lambda_max(ch: SimoChannel, profile: RateProfile) -> float:
     return 10.0 * max(g[k] / rho[k] for k in (0, 1) if rho[k] > 0) / _LN2
 
 
+def _multiplier_box(ch: SimoChannel, profile: RateProfile):
+    """The master's multipliers ``(mu1, mu2, lam1, lam2) = z0 + E y`` over
+    the box ``lo <= y <= hi``, as ``(z0, E, lo, hi)``: ``mu`` is eliminated
+    through ``rho . mu = 1``, so ``y = (mu2, lam1, lam2)``, or ``y = (lam1,
+    lam2)`` at a fixed ``mu`` when one rho is 0, and ``lam >= LAMBDA_FLOOR``."""
+    rho1, rho2 = profile.rho1, profile.rho2
+    lam_max = max(_lambda_max(ch, profile), 10 * LAMBDA_FLOOR)
+    lo, hi = np.full(2, LAMBDA_FLOOR), np.full(2, lam_max)
+    if rho1 > 0 and rho2 > 0:
+        E = np.eye(4)[:, 1:]
+        E[0, 0] = -rho2 / rho1
+        return np.r_[1.0 / rho1, 0.0, 0.0, 0.0], E, np.r_[0.0, lo], np.r_[1.0 / rho2, hi]
+    mu = (1.0 / rho1, 0.0) if rho1 > 0 else (0.0, 1.0 / rho2)
+    return np.r_[mu, 0.0, 0.0], np.eye(4)[:, 2:], lo, hi
+
+
 def cutting_plane(
     ch: SimoChannel,
     profile: RateProfile,
@@ -367,14 +384,14 @@ def cutting_plane(
 ) -> tuple[float, DualVariables, list[Cut]]:
     """Minimize the dual by Kelley's cutting-plane method.
 
-    Each iteration minimizes the affine cut model over the compact
-    multiplier domain (the master LP, solved in NumPy by :func:`_master`
-    with ``mu`` eliminated through ``rho . mu = 1``), then evaluates the true
-    dual (via the exact inner solve, plus ``_ROOT_SLACK`` for root error) at
-    the master's minimizer to add a new cut.  Stops when the gap between the
-    best evaluated dual value and the master's weak-duality lower bound,
-    taken from its multipliers rather than its primal value, is at most
-    ``eps``; the gap holds the slack, so ``eps`` must exceed ``_ROOT_SLACK``.
+    Each iteration minimizes the affine cut model over the multiplier box
+    of :func:`_multiplier_box` (the master LP, solved by :func:`_master`),
+    then evaluates the true dual (via the exact inner solve, plus
+    ``_ROOT_SLACK`` for root error) at the master's minimizer to add a cut.
+    Stops when the gap between the best evaluated dual value and the
+    master's weak-duality lower bound, taken from its multipliers rather
+    than its primal value, is at most ``eps``; the gap holds the slack, so
+    ``eps`` must exceed ``_ROOT_SLACK``.
 
     ``seed_cuts`` warm-starts the affine model.  The dual function itself
     does not depend on the profile (only the multiplier constraint does),
@@ -383,25 +400,13 @@ def cutting_plane(
     recomputed under the current profile's constraint.
     """
     validate_channel(ch)
+    validate_profile(profile)
     validate_eps(eps)
     if eps <= _ROOT_SLACK:
         raise ValidationError(f"eps must exceed the root slack {_ROOT_SLACK}, got {eps}")
-    lam_max = max(_lambda_max(ch, profile), 10 * LAMBDA_FLOOR)
-    if profile.rho1 > 0 and profile.rho2 > 0:
-        mu0 = (1.0, 1.0)  # satisfies rho1*mu1 + rho2*mu2 = 1
-    elif profile.rho1 > 0:
-        mu0 = (1.0 / profile.rho1, 0.0)
-    else:
-        mu0 = (0.0, 1.0 / profile.rho2)
-    # The master eliminates mu through rho . mu = 1: the multipliers are
-    # z0 + E y with y = (mu2, lam1, lam2) in a box, or y = (lam1, lam2) at a
-    # fixed mu when one rho is 0.
-    z0, E = np.r_[mu0, 0.0, 0.0], np.eye(4)[:, 2:]
-    lo, hi = np.full(2, LAMBDA_FLOOR), np.full(2, lam_max)
-    if profile.rho1 > 0 and profile.rho2 > 0:
-        z0, E = np.r_[1.0 / profile.rho1, 0.0, 0.0, 0.0], np.eye(4)[:, 1:]
-        E[0, 0] = -profile.rho2 / profile.rho1
-        lo, hi = np.r_[0.0, lo], np.r_[1.0 / profile.rho2, hi]
+    z0, E, lo, hi = _multiplier_box(ch, profile)
+    # rho1*mu1 + rho2*mu2 = 1
+    mu0 = (1.0, 1.0) if profile.rho1 > 0 and profile.rho2 > 0 else tuple(z0[:2])
 
     cuts: list[Cut] = list(seed_cuts) if seed_cuts else []
     # cut i minorizes the dual by w_i . (mu1, mu2, lam1, lam2)
@@ -425,13 +430,13 @@ def cutting_plane(
         # Seed the model across the multiplier scale so the first master
         # LPs do not chase the lambda floor.
         for scale in (1e-3, 1e-2, 1e-1):
-            lam0 = max(LAMBDA_FLOOR, scale * lam_max)
+            lam0 = max(LAMBDA_FLOOR, scale * hi[-1])
             add_cut(DualVariables(mu0[0], mu0[1], lam0, lam0))
 
     work = None
     for _ in range(_MAX_ITER):
         model = np.array(w)
-        y, t_model, work = _master(model @ E, model @ z0, lo, hi, work)
+        y, t_model, work, _ = _master(model @ E, model @ z0, lo, hi, work)
         if best_upper - t_model <= eps:
             return best_upper, best_dv, cuts
         mu1, mu2, lam1, lam2 = z0 + E @ y
@@ -446,53 +451,25 @@ def primal_recovery(
 ) -> TimeSharingSolution:
     """Recover an explicit time-sharing mixture from the collected cuts.
 
-    Solves the restricted primal LP over the inner maximizers: maximize the
-    common scaling subject to averaged rate targets and averaged power
-    budgets.  The cuts must come from :func:`cutting_plane` on the same
-    channel, because their rates are reused.  The LP has five rows, so a
-    basic solution uses at most four strategies.
+    Maximizing the common scaling over mixtures of the inner maximizers and
+    the power-budget corners, which let a single-user profile collapse to
+    one full-power strategy, is the LP dual of the master over the same
+    strategies, so one cold :func:`_master` gives a mixture of at most four.
+    The cuts must come from :func:`cutting_plane` on the same channel,
+    because their rates are reused.
     """
+    validate_channel(ch)
+    validate_profile(profile)
     if not cuts:
         raise ValidationError("no cuts to recover from")
-    # Candidate strategies: the inner maximizers plus the power-budget
-    # corners (always feasible, and they let degenerate profiles collapse
-    # to a single full-power strategy).  Near-identical ones are merged.
-    corners = ((ch.p1, 0.0), (0.0, ch.p2), (ch.p1, ch.p2))
-    candidates = [(cut.p_star, cut.rates) for cut in cuts]
-    candidates += [(p, rate_proper(ch, *p)) for p in corners]
-    strategies: list[tuple[float, float]] = []
-    rates: list[RatePoint] = []
-    for p_star, r in candidates:
-        for p in strategies:
-            if abs(p[0] - p_star[0]) <= 1e-9 and abs(p[1] - p_star[1]) <= 1e-9:
-                break
-        else:
-            strategies.append(p_star)
-            rates.append(r)
-    n = len(strategies)
-    # variables: [tau_1..tau_n, R]; maximize R
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    a_ub = np.zeros((4, n + 1))
-    a_ub[0, :n] = [-r.r1 for r in rates]
-    a_ub[1, :n] = [-r.r2 for r in rates]
-    a_ub[0, -1] = profile.rho1
-    a_ub[1, -1] = profile.rho2
-    a_ub[2:, :n] = np.transpose(strategies)
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
-    res = linprog(
-        c, A_ub=a_ub, b_ub=[0.0, 0.0, ch.p1, ch.p2], A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0.0, None)] * (n + 1), method="highs",
-    )
-    if not res.success:
-        raise ConvergenceError(f"primal recovery LP failed: {res.message}")
-    keep = [int(i) for i in np.where(res.x[:n] > 1e-9)[0]]
-    tau = res.x[keep] / res.x[keep].sum()
-    entries = tuple(
-        (float(t), float(strategies[i][0]), float(strategies[i][1]))
-        for t, i in zip(tau, keep)
-    )
-    avg_r1 = sum(t * rates[i].r1 for t, i in zip(tau, keep))
-    avg_r2 = sum(t * rates[i].r2 for t, i in zip(tau, keep))
-    return TimeSharingSolution(entries=entries, rates=RatePoint(avg_r1, avg_r2))
+    corners = [(ch.p1, 0.0), (0.0, ch.p2), (ch.p1, ch.p2)]
+    powers = np.array([cut.p_star for cut in cuts] + corners)
+    rates = np.array([cut.rates for cut in cuts] + [rate_proper(ch, *p) for p in corners])
+    model = np.c_[rates, [ch.p1, ch.p2] - powers]
+    z0, E, lo, hi = _multiplier_box(ch, profile)
+    tau = _master(model @ E, model @ z0, lo, hi)[3]
+    keep = tau > 1e-9
+    tau = tau[keep] / tau[keep].sum()
+    entries = tuple((float(t), float(p1), float(p2)) for t, (p1, p2) in zip(tau, powers[keep]))
+    r1, r2 = tau @ rates[keep]
+    return TimeSharingSolution(entries=entries, rates=RatePoint(float(r1), float(r2)))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linprog
 
 from tinregion import preset_scenario, rate_composite
 from tinregion.channel import SimoChannel, validate_channel
@@ -109,6 +109,27 @@ def proper_rates(ch, p1, p2):
     r1 = np.log2(1 + p1 * (g1 + p2 * c1) / (1 + p2 * n1))
     r2 = np.log2(1 + p2 * (g2 + p1 * c2) / (1 + p1 * n2))
     return r1, r2
+
+
+def highs_recovery(cuts, profile, ch):
+    """Largest ``R`` of a time-sharing mixture of the cuts' inner maximizers
+    and the three power-budget corners, by HiGHS: maximize ``R`` with
+    averaged rates at least ``rho_k R`` and averaged powers within the
+    budgets.  The oracle of ``primal_recovery``, which reads the same LP
+    from its master's weights."""
+    corners = [(ch.p1, 0.0), (0.0, ch.p2), (ch.p1, ch.p2)]
+    powers = np.array([cut.p_star for cut in cuts] + corners)
+    rates = np.array([cut.rates for cut in cuts] + [proper_rates(ch, *p) for p in corners])
+    n = len(powers)
+    # variables: [tau_1..tau_n, R]
+    a_ub = np.zeros((4, n + 1))
+    a_ub[:2, :n], a_ub[:2, -1] = -rates.T, (profile.rho1, profile.rho2)
+    a_ub[2:, :n] = powers.T
+    res = linprog(-np.eye(n + 1)[-1], A_ub=a_ub, b_ub=[0.0, 0.0, ch.p1, ch.p2],
+                  A_eq=[[1.0] * n + [0.0]], b_eq=[1.0], bounds=(0.0, None),
+                  method="highs")
+    assert res.success, res.message
+    return res.x[-1]
 
 
 def pure_balanced_oracle(ch, rho=(1.0, 1.0)):

@@ -11,8 +11,11 @@ from tinregion import (
     ValidationError,
     balance_pure_proper,
     composite_cov_from_strategy,
+    contains,
+    convex_hull_2d,
     cutting_plane,
     multistart,
+    primal_recovery,
     rate_complex,
     rate_composite,
     rate_proper,
@@ -26,6 +29,7 @@ from tinregion.channel import (
     _reduced_qr, composite_real_embed, enhance_channel, load_scenario, validate_eps,
 )
 from tinregion.improper_gp import gradient_projection, random_improper_init
+from tinregion.rates import mmse_filter
 
 from conftest import random_channel, random_strategy, scenario_dict
 
@@ -89,7 +93,25 @@ _NON_REAL = {
     "profile-beta": lambda ch: RateProfile.from_beta("0.5"),
     "multiplier": lambda ch: DualVariables("a", 1.0, 0.1, 0.1),
     "beta": lambda ch: sweep_region(ch, "proper-pure", ["a"]),
+    "channel-vector-str": lambda ch: validate_channel(replace(ch, h11=["a", "b"])),
+    "seed-str": lambda ch: multistart(ch, (0.5, 0.5), n_starts=1, seed="x"),
+    "seed-float": lambda ch: multistart(ch, (0.5, 0.5), n_starts=1, seed=1.5),
+    "seed-negative": lambda ch: multistart(ch, (0.5, 0.5), n_starts=1, seed=-1),
+    "sweep-seed": lambda ch: sweep_region(ch, "improper-heuristic", [0.5], seed=None),
+    "contains-point": lambda ch: contains(convex_hull_2d([(1.0, 1.0)]), ("a", 1)),
+    "contains-tol": lambda ch: contains(convex_hull_2d([(1.0, 1.0)]), (0.5, 0.5), tol="x"),
+    "contains-tol-nan": lambda ch: contains(
+        convex_hull_2d([(1.0, 1.0)]), (0.5, 0.5), tol=float("nan")),
+    "cutting-plane-profile": lambda ch: cutting_plane(ch, (0.5, 0.5), eps=1e-2),
+    "balance-profile": lambda ch: balance_pure_proper(ch, (0.5, 0.5)),
+    "recovery-profile": lambda ch: primal_recovery(_cuts(ch), (0.5, 0.5), ch),
+    "recovery-channel": lambda ch: primal_recovery(_cuts(ch), RateProfile(0.5, 0.5), "fig1"),
+    "mmse-filter-power": lambda ch: mmse_filter(ch, 1, "a"),
 }
+
+
+def _cuts(ch):
+    return cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2)[2]
 
 
 @pytest.mark.parametrize("case", sorted(_NON_REAL))

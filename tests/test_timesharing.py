@@ -31,8 +31,8 @@ from tinregion.timesharing import (
 )
 
 from conftest import (
-    grid_oracle, inner_bnb, p1_bound, peak_box, proper_gains, random_channel,
-    root_corner, split_objective,
+    grid_oracle, highs_recovery, inner_bnb, p1_bound, peak_box, proper_gains,
+    random_channel, root_corner, split_objective,
 )
 
 
@@ -680,16 +680,16 @@ class _Stop(Exception):
 
 def _masters(monkeypatch, run, first=False):
     """The ``(a, b, lo, hi, work)`` of every master LP that ``run()`` solves,
-    as ``cutting_plane`` passes them (``work`` is the previous master's
-    working set, ``None`` at the first), or of the first one only, where
-    ``run`` is stopped."""
+    as ``cutting_plane`` and ``primal_recovery`` pass them (``work`` is the
+    previous master's working set, ``None`` at a cold start), or of the
+    first one only, where ``run`` is stopped."""
     seen = []
 
-    def spy(*args):
-        seen.append(args)
+    def spy(a, b, lo, hi, work=None):
+        seen.append((a, b, lo, hi, work))
         if first:
             raise _Stop
-        return _master(*args)
+        return _master(a, b, lo, hi, work)
 
     with monkeypatch.context() as m:
         m.setattr(timesharing, "_master", spy)
@@ -713,7 +713,7 @@ def _random_cuts(rng, ch, n, low=0.0, high=3.0):
 def _check_master(a, b, lo, hi, work=None):
     """``_master`` against HiGHS on one cut model, started from ``work``;
     returns its minimizer."""
-    y, bound, final = _master(a, b, lo, hi, work)
+    y, bound, final, _ = _master(a, b, lo, hi, work)
     ref = linprog(np.eye(a.shape[1] + 1)[-1], A_ub=np.c_[a, -np.ones(len(b))],
                   b_ub=-b, bounds=[*zip(lo, hi), (None, None)], method="highs")
     assert ref.success
@@ -740,7 +740,8 @@ class TestMaster:
         for ch, eps in itertools.product((fig1, fig2, fig3), (2e-2, 1e-3)):
             masters = _masters(monkeypatch, lambda: sweep_region(
                 ch, "proper-timesharing", np.linspace(0, 1, 21), eps=eps))
-            assert sum(args[4] is None for args in masters) == 21
+            # each recovery is one more cold master, with the corner rows
+            assert sum(args[4] is None for args in masters) == 42
             assert len(masters) >= 63
             for args in masters:
                 _check_master(*args)
@@ -805,9 +806,9 @@ class TestMaster:
             a = a.copy()
             a[:, 0] *= 10 ** rng.uniform(0, 10, len(b))
             hi = lo + (hi - lo) * 10 ** rng.uniform(0, 8, len(hi))
-            _, _, work = _master(a[:-1], b[:-1], lo, hi)
+            _, _, work, _ = _master(a[:-1], b[:-1], lo, hi)
             for start in (None, work):
-                y, bound, _ = _master(a, b, lo, hi, start)
+                y, bound, _, _ = _master(a, b, lo, hi, start)
                 model = np.max(a @ y + b)
                 assert np.all(lo <= y) and np.all(y <= hi)
                 assert bound <= model + 1e-15 * (1 + abs(model))
@@ -821,11 +822,15 @@ class TestCuttingPlane:
     ])
     def test_needs_no_linprog(self, fig1, monkeypatch, rho, want):
         def no_linprog(*args, **kwargs):
-            raise AssertionError("cutting_plane called linprog")
+            raise AssertionError("the time-sharing solver called linprog")
 
         monkeypatch.setattr(timesharing, "linprog", no_linprog)
         R, _, _ = cutting_plane(fig1, RateProfile(*rho), eps=1e-2)
         assert abs(R - want) <= 1e-2
+        # the recoveries of a sweep solve no LP through SciPy either
+        curve = sweep_region(fig1, "proper-timesharing", np.linspace(0, 1, 21), eps=1e-2)
+        _, got = curve.samples[round(20 * rho[0])]
+        assert abs(min(r / w for r, w in zip(got, rho) if w > 0) - want) <= 2e-2
 
     def test_balanced_fig1_consistency(self, fig1):
         prof = RateProfile(0.5, 0.5)
@@ -885,26 +890,31 @@ class TestPrimalRecovery:
 
     def test_at_most_four_strategies(self, fig1, fig2, fig3, monkeypatch):
         # every recovery of 21-beta sweeps, warm-started cut pools included,
-        # on the presets and on dead-link and zero-budget channels
+        # on the presets at both eps and on dead-link and zero-budget
+        # channels, against the HiGHS LP over the same strategies
         sols = []
 
         def recover(cuts, profile, ch):
-            sols.append((primal_recovery(cuts, profile, ch), ch))
+            sols.append((primal_recovery(cuts, profile, ch), highs_recovery(cuts, profile, ch),
+                         profile, ch))
             return sols[-1][0]
 
         monkeypatch.setattr(region, "primal_recovery", recover)
-        chans = [fig1, fig2, fig3] + [
-            replace(fig1, **{f: getattr(fig1, f) * 0})
+        runs = [(ch, eps) for ch in (fig1, fig2, fig3) for eps in (2e-2, 1e-3)] + [
+            (replace(fig1, **{f: getattr(fig1, f) * 0}), 2e-2)
             for f in ("h11", "h22", "p1", "p2")
         ]
-        for ch in chans:
-            sweep_region(ch, "proper-timesharing", np.linspace(0, 1, 21), eps=2e-2)
-        assert len(sols) == 21 * len(chans)
-        for sol, ch in sols:
+        for ch, eps in runs:
+            sweep_region(ch, "proper-timesharing", np.linspace(0, 1, 21), eps=eps)
+        assert len(sols) == 21 * len(runs)
+        for sol, want, profile, ch in sols:
             assert 1 <= len(sol.entries) <= 4
             assert abs(sum(t for t, _, _ in sol.entries) - 1.0) <= 1e-9
             p1, p2 = sol.average_powers()
-            assert p1 <= ch.p1 + 1e-6 and p2 <= ch.p2 + 1e-6
+            assert p1 <= ch.p1 * (1 + 1e-9) and p2 <= ch.p2 * (1 + 1e-9)
+            rho = (profile.rho1, profile.rho2)
+            R = min(r / w for r, w in zip(sol.rates, rho) if w > 0)
+            assert abs(R - want) <= 1e-7
 
 
 class TestZeroDirectLink:
