@@ -102,7 +102,10 @@ def sweep_region(
     int_scalar("seed", seed)
     if eps is None:
         eps = 1e-2 if method == "proper-timesharing" else 1e-6
-    betas = sorted(real_scalar("betas", b) for b in betas)
+    try:
+        betas = sorted(real_scalar("betas", b) for b in betas)
+    except TypeError:
+        raise ValidationError(f"betas must be a sequence of numbers, got {betas!r}") from None
     if not betas:
         raise ValidationError("empty beta grid")
     if not all(0 <= b <= 1 for b in betas):
@@ -133,7 +136,11 @@ def sweep_region(
 
 
 def _rate_pair(p) -> tuple[float, float]:
-    x, y = real_scalar("rate", p[0]), real_scalar("rate", p[1])
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise ValidationError(f"a rate point must be a pair, got {p!r}") from None
+    x, y = real_scalar("rate", x), real_scalar("rate", y)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValidationError(f"non-finite rate pair ({x}, {y})")
     return x, y
@@ -180,6 +187,8 @@ def contains(region: RegionCurve, pt, tol: float = 0.0) -> bool:
     the first rate, then falling in the second, as a Pareto curve runs),
     with free rate reduction toward the axes.
     """
+    if not isinstance(region, RegionCurve):
+        raise ValidationError(f"region must be a RegionCurve, got {region!r}")
     if not region.samples:
         raise ValidationError("empty region")
     x, y = _rate_pair(pt)

@@ -7,20 +7,24 @@ inner maximization of the penalized proper sum rate is solved exactly.  The
 cutting plane's master LP has at most three free multipliers in a box; a
 NumPy dual simplex, warm-started from the previous master, solves it; the
 convex weights of its active cuts give a certified lower bound on the cut
-model.  The candidate powers of user 2 are both ends of its range and the
-real roots of the hidden-variable resultant of the two stationarity
-polynomials (Nakatsukasa, Noferini and Townsend, Numer. Math. 2015), found
-from piecewise Chebyshev interpolants and colleague matrices (Boyd, SIAM
-Review 2013); user 1's best power for each is a root of a cubic.  The
-explicit mixture is the primal side of the same LP (Dantzig and Wolfe,
-Oper. Res. 1960): the convex weights of one more master, over the inner
-maximizers and the budget corners, mix at most four strategies.
+model.  Besides the exact cuts, every master holds the cuts of fixed power
+pairs, one rate evaluation each: full power, and powers one or more decades
+past a budget, whose cuts fall in that user's power multiplier and so keep
+Kelley's method (Kelley, J. SIAM 1960) off the lambda floor.  The candidate
+powers of user 2 are both ends of its range and the real roots of the
+hidden-variable resultant of the two stationarity polynomials (Nakatsukasa,
+Noferini and Townsend, Numer. Math. 2015), found from piecewise Chebyshev
+interpolants and colleague matrices (Boyd, SIAM Review 2013); user 1's best
+power for each is a root of a cubic.  The explicit mixture is the primal
+side of the same LP (Dantzig and Wolfe, Oper. Res. 1960): the convex weights
+of one more master, over the fixed pairs, the inner maximizers and the
+single-user corners, mix at most four strategies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,14 +58,16 @@ _ROOT_SLACK = 1e-7
 # pieces of [0, 1] for the resultant's fit, graded toward both ends
 _EDGES = np.concatenate([[0.0], 10.0 ** np.arange(-8, 0),
                          1 - 10.0 ** np.arange(-1, -9, -1), [1.0]])
-# 14 Chebyshev points interpolate the degree-13 resultant exactly
+# 14 Chebyshev points interpolate the degree-13 resultant exactly; _FIT
+# inverts the Vandermonde matrix T_k(x) = cos(k arccos x) (numpy's chebvander)
 _NODES = np.cos(np.pi * (np.arange(14) + 0.5) / 14)
-_FIT = np.linalg.inv(np.polynomial.chebyshev.chebvander(_NODES, 13))
+_FIT = np.linalg.inv(np.cos(np.arange(14) * np.arccos(_NODES)[:, None]))
 _T2 = _EDGES[:-1, None] + 0.5 * np.diff(_EDGES)[:, None] * (1 + _NODES)
-# colleague matrix of T_13; a degree-13 series c adds -c[:-1] / c[-1] times
-# _COLLEAGUE_WEIGHT to its last column (numpy's chebcompanion)
-_COLLEAGUE = np.polynomial.chebyshev.chebcompanion(np.eye(14)[-1])
+# colleague matrix of T_13, tridiagonal; a degree-13 series c adds
+# -c[:-1] / c[-1] times _COLLEAGUE_WEIGHT to its last column (numpy's
+# chebcompanion)
 _COLLEAGUE_WEIGHT = np.r_[np.sqrt(0.5), np.full(12, 0.5)]
+_COLLEAGUE = np.diag(_COLLEAGUE_WEIGHT[:-1], 1) + np.diag(_COLLEAGUE_WEIGHT[:-1], -1)
 # rho^k, k = 0..13, on the Bernstein ellipse through 1 + 1e-9 + 1e-3 i (rho = 1.0321)
 _REACH = np.exp(np.arccosh(1 + 1e-9 + 1e-3j).real * np.arange(14))
 
@@ -76,7 +82,8 @@ class DualVariables:
     lam2: float
 
     def __post_init__(self):
-        if not all(math.isfinite(real_scalar("multipliers", v)) for v in astuple(self)):
+        if not all(math.isfinite(real_scalar("multipliers", v))
+                   for v in (self.mu1, self.mu2, self.lam1, self.lam2)):
             raise ValidationError("multipliers must be finite")
         if self.mu1 < 0 or self.mu2 < 0:
             raise ValidationError("rate multipliers must be nonnegative")
@@ -346,6 +353,9 @@ def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, work=N
             return np.clip(x[:d], lo, hi), bound, work, tau
         alpha = G[enter[0]] @ inv  # the entering row in terms of the basis
         pos = alpha > 1e-12 * np.abs(alpha).max()
+        # beside a cut as steep as a budget of 1e12 a flat cut's true alpha
+        # falls under that cutoff; when no other row can leave, it does
+        pos = pos if pos.any() else alpha > 0
         ratio = np.where(pos, mult, np.inf) / np.where(pos, alpha, 1.0)
         leave = np.lexsort((work, ratio))[0]  # first of the smallest ratios
         if ratio[leave] == np.inf:
@@ -376,6 +386,36 @@ def _multiplier_box(ch: SimoChannel, profile: RateProfile):
     return np.r_[mu, 0.0, 0.0], np.eye(4)[:, 2:], lo, hi
 
 
+def _fixed_strategies(ch: SimoChannel, gains, profile: RateProfile):
+    """Power pairs whose cuts ``mu . r(p) + lam . (P - p)`` minorize the dual
+    at every multiplier, and their rates, as ``(powers, rates)``: full power
+    and, per user, one power per decade past its budget up to past the
+    largest inner maximizer the box allows, ``mu_max / (LAMBDA_FLOOR ln 2)``,
+    with the other user silent or at full power.  Their negative slopes in
+    ``lam`` hold the master off the lambda floor."""
+    top = math.log10(1.0 / min(r for r in (profile.rho1, profile.rho2) if r > 0)
+                     / (LAMBDA_FLOOR * _LN2))
+    pairs = [(ch.p1, ch.p2)]
+    for own, other, order in ((ch.p1, ch.p2, 1), (ch.p2, ch.p1, -1)):
+        if own > 0:
+            start = math.log10(own)
+            for p in 10.0 ** (start + np.arange(1, math.ceil(top - start) + 1)):
+                pairs += [(p, q)[::order] for q in (0.0, other)]
+    powers = np.array(pairs)
+    return powers, np.transpose(_proper_rates(gains, *powers.T))
+
+
+def _as_cuts(cuts) -> list[Cut]:
+    """``cuts`` as a list, checked to hold only :class:`Cut` objects."""
+    try:
+        cuts = list(cuts)
+    except TypeError:
+        cuts = None
+    if cuts is None or not all(isinstance(c, Cut) for c in cuts):
+        raise ValidationError("cuts must be a list of Cut objects from cutting_plane")
+    return cuts
+
+
 def cutting_plane(
     ch: SimoChannel,
     profile: RateProfile,
@@ -393,6 +433,10 @@ def cutting_plane(
     than its primal value, is at most ``eps``; the gap holds the slack, so
     ``eps`` must exceed ``_ROOT_SLACK``.
 
+    The model's first rows are the cuts of :func:`_fixed_strategies`, which
+    fall in ``lam`` where exact cuts (``p <= P``) rise, so the masters do not
+    chase the lambda floor, near which the dual grows like ``mu log(1/lam)``.
+
     ``seed_cuts`` warm-starts the affine model.  The dual function itself
     does not depend on the profile (only the multiplier constraint does),
     so cuts collected at one profile remain valid minorants at any other;
@@ -405,16 +449,16 @@ def cutting_plane(
     if eps <= _ROOT_SLACK:
         raise ValidationError(f"eps must exceed the root slack {_ROOT_SLACK}, got {eps}")
     z0, E, lo, hi = _multiplier_box(ch, profile)
-    # rho1*mu1 + rho2*mu2 = 1
-    mu0 = (1.0, 1.0) if profile.rho1 > 0 and profile.rho2 > 0 else tuple(z0[:2])
-
-    cuts: list[Cut] = list(seed_cuts) if seed_cuts else []
-    # cut i minorizes the dual by w_i . (mu1, mu2, lam1, lam2)
-    w = [[c.rates.r1, c.rates.r2, ch.p1 - c.p_star[0], ch.p2 - c.p_star[1]]
-         for c in cuts]
+    cuts = [] if seed_cuts is None else _as_cuts(seed_cuts)
+    gains = _proper_gains(ch)
+    powers, rates = _fixed_strategies(ch, gains, profile)
+    # row i minorizes the dual by w_i . (mu1, mu2, lam1, lam2): the fixed
+    # strategies first, so that a warm working set keeps its rows, then the cuts
+    w = np.c_[rates, [ch.p1, ch.p2] - powers].tolist()
+    w += [[c.rates.r1, c.rates.r2, ch.p1 - c.p_star[0], ch.p2 - c.p_star[1]]
+          for c in cuts]
     best_upper = math.inf
     best_dv = None
-    gains = _proper_gains(ch)
 
     def add_cut(dv: DualVariables):
         nonlocal best_upper, best_dv
@@ -425,13 +469,6 @@ def cutting_plane(
         w.append([rates.r1, rates.r2, ch.p1 - p_star[0], ch.p2 - p_star[1]])
         if value + _ROOT_SLACK < best_upper:
             best_upper, best_dv = value + _ROOT_SLACK, dv
-
-    if not cuts:
-        # Seed the model across the multiplier scale so the first master
-        # LPs do not chase the lambda floor.
-        for scale in (1e-3, 1e-2, 1e-1):
-            lam0 = max(LAMBDA_FLOOR, scale * hi[-1])
-            add_cut(DualVariables(mu0[0], mu0[1], lam0, lam0))
 
     work = None
     for _ in range(_MAX_ITER):
@@ -451,20 +488,26 @@ def primal_recovery(
 ) -> TimeSharingSolution:
     """Recover an explicit time-sharing mixture from the collected cuts.
 
-    Maximizing the common scaling over mixtures of the inner maximizers and
-    the power-budget corners, which let a single-user profile collapse to
-    one full-power strategy, is the LP dual of the master over the same
-    strategies, so one cold :func:`_master` gives a mixture of at most four.
-    The cuts must come from :func:`cutting_plane` on the same channel,
-    because their rates are reused.
+    Maximizing the common scaling over mixtures of the fixed pairs of
+    :func:`_fixed_strategies`, the inner maximizers and the single-user
+    corners, which let a single-user profile collapse to one full-power
+    strategy, is the LP dual of the master over the same strategies, so one
+    cold :func:`_master` gives a mixture of at most four.  Its rows hold
+    those of the last master of :func:`cutting_plane` at the same profile,
+    so the recovered scaling is at least that dual bound minus ``eps``.  The
+    cuts must come from :func:`cutting_plane` on the same channel, because
+    their rates are reused.
     """
     validate_channel(ch)
     validate_profile(profile)
+    cuts = _as_cuts(cuts)
     if not cuts:
         raise ValidationError("no cuts to recover from")
-    corners = [(ch.p1, 0.0), (0.0, ch.p2), (ch.p1, ch.p2)]
-    powers = np.array([cut.p_star for cut in cuts] + corners)
-    rates = np.array([cut.rates for cut in cuts] + [rate_proper(ch, *p) for p in corners])
+    corners = [(ch.p1, 0.0), (0.0, ch.p2)]
+    powers, rates = _fixed_strategies(ch, _proper_gains(ch), profile)
+    powers = np.concatenate([powers, [cut.p_star for cut in cuts], corners])
+    rates = np.concatenate([rates, [cut.rates for cut in cuts],
+                            [rate_proper(ch, *p) for p in corners]])
     model = np.c_[rates, [ch.p1, ch.p2] - powers]
     z0, E, lo, hi = _multiplier_box(ch, profile)
     tau = _master(model @ E, model @ z0, lo, hi)[3]

@@ -111,21 +111,46 @@ def proper_rates(ch, p1, p2):
     return r1, r2
 
 
+# the lower end of the time-sharing power multipliers, timesharing.LAMBDA_FLOOR,
+# restated here so that the oracles read nothing from the solver
+LAMBDA_FLOOR = 1e-9
+
+
+def fixed_strategies(ch, profile):
+    """The power pairs that the time-sharing master holds as cuts at every
+    multiplier, in its order: full power, then for user 1 and user 2 the
+    powers ``10 P_k, 100 P_k, ...`` up to the first at least ``mu_max /
+    (LAMBDA_FLOOR ln 2)``, past every inner maximizer, each with the other
+    user silent and then at full power.  ``mu_max`` is the largest rate
+    multiplier on ``rho . mu = 1``."""
+    top = 1.0 / min(r for r in (profile.rho1, profile.rho2) if r > 0) / (LAMBDA_FLOOR * np.log(2))
+    pairs = [(ch.p1, ch.p2)]
+    for own, other, flip in ((ch.p1, ch.p2, False), (ch.p2, ch.p1, True)):
+        p = own
+        while 0 < p < top:
+            p *= 10.0
+            for q in (0.0, other):
+                pairs.append((q, p) if flip else (p, q))
+    return pairs
+
+
 def highs_recovery(cuts, profile, ch):
-    """Largest ``R`` of a time-sharing mixture of the cuts' inner maximizers
-    and the three power-budget corners, by HiGHS: maximize ``R`` with
-    averaged rates at least ``rho_k R`` and averaged powers within the
-    budgets.  The oracle of ``primal_recovery``, which reads the same LP
-    from its master's weights."""
-    corners = [(ch.p1, 0.0), (0.0, ch.p2), (ch.p1, ch.p2)]
-    powers = np.array([cut.p_star for cut in cuts] + corners)
-    rates = np.array([cut.rates for cut in cuts] + [proper_rates(ch, *p) for p in corners])
+    """Largest ``R`` of a time-sharing mixture of the fixed strategies of
+    the master, the cuts' inner maximizers and the single-user corners, by
+    HiGHS: maximize ``R`` with averaged rates at least ``rho_k R`` and
+    averaged powers within the budgets.  The oracle of ``primal_recovery``,
+    which reads the same LP from its master's weights."""
+    powers = np.array([cut.p_star for cut in cuts] + fixed_strategies(ch, profile)
+                      + [(ch.p1, 0.0), (0.0, ch.p2)])
+    rates = np.transpose(proper_rates(ch, *powers.T))
     n = len(powers)
     # variables: [tau_1..tau_n, R]
     a_ub = np.zeros((4, n + 1))
     a_ub[:2, :n], a_ub[:2, -1] = -rates.T, (profile.rho1, profile.rho2)
-    a_ub[2:, :n] = powers.T
-    res = linprog(-np.eye(n + 1)[-1], A_ub=a_ub, b_ub=[0.0, 0.0, ch.p1, ch.p2],
+    # each budget row in units of its budget, which the powers exceed by up to 1e12
+    scale = np.array([p if p > 0 else 1.0 for p in (ch.p1, ch.p2)])
+    a_ub[2:, :n] = powers.T / scale[:, None]
+    res = linprog(-np.eye(n + 1)[-1], A_ub=a_ub, b_ub=np.r_[0.0, 0.0, [ch.p1, ch.p2] / scale],
                   A_eq=[[1.0] * n + [0.0]], b_eq=[1.0], bounds=(0.0, None),
                   method="highs")
     assert res.success, res.message

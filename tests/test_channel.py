@@ -107,6 +107,14 @@ _NON_REAL = {
     "recovery-profile": lambda ch: primal_recovery(_cuts(ch), (0.5, 0.5), ch),
     "recovery-channel": lambda ch: primal_recovery(_cuts(ch), RateProfile(0.5, 0.5), "fig1"),
     "mmse-filter-power": lambda ch: mmse_filter(ch, 1, "a"),
+    "seed-cuts": lambda ch: cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2, seed_cuts=[1, 2]),
+    "seed-cuts-scalar": lambda ch: cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2,
+                                                 seed_cuts=1),
+    "recovery-cuts": lambda ch: primal_recovery([1, 2], RateProfile(0.5, 0.5), ch),
+    "contains-short-point": lambda ch: contains(convex_hull_2d([(1.0, 1.0)]), (1.0,)),
+    "contains-region": lambda ch: contains(None, (0.5, 0.5)),
+    "hull-point": lambda ch: convex_hull_2d([1.0]),
+    "betas-scalar": lambda ch: sweep_region(ch, "proper-pure", 0.5),
 }
 
 

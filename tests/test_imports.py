@@ -1,4 +1,5 @@
-"""The library's run path loads no SciPy; the tests use it as an oracle."""
+"""The library's run path loads no SciPy, which the tests use as an oracle,
+and its import loads no ``numpy.polynomial``."""
 
 import os
 import subprocess
@@ -20,6 +21,14 @@ def test_import_loads_no_scipy():
     code = (
         "import sys, tinregion, tinregion.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert _run(code) == "[]"
+
+
+def test_import_loads_no_numpy_polynomial():
+    code = (
+        "import sys, tinregion, tinregion.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']))"
     )
     assert _run(code) == "[]"
 

@@ -26,13 +26,13 @@ from tinregion.errors import ConvergenceError
 from tinregion.proper_pure import gamma_of_R
 from tinregion.rates import _proper_gains
 from tinregion.timesharing import (
-    _COLLEAGUE, _COLLEAGUE_WEIGHT, _EDGES, LAMBDA_FLOOR, _ROOT_SLACK, Cut,
+    _COLLEAGUE, _COLLEAGUE_WEIGHT, _EDGES, _FIT, _NODES, LAMBDA_FLOOR, _ROOT_SLACK, Cut,
     _InnerProblem, _colleague_roots, _exact_inner, _master, _lambda_max,
 )
 
 from conftest import (
-    grid_oracle, highs_recovery, inner_bnb, p1_bound, peak_box, proper_gains,
-    random_channel, root_corner, split_objective,
+    fixed_strategies, grid_oracle, highs_recovery, inner_bnb, p1_bound, peak_box,
+    proper_gains, proper_rates, random_channel, root_corner, split_objective,
 )
 
 
@@ -459,12 +459,13 @@ class TestExactInner:
         # [1e-4, 10], plus the near-tie multipliers on both sides of each
         # jump of the maximizer and the multipliers the cutting plane visits,
         # down to the lam floor; those two are certified at the root slack,
-        # which also bounds any incumbent the oracle finds there
+        # which also bounds any incumbent the oracle finds there; they come
+        # from cold points at three betas
         rng = np.random.default_rng(44)
         fixed = [fig1, fig2, fig3, _swap_users(fig3), replace(fig1, h21=0 * fig1.h21),
                  replace(fig1, h21=_orthogonal(fig1.h21, fig1.h22)), _collinear(fig1)]
-        hard = [(ch, cut.dv) for ch in fixed[:3]
-                for cut in cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2)[2]]
+        hard = [(ch, cut.dv) for ch in fixed[:3] for beta in (0.25, 0.5, 0.75)
+                for cut in cutting_plane(ch, RateProfile.from_beta(beta), eps=2e-2)[2]]
         pairs = []
         for i in range(84):
             ch = fixed[i] if i < len(fixed) else _scaled_channel(rng)
@@ -569,9 +570,11 @@ class TestPieceExclusion:
 
     @pytest.mark.parametrize("eps", [2e-2, 1e-3])
     def test_sweeps(self, fig1, fig2, fig3, monkeypatch, eps):
+        # each preset's sweep and that of the preset with its users swapped
         for ch in (fig1, fig2, fig3):
-            probs = _inner_problems(monkeypatch, lambda: sweep_region(
-                ch, "proper-timesharing", np.linspace(0, 1, 21), eps=eps))
+            probs = _inner_problems(monkeypatch, lambda: [sweep_region(
+                c, "proper-timesharing", np.linspace(0, 1, 21), eps=eps)
+                for c in (ch, _swap_users(ch))])
             assert len(probs) >= 40
             self._check(monkeypatch, probs)
 
@@ -626,6 +629,13 @@ class TestPieceExclusion:
         # |c_0| / (|c_1| rho) = 0.969, the nearest to a skipped piece
         coef = np.tile(np.r_[1.0, -end, np.zeros(12)], (len(_EDGES) - 1, 1))
         assert len(_colleague_roots(coef)) >= len(coef)
+
+    def test_chebyshev_tables_match_numpy(self):
+        # built from cos(k arccos x) and the tridiagonal colleague matrix, so
+        # that importing the package loads no numpy.polynomial
+        cheb = np.polynomial.chebyshev
+        assert np.abs(_FIT - np.linalg.inv(cheb.chebvander(_NODES, 13))).max() <= 1e-15
+        assert np.abs(_COLLEAGUE - cheb.chebcompanion(np.eye(14)[-1])).max() <= 1e-15
 
     def test_root_off_the_axis_is_kept(self):
         # z^2 + d^2 = (1/2 + d^2) T_0 + T_2 / 2 has its roots +-i d inside
@@ -710,6 +720,31 @@ def _random_cuts(rng, ch, n, low=0.0, high=3.0):
                 rates=rate_proper(ch, p1, p2), value=0.0) for p1, p2 in p]
 
 
+def _multipliers(profile, y):
+    """``(mu1, mu2, lam1, lam2)`` at the master's variables ``y``: ``(mu2,
+    lam1, lam2)`` with ``mu1`` from ``rho . mu = 1``, or ``(lam1, lam2)`` at
+    the one ``mu`` of a single-user profile."""
+    rho1, rho2 = profile.rho1, profile.rho2
+    if rho1 > 0 and rho2 > 0:
+        return np.r_[(1.0 - rho2 * y[0]) / rho1, y]
+    return np.r_[1.0 / rho1 if rho1 > 0 else 0.0, 1.0 / rho2 if rho2 > 0 else 0.0, y]
+
+
+def _check_rows(args, ch, profile, cuts, rng):
+    """The master's rows are the cuts of conftest's fixed strategies, then
+    those of ``cuts``: at random points of the box each row's value ``a_i .
+    y + b_i`` is its ``mu . r + lam . (P - p)``, with the fixed strategies'
+    rates from the closed form of ``proper_rates``."""
+    a, b, lo, hi, _ = args
+    powers = np.array(fixed_strategies(ch, profile))
+    fixed = np.c_[np.transpose(proper_rates(ch, *powers.T)), [ch.p1, ch.p2] - powers]
+    w = np.r_[fixed, [[*c.rates, ch.p1 - c.p_star[0], ch.p2 - c.p_star[1]] for c in cuts]]
+    assert a.shape == (len(w), len(lo))
+    for y in rng.uniform(lo, hi, (5, len(lo))):
+        z = _multipliers(profile, y)
+        assert np.all(np.abs(a @ y + b - w @ z) <= 1e-12 * (np.abs(w) @ np.abs(z) + 1))
+
+
 def _check_master(a, b, lo, hi, work=None):
     """``_master`` against HiGHS on one cut model, started from ``work``;
     returns its minimizer."""
@@ -756,7 +791,8 @@ class TestMaster:
                 ch, RateProfile(*rho), eps=1e-2, seed_cuts=cuts), first=True)
             a, b, lo, hi, work = args
             assert work is None
-            assert a.shape == (len(cuts), 3 if 0 < rho[0] < 1 else 2)
+            assert a.shape[1] == (3 if 0 < rho[0] < 1 else 2)
+            _check_rows(args, ch, RateProfile(*rho), cuts, rng)
             _check_master(a, b, lo, hi)
             # duplicated cuts, and parallel copies below and above them
             _check_master(np.repeat(a, 2, axis=0), np.repeat(b, 2), lo, hi)
@@ -765,18 +801,26 @@ class TestMaster:
 
     @pytest.mark.parametrize("low, high, at", [(0.0, 0.9, "floor"), (1.1, 3.0, "max")])
     def test_optimum_on_the_lambda_box(self, fig1, monkeypatch, low, high, at):
-        # cuts at powers inside the budgets rise with lam, so the minimum sits
-        # at LAMBDA_FLOOR; cuts at powers past them fall, so it sits at lam_max
+        # cuts at powers past the budgets fall with lam, so the minimum sits at
+        # lam_max.  Cuts at powers inside them rise with lam, so alone their
+        # minimum sits at LAMBDA_FLOOR; the fixed strategies in front of them,
+        # past the budgets, fall with lam and lift the lam of every user with
+        # a positive weight off the floor
         rng = np.random.default_rng(5)
         for rho in [(0.5, 0.5), (1.0, 0.0)]:
             cuts = _random_cuts(rng, fig1, 12, low, high)
             (args,) = _masters(monkeypatch, lambda: cutting_plane(
                 fig1, RateProfile(*rho), eps=1e-2, seed_cuts=cuts), first=True)
-            y = _check_master(*args)
-            lo, hi = args[2], args[3]
+            _check_rows(args, fig1, RateProfile(*rho), cuts, rng)
+            a, b, lo, hi, _ = args
+            y = _check_master(a, b, lo, hi)
             assert hi[-1] == max(_lambda_max(fig1, RateProfile(*rho)), 10 * LAMBDA_FLOOR)
-            want = np.full(2, LAMBDA_FLOOR) if at == "floor" else hi[-2:]
-            assert np.allclose(y[-2:], want, rtol=1e-12, atol=0)
+            if at == "max":
+                assert np.allclose(y[-2:], hi[-2:], rtol=1e-12, atol=0)
+                continue
+            alone = _check_master(a[-len(cuts):], b[-len(cuts):], lo, hi)
+            assert np.allclose(alone[-2:], LAMBDA_FLOOR, rtol=1e-12, atol=0)
+            assert np.all(y[-2:][np.array(rho) > 0] >= 1e3 * LAMBDA_FLOOR)
 
     def test_pivot_cap_raises_typed(self, monkeypatch):
         # min max(y1 + y2, 0.5 - y1, 0.5 - y2) over [0, 1]^2 is 1/3 at
@@ -862,6 +906,23 @@ class TestCuttingPlane:
         assert abs(tau - 1.0) <= 1e-9
         assert abs(p1 - fig1.p1) <= 1e-3 and p2 <= 1e-6
 
+    def test_no_floor_chase(self, fig1, fig2, fig3, monkeypatch):
+        # from an empty pool Kelley's method climbed off the lambda floor by
+        # a factor of 4-10 in lam per cut: 29-31 cuts per balanced point, and
+        # 45 inner solves, one per cut, in a 5-beta fig1 sweep
+        for ch in (fig1, fig2, fig3):
+            assert len(cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2)[2]) <= 15
+        pools = []
+
+        def solve(*args, **kwargs):
+            pools.append(cutting_plane(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(region, "cutting_plane", solve)
+        sweep_region(fig1, "proper-timesharing", np.linspace(0, 1, 5), eps=2e-2)
+        # the sweep passes its pool along, so the last holds every cut
+        assert len(pools) == 5 and len(pools[-1][2]) <= 30
+
     def test_rejects_eps_within_root_slack(self, fig1):
         # the certified gap never falls below the slack added to each cut
         with pytest.raises(ValidationError, match="root slack"):
@@ -878,6 +939,46 @@ class TestCuttingPlane:
         assert abs(got - want) <= eps
 
 
+@pytest.fixture(scope="module")
+def recoveries(fig1, fig2, fig3):
+    """Every recovery of 21-beta sweeps, warm-started cut pools included, as
+    ``(sol, upper, eps, profile, ch, cuts)`` with the dual upper bound of
+    the same point: on the presets at both eps, on dead-link and zero-budget
+    channels, and on random channels with 1-4 antennas and budgets from
+    1e-2 to 1e3."""
+    seen = []
+
+    def solve(ch, profile, eps, seed_cuts=None):
+        out = cutting_plane(ch, profile, eps=eps, seed_cuts=seed_cuts)
+        seen.append([out[0], eps])
+        return out
+
+    def recover(cuts, profile, ch):
+        sol = primal_recovery(cuts, profile, ch)
+        seen[-1] = (sol, *seen[-1], profile, ch, cuts)
+        return sol
+
+    rng = np.random.default_rng(48)
+    runs = [(ch, eps) for ch in (fig1, fig2, fig3) for eps in (2e-2, 1e-3)]
+    runs += [(replace(fig1, **{f: getattr(fig1, f) * 0}), 2e-2)
+             for f in ("h11", "h22", "p1", "p2")]
+    runs += [(random_channel(rng, *rng.integers(1, 5, 2), p=p), 2e-2)
+             for p in 10.0 ** np.r_[-2.0, 3.0, rng.uniform(-2, 3, 6)]]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(region, "cutting_plane", solve)
+        m.setattr(region, "primal_recovery", recover)
+        for ch, eps in runs:
+            sweep_region(ch, "proper-timesharing", np.linspace(0, 1, 21), eps=eps)
+    assert len(seen) == 21 * len(runs)
+    return seen
+
+
+def _scaling(sol, profile):
+    """The common scaling ``min r_k / rho_k`` of a recovered mixture."""
+    rho = (profile.rho1, profile.rho2)
+    return min(r / w for r, w in zip(sol.rates, rho) if w > 0)
+
+
 class TestPrimalRecovery:
     def test_json_schema(self, fig1):
         prof = RateProfile(0.5, 0.5)
@@ -888,33 +989,23 @@ class TestPrimalRecovery:
         assert all(set(e) == {"tau", "p1", "p2"} for e in d["entries"])
         assert len(d["rates"]) == 2
 
-    def test_at_most_four_strategies(self, fig1, fig2, fig3, monkeypatch):
-        # every recovery of 21-beta sweeps, warm-started cut pools included,
-        # on the presets at both eps and on dead-link and zero-budget
-        # channels, against the HiGHS LP over the same strategies
-        sols = []
-
-        def recover(cuts, profile, ch):
-            sols.append((primal_recovery(cuts, profile, ch), highs_recovery(cuts, profile, ch),
-                         profile, ch))
-            return sols[-1][0]
-
-        monkeypatch.setattr(region, "primal_recovery", recover)
-        runs = [(ch, eps) for ch in (fig1, fig2, fig3) for eps in (2e-2, 1e-3)] + [
-            (replace(fig1, **{f: getattr(fig1, f) * 0}), 2e-2)
-            for f in ("h11", "h22", "p1", "p2")
-        ]
-        for ch, eps in runs:
-            sweep_region(ch, "proper-timesharing", np.linspace(0, 1, 21), eps=eps)
-        assert len(sols) == 21 * len(runs)
-        for sol, want, profile, ch in sols:
+    def test_at_most_four_strategies(self, recoveries):
+        # against the HiGHS LP over the same strategies, which conftest
+        # builds on its own
+        for sol, _, _, profile, ch, cuts in recoveries:
             assert 1 <= len(sol.entries) <= 4
             assert abs(sum(t for t, _, _ in sol.entries) - 1.0) <= 1e-9
             p1, p2 = sol.average_powers()
             assert p1 <= ch.p1 * (1 + 1e-9) and p2 <= ch.p2 * (1 + 1e-9)
-            rho = (profile.rho1, profile.rho2)
-            R = min(r / w for r, w in zip(sol.rates, rho) if w > 0)
-            assert abs(R - want) <= 1e-7
+            assert abs(_scaling(sol, profile) - highs_recovery(cuts, profile, ch)) <= 1e-7
+
+    def test_certificate(self, recoveries):
+        # the recovery holds every row of the last master, so the recovered
+        # scaling is at least the dual upper bound minus eps, with no slack;
+        # one that left the fixed strategies out fell up to 1.6 eps below it
+        for sol, upper, eps, profile, ch, _ in recoveries:
+            R = _scaling(sol, profile)
+            assert upper - eps <= R <= upper, (profile, ch.p1, upper - eps - R)
 
 
 class TestZeroDirectLink:
