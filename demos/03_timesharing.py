@@ -18,7 +18,7 @@ print(f"pure-strategy balanced point: ({pure.rates.r1:.4f}, {pure.rates.r2:.4f})
 R, dv, cuts = cutting_plane(ch, profile, eps=1e-2)
 print(f"\ndual certificate R* = {R:.4f} "
       f"(multipliers mu=({dv.mu1:.3f},{dv.mu2:.3f}), "
-      f"lam=({dv.lam1:.4f},{dv.lam2:.4f}), {len(cuts)} cuts)")
+      f"lam per unit of budget=({dv.lam1:.4f},{dv.lam2:.4f}), {len(cuts)} cuts)")
 
 sol = primal_recovery(cuts, profile, ch)
 print(f"recovered averaged rates: ({sol.rates.r1:.4f}, {sol.rates.r2:.4f})")

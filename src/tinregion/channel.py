@@ -97,6 +97,8 @@ def complex_scalar(name: str, v) -> complex:
 
 def validate_strategy(x: TxStrategy, tol: float = 1e-9) -> TxStrategy:
     """Check finiteness, nonnegative variances, and |ct_k| <= c_k."""
+    if not isinstance(x, TxStrategy):
+        raise ValidationError(f"strategy must be a TxStrategy, got {x!r}")
     for k in (1, 2):
         c = real_scalar(f"strategy user {k}: variance", x.var(k))
         ct = complex_scalar(f"strategy user {k}: pseudovariance", x.pvar(k))
@@ -119,25 +121,29 @@ def validate_eps(eps: float) -> float:
     return eps
 
 
-def _as_cvector(name: str, v) -> np.ndarray:
-    arr = np.asarray(v)
-    if arr.dtype.kind not in "biufc":
+def _as_cvector(name: str, v) -> tuple[np.ndarray, float]:
+    """``v`` as a complex vector, and its squared norm."""
+    try:
+        arr = np.asarray(v)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "biufc":
         raise ValidationError(f"{name} must be a vector of numbers, got {v!r}")
     if arr.ndim != 1 or arr.size < 1:
         raise ValidationError(f"{name}: expected a 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    arr = arr.astype(complex)
+    norm2 = float(np.vdot(arr, arr).real)  # inf or nan on a non-finite entry or overflow
+    if not (math.isfinite(norm2) or np.isfinite(arr).all()):
         raise ValidationError(f"{name}: non-finite entry")
-    return arr.astype(complex)
+    return arr, norm2
 
 
 def validate_channel(ch: SimoChannel) -> SimoChannel:
-    """Validate dimensions, finiteness, and power budgets; return ``ch``."""
+    """Validate dimensions, finiteness, power budgets and finite gains ``|h|^2 P``."""
     if not isinstance(ch, SimoChannel):
         raise ValidationError(f"channel must be a SimoChannel, got {ch!r}")
-    h11 = _as_cvector("h11", ch.h11)
-    h12 = _as_cvector("h12", ch.h12)
-    h21 = _as_cvector("h21", ch.h21)
-    h22 = _as_cvector("h22", ch.h22)
+    (h11, s11), (h12, s12), (h21, s21), (h22, s22) = (
+        _as_cvector(name, getattr(ch, name)) for name in ("h11", "h12", "h21", "h22"))
     if len(h12) != len(h11):
         raise ValidationError(
             f"h12: dimension mismatch (len {len(h12)} != len(h11) {len(h11)})"
@@ -151,7 +157,21 @@ def validate_channel(ch: SimoChannel) -> SimoChannel:
             raise ValidationError(f"{name}: non-finite power")
         if p < 0:
             raise ValidationError(f"{name}: negative power {p}")
+    # |h|^2 P of each link in Python floats, which overflow to inf silently
+    g1, n1, g2, n2 = (s * float(p) for s, p in
+                      ((s11, ch.p1), (s12, ch.p2), (s22, ch.p2), (s21, ch.p1)))
+    if not math.isfinite(g1 * n1 + g2 * n2):  # the largest proper-rate gain at unit budgets
+        raise ValidationError("channel: the gains |h|^2 P overflow; rescale the links or budgets")
     return ch
+
+
+def unit_budgets(ch: SimoChannel) -> SimoChannel:
+    """``ch`` with transmitter k's links (``h_kk`` and the cross link it
+    drives) times ``sqrt(P_k)`` and both budgets 1: the same rates, with
+    powers in units of the budgets.  A zero budget zeroes its links."""
+    s1, s2 = math.sqrt(ch.p1), math.sqrt(ch.p2)
+    return replace(ch, h11=ch.h11 * s1, h21=ch.h21 * s1, h12=ch.h12 * s2, h22=ch.h22 * s2,
+                   p1=1.0, p2=1.0)
 
 
 def composite_real_embed(m) -> np.ndarray:

@@ -35,8 +35,8 @@ from .rates import RatePoint, _proper_gains
 from .timesharing import _InnerProblem
 
 _LN2 = float(np.log(2.0))
-# stop once ||proj(M + G) - M|| <= GP_EPS max(P1, P2); the absolute-gain stop
-# this replaced left fig1 and fig3 at residuals of 1.4e-6 P or less
+# stop once ||proj(M + G) - M||, each user's part over its budget, is at most
+# GP_EPS; the absolute-gain stop this replaced left fig1 and fig3 at 1.4e-6 or less
 GP_EPS = 1e-6
 GP_MAX_ITER = 5000
 _WINDOW = 10  # nonmonotone memory: the last W values a move is tested against
@@ -52,7 +52,7 @@ class GpResult:
     W: float
     rates: RatePoint
     converged: bool  # stopped on the residual test at m1, m2, its last iterate
-    residual: float | None = None  # ||proj(M + G) - M|| over both users at m1, m2
+    residual: float | None = None  # ||proj(M + G) - M|| at m1, m2, per unit of budget
 
 
 def _receivers(ch: SimoChannel):
@@ -127,8 +127,11 @@ def _dot(a, b):
 
 
 def _weights(w) -> tuple[float, float]:
-    arr = np.asarray(w, dtype=float)
-    if arr.shape != (2,) or not np.all(np.isfinite(arr)) or np.any(arr < 0):
+    try:
+        arr = np.asarray(w, dtype=float)
+    except (TypeError, ValueError):  # strings or a ragged nesting
+        arr = None
+    if arr is None or arr.shape != (2,) or not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise ValidationError(f"weights must be two finite nonnegative numbers: {w!r}")
     return float(arr[0]), float(arr[1])
 
@@ -203,11 +206,12 @@ def _ascend(ks, w, budget, x, eps: float, max_iter: int) -> GpResult:
 
     At ``M`` with gradient ``G`` and spectral step ``alpha`` the direction is
     ``d = proj(M + alpha G) - M``.  The start stops converged once
-    ``||proj(M + G) - M||`` is at most ``eps max(P1, P2)``, and unconverged
-    after ``max_iter`` moves.  Otherwise it backtracks, halving ``lam`` from
-    1, until ``W(M + lam d)`` exceeds the least of its last ``_WINDOW`` values
-    by ``1e-4 lam <G, d>`` (the nonmonotone test of Grippo, Lampariello and
-    Lucidi), and stops unconverged once ``lam`` is below 1e-12.  A move by
+    ``||proj(M + G) - M||``, each user's part over its budget (0 at a zero
+    budget), is at most ``eps``, and unconverged after ``max_iter`` moves.
+    Otherwise it backtracks, halving ``lam`` from 1, until ``W(M + lam d)``
+    exceeds the least of its last ``_WINDOW`` values by ``1e-4 lam <G, d>``
+    (the nonmonotone test of Grippo, Lampariello and Lucidi), and stops
+    unconverged once ``lam`` is below 1e-12.  A move by
     ``s`` that changes the gradient by ``y`` sets the next ``alpha`` to
     ``s.s / -s.y`` after odd moves and ``-s.y / y.y`` after even ones
     (Barzilai and Borwein), clipped to ``[1e-10, 1e10]``, and to 1e10 when
@@ -215,19 +219,21 @@ def _ascend(ks, w, budget, x, eps: float, max_iter: int) -> GpResult:
     stationary below it restarts from it with a unit step and a fresh
     window, so a converged start's best iterate is its last."""
     p1, p2 = budget
-    tol = eps * max(budget)
+    u1, u2 = (1.0 / (p * p) if p > 0 else 0.0 for p in budget)
 
     def toward(y, lam, d):  # the state of proj(M + lam D) - M
         c1, t1 = _project(y[0] + lam * d[0], y[1] + lam * d[1], p1)
         c2, t2 = _project(y[2] + lam * d[2], y[3] + lam * d[3], p2)
         return c1 - y[0], t1 - y[1], c2 - y[2], t2 - y[3]
 
+    def residual(r):  # the norm of r with each user's part in units of its budget
+        return sqrt(_dot(r, (u1 * r[0], u1 * r[1], u2 * r[2], u2 * r[3])))
+
     obj, rates, g = _point(ks, w, x)
     best = x, obj, rates, g
     window, alpha, moves, converged = [obj] * _WINDOW, 1.0, 0, False
     while True:
-        r = toward(x, 1.0, g)
-        if sqrt(_dot(r, r)) <= tol:
+        if residual(toward(x, 1.0, g)) <= eps:
             if obj >= best[1]:
                 converged = True
                 break
@@ -257,9 +263,8 @@ def _ascend(ks, w, budget, x, eps: float, max_iter: int) -> GpResult:
         if obj > best[1]:
             best = y, yobj, yrates, yg
     x, obj, rates, g = best
-    r = toward(x, 1.0, g)
     return GpResult(_matrix(x[0], x[1]), _matrix(x[2], x[3]), obj, RatePoint(*rates),
-                    converged, sqrt(_dot(r, r)))
+                    converged, residual(toward(x, 1.0, g)))
 
 
 def _proper_seed(ch: SimoChannel, w) -> tuple[float, float]:
@@ -285,8 +290,8 @@ def gradient_projection(
     a move along ``d = proj(M + alpha G) - M`` is accepted by a nonmonotone
     Armijo test against the least ``W`` of the last 10 iterates, halving
     the move until it passes.  Iteration stops converged once the
-    stationarity residual ``||proj(M + G) - M||`` over both users is at
-    most ``eps max(P1, P2)``; ``max_iter`` moves, or a move halved below
+    stationarity residual ``||proj(M + G) - M||``, each user's part over
+    its budget, is at most ``eps``; ``max_iter`` moves, or a move halved below
     1e-12, stop it unconverged.  A point that passes the residual test
     below the best iterate restarts the ascent from the best one.  The
     result is the best iterate, so ``W`` is never below the initial

@@ -59,7 +59,7 @@ def preset_scenario(name: str) -> SimoChannel:
     """One of the bundled scenarios: fig1, fig2, or fig3."""
     try:
         raw = PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # an unknown or unhashable name
         raise ValidationError(
             f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
         ) from None

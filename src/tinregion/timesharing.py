@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SimoChannel, real_scalar, validate_channel, validate_eps
+from .channel import SimoChannel, real_scalar, unit_budgets, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
 from .proper_pure import RateProfile, validate_profile
 from .rates import RatePoint, _proper_gains, _proper_rates, rate_proper
@@ -74,7 +74,9 @@ _REACH = np.exp(np.arccosh(1 + 1e-9 + 1e-3j).real * np.arange(14))
 
 @dataclass(frozen=True)
 class DualVariables:
-    """Multipliers for the rate constraints (mu) and power constraints (lambda)."""
+    """Multipliers for the rate constraints (mu) and power constraints
+    (lambda).  ``lam_k`` prices power per unit of user k's budget: it is
+    ``P_k`` times the multiplier of ``p_k <= P_k`` in the caller's units."""
 
     mu1: float
     mu2: float
@@ -116,7 +118,8 @@ class TimeSharingSolution:
 
 @dataclass(frozen=True)
 class Cut:
-    """One dual evaluation: multipliers, inner maximizer, rates, and value."""
+    """One dual evaluation: multipliers (per unit of budget), the inner
+    maximizer ``p_star`` (in the caller's units), its rates, and value."""
 
     dv: DualVariables
     p_star: tuple[float, float]
@@ -353,9 +356,6 @@ def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, work=N
             return np.clip(x[:d], lo, hi), bound, work, tau
         alpha = G[enter[0]] @ inv  # the entering row in terms of the basis
         pos = alpha > 1e-12 * np.abs(alpha).max()
-        # beside a cut as steep as a budget of 1e12 a flat cut's true alpha
-        # falls under that cutoff; when no other row can leave, it does
-        pos = pos if pos.any() else alpha > 0
         ratio = np.where(pos, mult, np.inf) / np.where(pos, alpha, 1.0)
         leave = np.lexsort((work, ratio))[0]  # first of the smallest ratios
         if ratio[leave] == np.inf:
@@ -365,9 +365,11 @@ def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, work=N
 
 
 def _lambda_max(ch: SimoChannel, profile: RateProfile) -> float:
+    # the dual is at least lam1 + lam2, so no optimal lam_k exceeds its minimum,
+    # the time-sharing optimum, which is at most log2(1 + g_k) / rho_k at unit budgets
     g = _proper_gains(ch)[0]
     rho = (profile.rho1, profile.rho2)
-    return 10.0 * max(g[k] / rho[k] for k in (0, 1) if rho[k] > 0) / _LN2
+    return 10.0 * max(math.log1p(g[k]) / rho[k] for k in (0, 1) if rho[k] > 0) / _LN2
 
 
 def _multiplier_box(ch: SimoChannel, profile: RateProfile):
@@ -386,23 +388,25 @@ def _multiplier_box(ch: SimoChannel, profile: RateProfile):
     return np.r_[mu, 0.0, 0.0], np.eye(4)[:, 2:], lo, hi
 
 
-def _fixed_strategies(ch: SimoChannel, gains, profile: RateProfile):
-    """Power pairs whose cuts ``mu . r(p) + lam . (P - p)`` minorize the dual
-    at every multiplier, and their rates, as ``(powers, rates)``: full power
-    and, per user, one power per decade past its budget up to past the
-    largest inner maximizer the box allows, ``mu_max / (LAMBDA_FLOOR ln 2)``,
-    with the other user silent or at full power.  Their negative slopes in
-    ``lam`` hold the master off the lambda floor."""
+def _fixed_strategies(gains, profile: RateProfile):
+    """Power pairs at unit budgets whose cuts ``mu . r(p) + lam . (1 - p)``
+    minorize the dual at every multiplier, and their rates under ``gains``,
+    as ``(powers, rates)``: full power and, per user, one power per decade
+    past its budget up to past the largest inner maximizer the box allows,
+    ``mu_max / (LAMBDA_FLOOR ln 2)``, with the other user silent or at full
+    power.  Their negative slopes in ``lam`` hold the master off the lambda
+    floor."""
     top = math.log10(1.0 / min(r for r in (profile.rho1, profile.rho2) if r > 0)
                      / (LAMBDA_FLOOR * _LN2))
-    pairs = [(ch.p1, ch.p2)]
-    for own, other, order in ((ch.p1, ch.p2, 1), (ch.p2, ch.p1, -1)):
-        if own > 0:
-            start = math.log10(own)
-            for p in 10.0 ** (start + np.arange(1, math.ceil(top - start) + 1)):
-                pairs += [(p, q)[::order] for q in (0.0, other)]
-    powers = np.array(pairs)
+    pairs = [(p, q) for p in 10.0 ** np.arange(1, math.ceil(top) + 1) for q in (0.0, 1.0)]
+    powers = np.array([(1.0, 1.0)] + pairs + [(q, p) for p, q in pairs])
     return powers, np.transpose(_proper_rates(gains, *powers.T))
+
+
+def _unit_powers(cuts, ch: SimoChannel) -> np.ndarray:
+    """The cuts' ``p_star`` over the budgets of ``ch``; 0 at a zero budget."""
+    p, budget = np.array([c.p_star for c in cuts]).reshape(-1, 2), np.array([ch.p1, ch.p2])
+    return np.divide(p, budget, out=np.zeros_like(p), where=budget > 0)
 
 
 def _as_cuts(cuts) -> list[Cut]:
@@ -431,10 +435,12 @@ def cutting_plane(
     Stops when the gap between the best evaluated dual value and the
     master's weak-duality lower bound, taken from its multipliers rather
     than its primal value, is at most ``eps``; the gap holds the slack, so
-    ``eps`` must exceed ``_ROOT_SLACK``.
+    ``eps`` must exceed ``_ROOT_SLACK``.  It solves ``ch`` at unit budgets
+    (:func:`~tinregion.channel.unit_budgets`), so its multipliers price power
+    per unit of budget; the cuts' ``p_star`` are in the caller's units.
 
     The model's first rows are the cuts of :func:`_fixed_strategies`, which
-    fall in ``lam`` where exact cuts (``p <= P``) rise, so the masters do not
+    fall in ``lam`` where exact cuts (``p <= 1``) rise, so the masters do not
     chase the lambda floor, near which the dual grows like ``mu log(1/lam)``.
 
     ``seed_cuts`` warm-starts the affine model.  The dual function itself
@@ -448,25 +454,25 @@ def cutting_plane(
     validate_eps(eps)
     if eps <= _ROOT_SLACK:
         raise ValidationError(f"eps must exceed the root slack {_ROOT_SLACK}, got {eps}")
-    z0, E, lo, hi = _multiplier_box(ch, profile)
+    unit = unit_budgets(ch)
+    z0, E, lo, hi = _multiplier_box(unit, profile)
     cuts = [] if seed_cuts is None else _as_cuts(seed_cuts)
-    gains = _proper_gains(ch)
-    powers, rates = _fixed_strategies(ch, gains, profile)
+    gains = _proper_gains(unit)
+    powers, rates = _fixed_strategies(gains, profile)
     # row i minorizes the dual by w_i . (mu1, mu2, lam1, lam2): the fixed
     # strategies first, so that a warm working set keeps its rows, then the cuts
-    w = np.c_[rates, [ch.p1, ch.p2] - powers].tolist()
-    w += [[c.rates.r1, c.rates.r2, ch.p1 - c.p_star[0], ch.p2 - c.p_star[1]]
-          for c in cuts]
+    w = np.c_[rates, 1 - powers].tolist()
+    w += np.c_[[c.rates for c in cuts], 1 - _unit_powers(cuts, ch)].tolist()
     best_upper = math.inf
     best_dv = None
 
     def add_cut(dv: DualVariables):
         nonlocal best_upper, best_dv
-        p_star, val = _exact_inner(_InnerProblem(gains, (dv.mu1, dv.mu2), (dv.lam1, dv.lam2)))
-        rates = rate_proper(ch, *p_star)
-        value = dv.lam1 * ch.p1 + dv.lam2 * ch.p2 + val
-        cuts.append(Cut(dv=dv, p_star=p_star, rates=rates, value=value))
-        w.append([rates.r1, rates.r2, ch.p1 - p_star[0], ch.p2 - p_star[1]])
+        (p1, p2), val = _exact_inner(_InnerProblem(gains, (dv.mu1, dv.mu2), (dv.lam1, dv.lam2)))
+        rates = rate_proper(unit, p1, p2)
+        value = dv.lam1 + dv.lam2 + val
+        cuts.append(Cut(dv=dv, p_star=(p1 * ch.p1, p2 * ch.p2), rates=rates, value=value))
+        w.append([rates.r1, rates.r2, 1 - p1, 1 - p2])
         if value + _ROOT_SLACK < best_upper:
             best_upper, best_dv = value + _ROOT_SLACK, dv
 
@@ -491,8 +497,8 @@ def primal_recovery(
     Maximizing the common scaling over mixtures of the fixed pairs of
     :func:`_fixed_strategies`, the inner maximizers and the single-user
     corners, which let a single-user profile collapse to one full-power
-    strategy, is the LP dual of the master over the same strategies, so one
-    cold :func:`_master` gives a mixture of at most four.  Its rows hold
+    strategy, is the LP dual of the master over the same strategies at unit
+    budgets, so one cold :func:`_master` gives a mixture of at most four.  Its rows hold
     those of the last master of :func:`cutting_plane` at the same profile,
     so the recovered scaling is at least that dual bound minus ``eps``.  The
     cuts must come from :func:`cutting_plane` on the same channel, because
@@ -503,16 +509,17 @@ def primal_recovery(
     cuts = _as_cuts(cuts)
     if not cuts:
         raise ValidationError("no cuts to recover from")
-    corners = [(ch.p1, 0.0), (0.0, ch.p2)]
-    powers, rates = _fixed_strategies(ch, _proper_gains(ch), profile)
-    powers = np.concatenate([powers, [cut.p_star for cut in cuts], corners])
+    unit, corners = unit_budgets(ch), [(1.0, 0.0), (0.0, 1.0)]
+    powers, rates = _fixed_strategies(_proper_gains(unit), profile)
+    powers = np.concatenate([powers, _unit_powers(cuts, ch), corners])
     rates = np.concatenate([rates, [cut.rates for cut in cuts],
-                            [rate_proper(ch, *p) for p in corners]])
-    model = np.c_[rates, [ch.p1, ch.p2] - powers]
-    z0, E, lo, hi = _multiplier_box(ch, profile)
+                            [rate_proper(unit, *p) for p in corners]])
+    model = np.c_[rates, 1 - powers]
+    z0, E, lo, hi = _multiplier_box(unit, profile)
     tau = _master(model @ E, model @ z0, lo, hi)[3]
     keep = tau > 1e-9
     tau = tau[keep] / tau[keep].sum()
-    entries = tuple((float(t), float(p1), float(p2)) for t, (p1, p2) in zip(tau, powers[keep]))
+    powers = powers[keep] * [ch.p1, ch.p2]
+    entries = tuple((float(t), float(p1), float(p2)) for t, (p1, p2) in zip(tau, powers))
     r1, r2 = tau @ rates[keep]
     return TimeSharingSolution(entries=entries, rates=RatePoint(float(r1), float(r2)))

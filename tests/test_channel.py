@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,8 @@ from tinregion import (
     validate_channel,
 )
 from tinregion.channel import (
-    _reduced_qr, composite_real_embed, enhance_channel, load_scenario, validate_eps,
+    _reduced_qr, composite_real_embed, enhance_channel, load_scenario, unit_budgets,
+    validate_eps,
 )
 from tinregion.improper_gp import gradient_projection, random_improper_init
 from tinregion.rates import mmse_filter
@@ -54,6 +56,36 @@ class TestValidation:
         bad = SimoChannel(h, fig1.h12, fig1.h21, fig1.h22, 10.0, 10.0)
         with pytest.raises(ValidationError, match="non-finite"):
             validate_channel(bad)
+
+    @pytest.mark.parametrize("links, power", [(1e100, 1.0), (1.0, 1e200), (1e77, 1.0)])
+    def test_gains_overflow(self, fig1, links, power):
+        # |h_kk|^2 P_k |h_kj|^2 P_j past 1e308: the time-sharing solver
+        # warned of an overflow and then blamed multipliers never passed to it
+        bad = replace(fig1, h11=fig1.h11 * links, h12=fig1.h12 * links, h21=fig1.h21 * links,
+                      h22=fig1.h22 * links, p1=np.float64(fig1.p1 * power),
+                      p2=np.float64(fig1.p2 * power))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: validate_channel(bad),
+                        lambda: sweep_region(bad, "proper-timesharing", [0.5])):
+                with pytest.raises(ValidationError, match="channel: the gains"):
+                    run()
+        # one transmitter's gains alone stay finite
+        validate_channel(replace(bad, h12=0 * bad.h12, h21=0 * bad.h21))
+
+
+def test_unit_budgets(fig1):
+    # power p_k on a channel is p_k / P_k at unit budgets; a zero budget
+    # zeroes the links of its transmitter
+    ch = replace(fig1, p1=4.0, p2=0.25)
+    unit = unit_budgets(ch)
+    assert (unit.p1, unit.p2) == (1.0, 1.0)
+    for p1, p2 in ((4.0, 0.25), (1.0, 0.1), (40.0, 3.0), (0.0, 0.5)):
+        np.testing.assert_allclose(rate_proper(unit, p1 / 4.0, p2 / 0.25),
+                                   rate_proper(ch, p1, p2), rtol=1e-13, atol=0)
+    silent = unit_budgets(replace(ch, p2=0.0))
+    assert not silent.h12.any() and not silent.h22.any()
+    np.testing.assert_array_equal(silent.h11, unit.h11)
 
 
 _EPS_SOLVERS = {
@@ -94,6 +126,8 @@ _NON_REAL = {
     "multiplier": lambda ch: DualVariables("a", 1.0, 0.1, 0.1),
     "beta": lambda ch: sweep_region(ch, "proper-pure", ["a"]),
     "channel-vector-str": lambda ch: validate_channel(replace(ch, h11=["a", "b"])),
+    "channel-vector-ragged": lambda ch: validate_channel(replace(ch, h11=[1.0, [1.0, 2.0]])),
+    "strategy-tuple": lambda ch: rate_complex(ch, (1.0, 1.0)),
     "seed-str": lambda ch: multistart(ch, (0.5, 0.5), n_starts=1, seed="x"),
     "seed-float": lambda ch: multistart(ch, (0.5, 0.5), n_starts=1, seed=1.5),
     "seed-negative": lambda ch: multistart(ch, (0.5, 0.5), n_starts=1, seed=-1),

@@ -495,7 +495,7 @@ class TestReferenceEquivalence:
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize("w", [(-1.0, 2.0), (np.nan, 1.0), (1.0, np.inf), (1.0,)])
+    @pytest.mark.parametrize("w", [(-1.0, 2.0), (np.nan, 1.0), (1.0, np.inf), (1.0,), ("a", 1)])
     def test_bad_weights(self, fig1, w):
         m = np.diag([2.0, 2.0])
         with pytest.raises(ValidationError):
@@ -717,7 +717,24 @@ class TestFeasibleAscent:
         assert len(runs) == len(inits)
         for res, init in zip(runs, inits):
             assert res.converged
-            assert res.residual <= 1e-4 * scale
+            assert res.residual <= 1e-4
             # W is the objective at the returned point, no worse than the start's
             assert abs(wsr(ch, res.m1, res.m2, *w) - res.W) <= 1e-12
             assert res.W >= wsr(ch, *init, *w) - 1e-12
+
+    @pytest.mark.parametrize("beta", [0.3, 0.7])
+    def test_stop_in_units_of_each_budget(self, fig1, beta):
+        # transmitter 2 in other units: links times 1e-3, budget times 1e6.  A
+        # stop at GP_EPS times the larger budget allowed user 1 a residual of
+        # 10, its whole budget, and every start reported converged
+        ch = replace(fig1, h12=fig1.h12 * 1e-3, h22=fig1.h22 * 1e-3, p2=fig1.p2 * 1e6)
+        w = (beta, 1.0 - beta)
+        _, runs = multistart(ch, w)
+        assert sum(res.converged for res in runs) >= 20
+        for res in runs:
+            g = wsr_gradient(ch, res.m1, res.m2, w)
+            parts = [np.linalg.norm(project_psd_trace(m + gk, p) - m) / p
+                     for m, gk, p in zip((res.m1, res.m2), g, (ch.p1, ch.p2))]
+            norm = np.hypot(*parts)
+            assert not res.converged or norm <= GP_EPS * (1 + 1e-9)
+            assert abs(norm - res.residual) <= 1e-9 * max(norm, GP_EPS)

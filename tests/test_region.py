@@ -31,6 +31,8 @@ class TestPresets:
     def test_unknown(self):
         with pytest.raises(ValidationError, match="unknown preset"):
             preset_scenario("fig9")
+        with pytest.raises(ValidationError, match="unknown preset"):
+            preset_scenario(["fig1"])
 
 
 class TestSweep:

@@ -730,15 +730,25 @@ def _multipliers(profile, y):
     return np.r_[1.0 / rho1 if rho1 > 0 else 0.0, 1.0 / rho2 if rho2 > 0 else 0.0, y]
 
 
+def _at_unit_budgets(ch):
+    """``ch`` with transmitter k's links times ``sqrt(P_k)`` and both
+    budgets 1, the same rates in units of the budgets."""
+    s1, s2 = np.sqrt(ch.p1), np.sqrt(ch.p2)
+    return replace(ch, h11=ch.h11 * s1, h12=ch.h12 * s2, h21=ch.h21 * s1,
+                   h22=ch.h22 * s2, p1=1.0, p2=1.0)
+
+
 def _check_rows(args, ch, profile, cuts, rng):
-    """The master's rows are the cuts of conftest's fixed strategies, then
-    those of ``cuts``: at random points of the box each row's value ``a_i .
-    y + b_i`` is its ``mu . r + lam . (P - p)``, with the fixed strategies'
-    rates from the closed form of ``proper_rates``."""
+    """The master's rows are the cuts of conftest's fixed strategies at unit
+    budgets, then those of ``cuts``: at random points of the box each row's
+    value ``a_i . y + b_i`` is its ``mu . r + lam . (1 - p / P)``, with the
+    fixed strategies' rates from the closed form of ``proper_rates``."""
     a, b, lo, hi, _ = args
-    powers = np.array(fixed_strategies(ch, profile))
-    fixed = np.c_[np.transpose(proper_rates(ch, *powers.T)), [ch.p1, ch.p2] - powers]
-    w = np.r_[fixed, [[*c.rates, ch.p1 - c.p_star[0], ch.p2 - c.p_star[1]] for c in cuts]]
+    unit = _at_unit_budgets(ch)
+    powers = np.array(fixed_strategies(unit, profile))
+    fixed = np.c_[np.transpose(proper_rates(unit, *powers.T)), 1 - powers]
+    w = np.r_[fixed, [[*c.rates, 1 - c.p_star[0] / ch.p1, 1 - c.p_star[1] / ch.p2]
+                      for c in cuts]]
     assert a.shape == (len(w), len(lo))
     for y in rng.uniform(lo, hi, (5, len(lo))):
         z = _multipliers(profile, y)
@@ -814,7 +824,8 @@ class TestMaster:
             _check_rows(args, fig1, RateProfile(*rho), cuts, rng)
             a, b, lo, hi, _ = args
             y = _check_master(a, b, lo, hi)
-            assert hi[-1] == max(_lambda_max(fig1, RateProfile(*rho)), 10 * LAMBDA_FLOOR)
+            assert hi[-1] == max(_lambda_max(_at_unit_budgets(fig1), RateProfile(*rho)),
+                                 10 * LAMBDA_FLOOR)
             if at == "max":
                 assert np.allclose(y[-2:], hi[-2:], rtol=1e-12, atol=0)
                 continue
