@@ -6,7 +6,7 @@ prints the dual certificate and the recovered mixture of at most four
 strategies, and shows the averaged powers meeting the budgets.
 """
 
-from tinregion import RateProfile, cutting_plane, preset_scenario, primal_recovery
+from tinregion import RateProfile, cutting_plane, preset_scenario
 from tinregion.proper_pure import balance_pure_proper
 
 ch = preset_scenario("fig2")
@@ -15,12 +15,14 @@ profile = RateProfile(0.5, 0.5)
 pure = balance_pure_proper(ch, profile, eps=1e-7)
 print(f"pure-strategy balanced point: ({pure.rates.r1:.4f}, {pure.rates.r2:.4f})")
 
-R, dv, cuts = cutting_plane(ch, profile, eps=1e-2)
-print(f"\ndual certificate R* = {R:.4f} "
+res = cutting_plane(ch, profile, eps=1e-2)
+dv = res.dv
+print(f"\ndual certificate R* = {res.upper:.4f} "
       f"(multipliers mu=({dv.mu1:.3f},{dv.mu2:.3f}), "
-      f"lam per unit of budget=({dv.lam1:.4f},{dv.lam2:.4f}), {len(cuts)} cuts)")
+      f"lam per unit of budget=({dv.lam1:.4f},{dv.lam2:.4f}), {len(res.cuts)} cuts)")
 
-sol = primal_recovery(cuts, profile, ch)
+# the mixture comes from one more master LP, warm from the cutting plane's last
+sol = res.solution
 print(f"recovered averaged rates: ({sol.rates.r1:.4f}, {sol.rates.r2:.4f})")
 print("mixture:")
 for tau, p1, p2 in sol.entries:

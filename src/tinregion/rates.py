@@ -67,10 +67,12 @@ def _proper_gains(ch: SimoChannel):
 def _proper_rates(gains, p1, p2):
     """Proper rates ``(r1, r2)`` in bits at powers ``(p1, p2)``, elementwise,
     from :func:`_proper_gains`.  The MMSE gain ``h_kk^H (I + p_j h_kj h_kj^H)^{-1}
-    h_kk`` is ``(g_k + p_j c_k) / (1 + p_j n_k)``, with no negative term."""
+    h_kk`` is ``(g_k + p_j c_k) / d_k``, ``d_k = 1 + p_j n_k``, with no negative
+    term, taken as ``g_k / d_k + c_k (p_j / d_k)`` so that nothing overflows."""
     (g1, g2), _, (n1, n2), (c1, c2) = gains
-    r1 = np.log1p(p1 * (g1 + p2 * c1) / (1.0 + p2 * n1)) / _LN2
-    r2 = np.log1p(p2 * (g2 + p1 * c2) / (1.0 + p1 * n2)) / _LN2
+    d1, d2 = 1.0 + p2 * n1, 1.0 + p1 * n2
+    r1 = np.log1p(p1 * (g1 / d1 + c1 * (p2 / d1))) / _LN2
+    r2 = np.log1p(p2 * (g2 / d2 + c2 * (p1 / d2))) / _LN2
     return r1, r2
 
 

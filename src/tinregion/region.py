@@ -12,7 +12,8 @@ from .errors import ValidationError
 from .improper_gp import multistart
 from .proper_pure import RateProfile, balance_pure_proper
 from .rates import RatePoint
-from .timesharing import cutting_plane, primal_recovery
+# primal_recovery: called by nothing here; perfbench/layers.py wraps it (ROADMAP item 0).
+from .timesharing import cutting_plane, primal_recovery  # noqa: F401
 
 METHODS = (
     "proper-pure",
@@ -124,11 +125,9 @@ def sweep_region(
         samples = []
         pool = None
         for b in betas:
-            profile = RateProfile.from_beta(b)
-            _, _, cuts = cutting_plane(ch, profile, eps=eps, seed_cuts=pool)
-            pool = cuts
-            sol = primal_recovery(cuts, profile, ch)
-            samples.append((b, sol.rates))
+            res = cutting_plane(ch, RateProfile.from_beta(b), eps=eps, seed_cuts=pool)
+            pool = res.cuts
+            samples.append((b, res.solution.rates))
         return RegionCurve(method=method, samples=tuple(samples))
 
     samples = tuple((b, _solve_beta(ch, method, b, eps, seed, n_starts)) for b in betas)

@@ -139,9 +139,9 @@ class _InnerProblem:
     @property
     def peak(self):
         """Maximizer of each user's interference-free objective, for positive
-        ``lam``: zero exactly when lam ln 2 >= mu g or on a dead direct link."""
+        ``lam``: zero exactly when lam ln 2 >= mu g, so 1 / g never overflows."""
         return tuple(
-            max((mu * g - lam * _LN2) / (lam * _LN2 * g), 0.0) if g > 0 else 0.0
+            max(mu / (lam * _LN2) - 1.0 / g, 0.0) if mu * g > lam * _LN2 else 0.0
             for mu, lam, g in zip(self.mu, self.lam, self.gains[0])
         )
 
@@ -403,10 +403,14 @@ def _fixed_strategies(gains, profile: RateProfile):
     return powers, np.transpose(_proper_rates(gains, *powers.T))
 
 
-def _unit_powers(cuts, ch: SimoChannel) -> np.ndarray:
-    """The cuts' ``p_star`` over the budgets of ``ch``; 0 at a zero budget."""
+def _strategies(gains, profile: RateProfile, cuts, ch: SimoChannel):
+    """The master's strategies in row order, as ``(powers, rates)`` arrays of
+    pairs at unit budgets: those of :func:`_fixed_strategies`, then the
+    cuts', whose ``p_star`` is over the budgets of ``ch`` (0 at a zero one)."""
+    powers, rates = _fixed_strategies(gains, profile)
     p, budget = np.array([c.p_star for c in cuts]).reshape(-1, 2), np.array([ch.p1, ch.p2])
-    return np.divide(p, budget, out=np.zeros_like(p), where=budget > 0)
+    p = np.divide(p, budget, out=np.zeros_like(p), where=budget > 0)
+    return np.r_[powers, p], np.r_[rates, np.reshape([c.rates for c in cuts], (-1, 2))]
 
 
 def _as_cuts(cuts) -> list[Cut]:
@@ -420,13 +424,27 @@ def _as_cuts(cuts) -> list[Cut]:
     return cuts
 
 
+@dataclass(frozen=True)
+class CuttingPlaneResult:
+    """The certified dual upper bound of :func:`cutting_plane`, its multipliers,
+    every cut, and the mixture of the final master; unpacks as ``(upper, dv, cuts)``."""
+
+    upper: float
+    dv: DualVariables
+    cuts: list[Cut]
+    solution: TimeSharingSolution
+
+    def __iter__(self):
+        return iter((self.upper, self.dv, self.cuts))
+
+
 def cutting_plane(
     ch: SimoChannel,
     profile: RateProfile,
     eps: float,
     seed_cuts: list[Cut] | None = None,
-) -> tuple[float, DualVariables, list[Cut]]:
-    """Minimize the dual by Kelley's cutting-plane method.
+) -> CuttingPlaneResult:
+    """Minimize the dual by Kelley's cutting-plane method; recover the mixture.
 
     Each iteration minimizes the affine cut model over the multiplier box
     of :func:`_multiplier_box` (the master LP, solved by :func:`_master`),
@@ -443,6 +461,9 @@ def cutting_plane(
     fall in ``lam`` where exact cuts (``p <= 1``) rise, so the masters do not
     chase the lambda floor, near which the dual grows like ``mu log(1/lam)``.
 
+    Once the gap closes, one more master over its rows and the single-user
+    corners, warm from its working set, gives the mixture ``solution``.
+
     ``seed_cuts`` warm-starts the affine model.  The dual function itself
     does not depend on the profile (only the multiplier constraint does),
     so cuts collected at one profile remain valid minorants at any other;
@@ -455,33 +476,32 @@ def cutting_plane(
     if eps <= _ROOT_SLACK:
         raise ValidationError(f"eps must exceed the root slack {_ROOT_SLACK}, got {eps}")
     unit = unit_budgets(ch)
-    z0, E, lo, hi = _multiplier_box(unit, profile)
+    box = z0, E, lo, hi = _multiplier_box(unit, profile)
     cuts = [] if seed_cuts is None else _as_cuts(seed_cuts)
     gains = _proper_gains(unit)
-    powers, rates = _fixed_strategies(gains, profile)
-    # row i minorizes the dual by w_i . (mu1, mu2, lam1, lam2): the fixed
+    # row i minorizes the dual by (rates_i, 1 - powers_i) . (mu, lam): the fixed
     # strategies first, so that a warm working set keeps its rows, then the cuts
-    w = np.c_[rates, 1 - powers].tolist()
-    w += np.c_[[c.rates for c in cuts], 1 - _unit_powers(cuts, ch)].tolist()
+    powers, rates = _strategies(gains, profile, cuts, ch)
     best_upper = math.inf
     best_dv = None
 
     def add_cut(dv: DualVariables):
-        nonlocal best_upper, best_dv
+        nonlocal powers, rates, best_upper, best_dv
         (p1, p2), val = _exact_inner(_InnerProblem(gains, (dv.mu1, dv.mu2), (dv.lam1, dv.lam2)))
-        rates = rate_proper(unit, p1, p2)
+        r = rate_proper(unit, p1, p2)
         value = dv.lam1 + dv.lam2 + val
-        cuts.append(Cut(dv=dv, p_star=(p1 * ch.p1, p2 * ch.p2), rates=rates, value=value))
-        w.append([rates.r1, rates.r2, 1 - p1, 1 - p2])
+        cuts.append(Cut(dv=dv, p_star=(p1 * ch.p1, p2 * ch.p2), rates=r, value=value))
+        powers, rates = np.vstack([powers, (p1, p2)]), np.vstack([rates, r])
         if value + _ROOT_SLACK < best_upper:
             best_upper, best_dv = value + _ROOT_SLACK, dv
 
     work = None
     for _ in range(_MAX_ITER):
-        model = np.array(w)
+        model = np.hstack([rates, 1 - powers])
         y, t_model, work, _ = _master(model @ E, model @ z0, lo, hi, work)
         if best_upper - t_model <= eps:
-            return best_upper, best_dv, cuts
+            solution = _mixture(powers, rates, box, unit, ch, work)
+            return CuttingPlaneResult(best_upper, best_dv, cuts, solution)
         mu1, mu2, lam1, lam2 = z0 + E @ y
         add_cut(DualVariables(max(mu1, 0.0), max(mu2, 0.0), lam1, lam2))
     raise ConvergenceError(
@@ -489,37 +509,41 @@ def cutting_plane(
     )
 
 
+def _mixture(powers, rates, box, unit, ch, work=None) -> TimeSharingSolution:
+    """The mixture of largest common scaling over the master's strategies and
+    the single-user corners, in ``ch``'s units: the weights of one more
+    :func:`_master`, cold or from ``work``, which appended rows keep dual feasible."""
+    corners = np.array([(1.0, 0.0), (0.0, 1.0)])
+    powers = np.r_[powers, corners]
+    model = np.c_[np.r_[rates, [rate_proper(unit, *p) for p in corners]], 1 - powers]
+    z0, E, lo, hi = box
+    tau = _master(model @ E, model @ z0, lo, hi, work)[3]
+    keep = tau > 1e-9
+    tau = tau[keep] / tau[keep].sum()
+    powers = powers[keep] * [ch.p1, ch.p2]
+    entries = tuple((float(t), float(p1), float(p2)) for t, (p1, p2) in zip(tau, powers))
+    r1, r2 = tau @ model[keep, :2]
+    return TimeSharingSolution(entries=entries, rates=RatePoint(float(r1), float(r2)))
+
+
 def primal_recovery(
     cuts: list[Cut], profile: RateProfile, ch: SimoChannel
 ) -> TimeSharingSolution:
-    """Recover an explicit time-sharing mixture from the collected cuts.
+    """Recover an explicit time-sharing mixture from a list of cuts.
 
-    Maximizing the common scaling over mixtures of the fixed pairs of
-    :func:`_fixed_strategies`, the inner maximizers and the single-user
-    corners, which let a single-user profile collapse to one full-power
-    strategy, is the LP dual of the master over the same strategies at unit
-    budgets, so one cold :func:`_master` gives a mixture of at most four.  Its rows hold
-    those of the last master of :func:`cutting_plane` at the same profile,
-    so the recovered scaling is at least that dual bound minus ``eps``.  The
-    cuts must come from :func:`cutting_plane` on the same channel, because
-    their rates are reused.
+    Maximizing the common scaling over mixtures of the fixed pairs, the
+    inner maximizers and the single-user corners, which let a single-user
+    profile collapse to one full-power strategy, is the LP dual of the
+    master, so one cold :func:`_master` gives a mixture of at most four: over
+    a :func:`cutting_plane` call's cuts, that call's ``solution``, whose
+    scaling is at least its dual bound minus ``eps``.  The cuts must come
+    from :func:`cutting_plane` on the same channel; their rates are reused.
     """
     validate_channel(ch)
     validate_profile(profile)
     cuts = _as_cuts(cuts)
     if not cuts:
         raise ValidationError("no cuts to recover from")
-    unit, corners = unit_budgets(ch), [(1.0, 0.0), (0.0, 1.0)]
-    powers, rates = _fixed_strategies(_proper_gains(unit), profile)
-    powers = np.concatenate([powers, _unit_powers(cuts, ch), corners])
-    rates = np.concatenate([rates, [cut.rates for cut in cuts],
-                            [rate_proper(unit, *p) for p in corners]])
-    model = np.c_[rates, 1 - powers]
-    z0, E, lo, hi = _multiplier_box(unit, profile)
-    tau = _master(model @ E, model @ z0, lo, hi)[3]
-    keep = tau > 1e-9
-    tau = tau[keep] / tau[keep].sum()
-    powers = powers[keep] * [ch.p1, ch.p2]
-    entries = tuple((float(t), float(p1), float(p2)) for t, (p1, p2) in zip(tau, powers))
-    r1, r2 = tau @ rates[keep]
-    return TimeSharingSolution(entries=entries, rates=RatePoint(float(r1), float(r2)))
+    unit = unit_budgets(ch)
+    strategies = _strategies(_proper_gains(unit), profile, cuts, ch)
+    return _mixture(*strategies, _multiplier_box(unit, profile), unit, ch)

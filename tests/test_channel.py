@@ -153,7 +153,7 @@ _NON_REAL = {
 
 
 def _cuts(ch):
-    return cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2)[2]
+    return cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2).cuts
 
 
 @pytest.mark.parametrize("case", sorted(_NON_REAL))

@@ -1,16 +1,21 @@
-"""Unit relations: a rate depends on a power only through ``p_k |h|^2``, so
-scaling transmitter k's links by ``s_k`` and its budget by ``1 / s_k^2``
-leaves every rate, and so every region, unchanged.  Each solver must return
-the same region in the new units, within its tolerance."""
+"""Invariance relations, each checked on every solver within its tolerance.
 
+* Units: a rate depends on a power only through ``p_k |h|^2``, so scaling
+  transmitter k's links by ``s_k`` and its budget by ``1 / s_k^2`` leaves
+  every rate, and so every region, unchanged.
+* Rotations: a unitary at a receiver, or a phase at a transmitter, changes
+  no inner product the rates depend on.
+* Swap: exchanging the users exchanges their rates, and beta with
+  ``1 - beta``.
+"""
+
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tinregion import (
-    RateProfile, cutting_plane, preset_scenario, primal_recovery, sweep_region,
-)
+from tinregion import RateProfile, cutting_plane, multistart, preset_scenario, sweep_region
 
 from conftest import random_channel
 
@@ -57,8 +62,9 @@ def _timesharing(ch, betas=BETAS):
     out, pool = [], None
     for beta in betas:
         profile = RateProfile.from_beta(beta)
-        upper, _, pool = cutting_plane(ch, profile, eps=EPS, seed_cuts=pool)
-        out.append((upper, primal_recovery(pool, profile, ch).rates))
+        res = cutting_plane(ch, profile, eps=EPS, seed_cuts=pool)
+        pool = res.cuts
+        out.append((res.upper, res.solution.rates))
     return out
 
 
@@ -98,3 +104,77 @@ def test_large_budgets(power):
     ch = replace(preset_scenario("fig1"), p1=power, p2=power)
     betas = np.linspace(0.0, 1.0, 21)
     _check_certificates(ch, betas, _timesharing(ch, betas))
+
+
+def _more_channels():
+    """Four more random channels with every link, for the relations below."""
+    rng = np.random.default_rng(18)
+    return {f"random{8 + i}-full": random_channel(rng, *rng.integers(1, 5, 2),
+                                                  p=10 ** rng.uniform(-1, 2))
+            for i in range(4)}
+
+
+SYMMETRY_CHANNELS = {**CHANNELS, **_more_channels()}
+
+
+def _unitary(rng, n):
+    """A random ``n x n`` unitary (Haar, from a phase-fixed QR)."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _rotated(ch, rng):
+    """``ch`` with a random unitary at each receiver and a random phase at
+    each transmitter."""
+    u1, u2 = _unitary(rng, len(ch.h11)), _unitary(rng, len(ch.h22))
+    f1, f2 = np.exp(2j * np.pi * rng.uniform(size=2))
+    return replace(ch, h11=f1 * u1 @ ch.h11, h12=f2 * u1 @ ch.h12,
+                   h21=f1 * u2 @ ch.h21, h22=f2 * u2 @ ch.h22)
+
+
+def _swapped(ch):
+    """``ch`` with the users' roles exchanged."""
+    return replace(ch, h11=ch.h22, h12=ch.h21, h21=ch.h12, h22=ch.h11, p1=ch.p2, p2=ch.p1)
+
+
+def _swap_back(x):
+    """Results of the swapped channel, one row per beta ascending (or per
+    hull vertex), in the original's order, with the users' rates exchanged."""
+    x = np.asarray(x)[::-1]
+    return x[:, ::-1] if x.ndim == 2 else x
+
+
+def _regions(ch):
+    """Each method's output at ``BETAS``: pure and hull points, the
+    time-sharing sweep's ``(upper, rates)``, and the best improper ``W``."""
+    return {
+        "proper-pure": np.array(sweep_region(ch, "proper-pure", BETAS).points()),
+        "convex-hull": np.array(sweep_region(ch, "convex-hull", BETAS).points()),
+        "proper-timesharing": _timesharing(ch),
+        "W": np.array([multistart(ch, (b, 1 - b))[0].W for b in BETAS]),
+    }
+
+
+@functools.cache
+def _original(name):
+    return _regions(SYMMETRY_CHANNELS[name])
+
+
+@pytest.mark.parametrize("relation", ["rotation", "swap"])
+@pytest.mark.parametrize("name", sorted(SYMMETRY_CHANNELS))
+def test_rotations_and_user_swap(name, relation):
+    ch = SYMMETRY_CHANNELS[name]
+    if relation == "rotation":
+        rng = np.random.default_rng([29, sorted(SYMMETRY_CHANNELS).index(name)])
+        other, back = _rotated(ch, rng), np.asarray
+    else:
+        other, back = _swapped(ch), _swap_back
+    want, got = _original(name), _regions(other)
+    _check_certificates(other, BETAS, got["proper-timesharing"])
+    ts = [rates for _, rates in got["proper-timesharing"]]
+    want_ts = [rates for _, rates in want["proper-timesharing"]]
+    assert np.abs(back(ts) - want_ts).max() <= EPS
+    for method in ("proper-pure", "convex-hull"):
+        assert back(got[method]).shape == want[method].shape, method
+        assert np.abs(back(got[method]) - want[method]).max() <= 1e-9, method
+    assert np.all(np.abs(back(got["W"]) - want["W"]) <= 1e-6 * want["W"])

@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from tinregion import (
     transformed_rates,
 )
 from tinregion.channel import enhance_channel
-from tinregion.rates import mmse_filter
+from tinregion.rates import _proper_gains, _proper_rates, mmse_filter
 
 from conftest import filter_sinr, random_channel, random_strategy
 
@@ -205,6 +207,23 @@ class TestMonotonicity:
                 rate_proper(fig1, p1, 10.0).r1
                 <= rate_proper(fig1, p1, 0.0).r1 + 1e-12
             )
+
+
+class TestProperRatesNearOverflow:
+    @pytest.mark.parametrize("scale", [1e74, 1e76])
+    def test_matches_exact_rationals(self, fig1, scale):
+        # with every link times 1e74 or 1e76, p_k (g_k + p_j c_k) passes
+        # 1e308 at these powers before its ratio to 1 + p_j n_k is taken
+        gains = _proper_gains(replace(fig1, **{f: getattr(fig1, f) * scale
+                                               for f in ("h11", "h12", "h21", "h22")}))
+        (g1, g2), _, (n1, n2), (c1, c2) = gains
+        p1, p2 = (a.ravel() for a in np.meshgrid(*2 * [[0.0, 1.0, 10.0, 1e5, 1e10]]))
+        r1, r2 = _proper_rates(gains, p1, p2)
+        for pk, pj, g, n, c, got in ((p1, p2, g1, n1, c1, r1), (p2, p1, g2, n2, c2, r2)):
+            for a, b, r in zip(pk, pj, got):
+                F = Fraction
+                sinr = F(a) * (F(g) + F(b) * F(c)) / (1 + F(b) * F(n))
+                assert r == pytest.approx(math.log2(float(1 + sinr)), rel=1e-14), (a, b)
 
 
 class TestEnhancedBound:

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -465,7 +466,7 @@ class TestExactInner:
         fixed = [fig1, fig2, fig3, _swap_users(fig3), replace(fig1, h21=0 * fig1.h21),
                  replace(fig1, h21=_orthogonal(fig1.h21, fig1.h22)), _collinear(fig1)]
         hard = [(ch, cut.dv) for ch in fixed[:3] for beta in (0.25, 0.5, 0.75)
-                for cut in cutting_plane(ch, RateProfile.from_beta(beta), eps=2e-2)[2]]
+                for cut in cutting_plane(ch, RateProfile.from_beta(beta), eps=2e-2).cuts]
         pairs = []
         for i in range(84):
             ch = fixed[i] if i < len(fixed) else _scaled_channel(rng)
@@ -776,6 +777,20 @@ def _check_master(a, b, lo, hi, work=None):
     return y
 
 
+def _pivots(a, b, lo, hi, work):
+    """The pivots ``_master`` makes from ``work``: one less than the fewest
+    its cap may allow."""
+    for cap in range(1, 5):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(timesharing, "_MAX_PIVOTS", cap)
+            try:
+                _master(a, b, lo, hi, work)
+            except ConvergenceError:
+                continue
+        return cap - 1
+    return math.inf
+
+
 class TestMaster:
     """The NumPy master LP of ``cutting_plane`` against HiGHS."""
 
@@ -785,11 +800,21 @@ class TestMaster:
         for ch, eps in itertools.product((fig1, fig2, fig3), (2e-2, 1e-3)):
             masters = _masters(monkeypatch, lambda: sweep_region(
                 ch, "proper-timesharing", np.linspace(0, 1, 21), eps=eps))
-            # each recovery is one more cold master, with the corner rows
-            assert sum(args[4] is None for args in masters) == 42
+            assert sum(args[4] is None for args in masters) == 21
             assert len(masters) >= 63
             for args in masters:
                 _check_master(*args)
+            # each point's last master is its recovery: the previous one's
+            # rows plus the two corners, warm from its working set
+            last = [i for i, args in enumerate(masters)
+                    if i + 1 == len(masters) or masters[i + 1][4] is None]
+            assert len(last) == 21
+            pivots = []
+            for i in last:
+                a, b, lo, hi, work = masters[i]
+                assert work is not None and len(b) == len(masters[i - 1][1]) + 2
+                pivots.append(_pivots(a, b, lo, hi, work))
+            assert np.median(pivots) <= 1 and max(pivots) <= 3, pivots
 
     @pytest.mark.parametrize("rho", [(0.3, 0.7), (1.0, 0.0), (0.0, 1.0)])
     def test_random_cut_sets(self, rho, monkeypatch):
@@ -922,7 +947,7 @@ class TestCuttingPlane:
         # a factor of 4-10 in lam per cut: 29-31 cuts per balanced point, and
         # 45 inner solves, one per cut, in a 5-beta fig1 sweep
         for ch in (fig1, fig2, fig3):
-            assert len(cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2)[2]) <= 15
+            assert len(cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2).cuts) <= 15
         pools = []
 
         def solve(*args, **kwargs):
@@ -932,7 +957,7 @@ class TestCuttingPlane:
         monkeypatch.setattr(region, "cutting_plane", solve)
         sweep_region(fig1, "proper-timesharing", np.linspace(0, 1, 5), eps=2e-2)
         # the sweep passes its pool along, so the last holds every cut
-        assert len(pools) == 5 and len(pools[-1][2]) <= 30
+        assert len(pools) == 5 and len(pools[-1].cuts) <= 30
 
     def test_rejects_eps_within_root_slack(self, fig1):
         # the certified gap never falls below the slack added to each cut
@@ -952,22 +977,17 @@ class TestCuttingPlane:
 
 @pytest.fixture(scope="module")
 def recoveries(fig1, fig2, fig3):
-    """Every recovery of 21-beta sweeps, warm-started cut pools included, as
-    ``(sol, upper, eps, profile, ch, cuts)`` with the dual upper bound of
-    the same point: on the presets at both eps, on dead-link and zero-budget
-    channels, and on random channels with 1-4 antennas and budgets from
-    1e-2 to 1e3."""
+    """Every recovered mixture of 21-beta sweeps, warm-started cut pools
+    included, as ``(sol, upper, eps, profile, ch, cuts)`` with the dual
+    upper bound of the same point: on the presets at both eps, on dead-link
+    and zero-budget channels, and on random channels with 1-4 antennas and
+    budgets from 1e-2 to 1e3."""
     seen = []
 
     def solve(ch, profile, eps, seed_cuts=None):
-        out = cutting_plane(ch, profile, eps=eps, seed_cuts=seed_cuts)
-        seen.append([out[0], eps])
-        return out
-
-    def recover(cuts, profile, ch):
-        sol = primal_recovery(cuts, profile, ch)
-        seen[-1] = (sol, *seen[-1], profile, ch, cuts)
-        return sol
+        res = cutting_plane(ch, profile, eps=eps, seed_cuts=seed_cuts)
+        seen.append((res.solution, res.upper, eps, profile, ch, res.cuts))
+        return res
 
     rng = np.random.default_rng(48)
     runs = [(ch, eps) for ch in (fig1, fig2, fig3) for eps in (2e-2, 1e-3)]
@@ -977,7 +997,6 @@ def recoveries(fig1, fig2, fig3):
              for p in 10.0 ** np.r_[-2.0, 3.0, rng.uniform(-2, 3, 6)]]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(region, "cutting_plane", solve)
-        m.setattr(region, "primal_recovery", recover)
         for ch, eps in runs:
             sweep_region(ch, "proper-timesharing", np.linspace(0, 1, 21), eps=eps)
     assert len(seen) == 21 * len(runs)
@@ -1010,6 +1029,13 @@ class TestPrimalRecovery:
             assert p1 <= ch.p1 * (1 + 1e-9) and p2 <= ch.p2 * (1 + 1e-9)
             assert abs(_scaling(sol, profile) - highs_recovery(cuts, profile, ch)) <= 1e-7
 
+    def test_matches_cold_recovery(self, recoveries):
+        # the mixture of cutting_plane's warm final master is the one that
+        # primal_recovery's cold master finds over the same cuts
+        for sol, _, _, profile, ch, cuts in recoveries:
+            cold = primal_recovery(cuts, profile, ch)
+            assert abs(_scaling(sol, profile) - _scaling(cold, profile)) <= 1e-10
+
     def test_certificate(self, recoveries):
         # the recovery holds every row of the last master, so the recovered
         # scaling is at least the dual upper bound minus eps, with no slack;
@@ -1032,6 +1058,38 @@ class TestZeroDirectLink:
         curve = sweep_region(ch, "proper-timesharing", [beta], eps=1e-2)
         got = curve.samples[0][1]
         assert abs(got.r1 - want[0]) <= 1e-2 and abs(got.r2 - want[1]) <= 1e-2
+
+
+class TestExtremeScales:
+    # Tier-1 turns every RuntimeWarning into an error, so these sweeps also
+    # check that no overflow or division by zero happens on the way.
+    @pytest.mark.parametrize("budgets, corners", [
+        ({"p1": 1e-320}, {0.0: (0.0, 4.775428885802185)}),
+        ({"p2": 1e-320}, {1.0: (4.226591335969697, 0.0)}),
+        ({"p1": 1e-310, "p2": 1e-310}, {}),
+    ])
+    def test_subnormal_budgets(self, fig1, budgets, corners):
+        # a subnormal budget gives subnormal gains at unit budgets, whose
+        # peak power once overflowed; its user reaches no rate, so only the
+        # other user's corner leaves the origin
+        ch = replace(fig1, **budgets)
+        curve = sweep_region(ch, "proper-timesharing", np.linspace(0, 1, 5), eps=2e-2)
+        for beta, got in curve.samples:
+            want = corners.get(beta, (0.0, 0.0))
+            assert np.abs(np.subtract(got, want)).max() <= 1e-9, (beta, got)
+
+    @pytest.mark.parametrize("scale", [1e74, 1e76])
+    def test_near_overflow_links(self, fig1, scale):
+        # every link times 1e74 or 1e76 puts |h_kk|^2 P_k |h_kj|^2 P_j near
+        # 1e298-1e306, and the fixed strategies' powers then overflowed the
+        # proper rate's numerator before its ratio was taken
+        ch = replace(fig1, **{f: getattr(fig1, f) * scale
+                              for f in ("h11", "h12", "h21", "h22")})
+        profile, eps = RateProfile(0.5, 0.5), 2e-2
+        res = cutting_plane(ch, profile, eps=eps)
+        R = _scaling(res.solution, profile)
+        assert res.upper - eps <= R <= res.upper
+        assert R >= balance_pure_proper(ch, profile).R - eps
 
 
 class TestPureZeroLinkOrBudget:
