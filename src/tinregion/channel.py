@@ -31,7 +31,9 @@ class SimoChannel:
 
     ``h11``/``h22`` are the direct links, ``h12`` the link from transmitter 2
     into receiver 1, ``h21`` from transmitter 1 into receiver 2.  Noise
-    covariance is the identity at both receivers.
+    covariance is the identity at both receivers.  Links given as arrays of
+    numbers (or lists of them) are stored as complex arrays; anything else is
+    kept for :func:`validate_channel` to reject.
     """
 
     h11: np.ndarray
@@ -40,6 +42,15 @@ class SimoChannel:
     h22: np.ndarray
     p1: float
     p2: float
+
+    def __post_init__(self):
+        for name in ("h11", "h12", "h21", "h22"):
+            try:
+                arr = np.asarray(getattr(self, name))
+            except ValueError:  # a ragged nesting
+                continue
+            if arr.dtype.kind in "biufc":
+                object.__setattr__(self, name, arr.astype(complex, copy=False))
 
     def power(self, k: int) -> float:
         return self.p1 if k == 1 else self.p2
@@ -60,12 +71,6 @@ class TxStrategy:
     c2: float
     ct1: complex = 0.0 + 0.0j
     ct2: complex = 0.0 + 0.0j
-
-    def var(self, k: int) -> float:
-        return self.c1 if k == 1 else self.c2
-
-    def pvar(self, k: int) -> complex:
-        return self.ct1 if k == 1 else self.ct2
 
 
 _REAL = (int, float, np.integer, np.floating)
@@ -95,22 +100,26 @@ def complex_scalar(name: str, v) -> complex:
     return complex(v)
 
 
-def validate_strategy(x: TxStrategy, tol: float = 1e-9) -> TxStrategy:
-    """Check finiteness, nonnegative variances, and |ct_k| <= c_k."""
+def _user(name: str, c, ct) -> tuple[float, complex]:
+    """One user's ``(c, ct)`` as a float and a complex, or ``ValidationError``
+    unless both are finite numbers with ``|ct| <= c`` (to 1e-9), which also
+    rules out a negative variance."""
+    c = real_scalar(f"{name}: variance", c)
+    ct = complex_scalar(f"{name}: pseudovariance", ct)
+    if not (math.isfinite(c) and cmath.isfinite(ct)):
+        raise ValidationError(f"{name}: non-finite entry")
+    if abs(ct) > c + 1e-9:
+        raise ValidationError(
+            f"{name}: pseudovariance magnitude {abs(ct):.6g} exceeds variance {c:.6g}")
+    return c, ct
+
+
+def validate_strategy(x: TxStrategy) -> TxStrategy:
+    """Check each user's variance and pseudovariance: finite, |ct_k| <= c_k."""
     if not isinstance(x, TxStrategy):
         raise ValidationError(f"strategy must be a TxStrategy, got {x!r}")
-    for k in (1, 2):
-        c = real_scalar(f"strategy user {k}: variance", x.var(k))
-        ct = complex_scalar(f"strategy user {k}: pseudovariance", x.pvar(k))
-        if not (math.isfinite(c) and cmath.isfinite(ct)):
-            raise ValidationError(f"strategy user {k}: non-finite entry")
-        if c < -tol:
-            raise ValidationError(f"strategy user {k}: negative variance {c}")
-        if abs(ct) > c + tol:
-            raise ValidationError(
-                f"strategy user {k}: pseudovariance magnitude {abs(ct):.6g} "
-                f"exceeds variance {c:.6g}"
-            )
+    _user("strategy user 1", x.c1, x.ct1)
+    _user("strategy user 2", x.c2, x.ct2)
     return x
 
 
@@ -121,36 +130,32 @@ def validate_eps(eps: float) -> float:
     return eps
 
 
-def _as_cvector(name: str, v) -> tuple[np.ndarray, float]:
-    """``v`` as a complex vector, and its squared norm."""
-    try:
-        arr = np.asarray(v)
-    except ValueError:  # a ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "biufc":
+def _squared_norm(name: str, v) -> float:
+    """The squared norm of the link ``v``, which must be a nonempty 1-D
+    complex array (as :class:`SimoChannel` stores numbers) of finite entries."""
+    if not (isinstance(v, np.ndarray) and v.dtype == complex):
         raise ValidationError(f"{name} must be a vector of numbers, got {v!r}")
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError(f"{name}: expected a 1-D vector, got shape {arr.shape}")
-    arr = arr.astype(complex)
-    norm2 = float(np.vdot(arr, arr).real)  # inf or nan on a non-finite entry or overflow
-    if not (math.isfinite(norm2) or np.isfinite(arr).all()):
+    if v.ndim != 1 or v.size < 1:
+        raise ValidationError(f"{name}: expected a 1-D vector, got shape {v.shape}")
+    norm2 = float(np.vdot(v, v).real)  # inf or nan on a non-finite entry or overflow
+    if not (math.isfinite(norm2) or np.isfinite(v).all()):
         raise ValidationError(f"{name}: non-finite entry")
-    return arr, norm2
+    return norm2
 
 
 def validate_channel(ch: SimoChannel) -> SimoChannel:
     """Validate dimensions, finiteness, power budgets and finite gains ``|h|^2 P``."""
     if not isinstance(ch, SimoChannel):
         raise ValidationError(f"channel must be a SimoChannel, got {ch!r}")
-    (h11, s11), (h12, s12), (h21, s21), (h22, s22) = (
-        _as_cvector(name, getattr(ch, name)) for name in ("h11", "h12", "h21", "h22"))
-    if len(h12) != len(h11):
+    s11, s12, s21, s22 = (_squared_norm(name, getattr(ch, name))
+                          for name in ("h11", "h12", "h21", "h22"))
+    if len(ch.h12) != len(ch.h11):
         raise ValidationError(
-            f"h12: dimension mismatch (len {len(h12)} != len(h11) {len(h11)})"
+            f"h12: dimension mismatch (len {len(ch.h12)} != len(h11) {len(ch.h11)})"
         )
-    if len(h21) != len(h22):
+    if len(ch.h21) != len(ch.h22):
         raise ValidationError(
-            f"h21: dimension mismatch (len {len(h21)} != len(h22) {len(h22)})"
+            f"h21: dimension mismatch (len {len(ch.h21)} != len(h22) {len(ch.h22)})"
         )
     for name, p in (("p1", ch.p1), ("p2", ch.p2)):
         if not math.isfinite(real_scalar(name, p)):
@@ -193,6 +198,19 @@ def composite_real_embed(m) -> np.ndarray:
     return np.block([[arr.real, -arr.imag], [arr.imag, arr.real]])
 
 
+def _composite(c: float, ct: complex) -> np.ndarray:
+    """The matrix ``(c I + S(ct)) / 2``, ``S(ct) = [[Re ct, Im ct], [Im ct,
+    -Re ct]]``, of a user's ``(c, ct)``, unchecked."""
+    return 0.5 * np.array([[c + ct.real, ct.imag], [ct.imag, c - ct.real]])
+
+
+def _state(m) -> tuple[float, complex]:
+    """``(c, ct)`` of a 2x2 matrix, its symmetric part read as
+    :func:`_composite`'s; unchecked."""
+    (a, b), (e, d) = np.asarray(m, dtype=float).tolist()
+    return a + d, complex(a - d, b + e)
+
+
 def composite_cov_from_strategy(c: float, ct: complex) -> np.ndarray:
     """Composite real covariance of a scalar input with variance ``c`` and
     pseudovariance ``ct``.
@@ -201,19 +219,10 @@ def composite_cov_from_strategy(c: float, ct: complex) -> np.ndarray:
     ``a = arg(ct)``; the trace equals ``c`` and the eigenvalues are
     ``(c ± |ct|)/2``.
     """
-    c, ct = real_scalar("variance", c), complex_scalar("pseudovariance", ct)
-    if not (math.isfinite(c) and cmath.isfinite(ct)):
-        raise ValidationError(f"non-finite strategy: c={c}, ct={ct}")
-    if abs(ct) > c + 1e-9:
-        raise ValidationError(
-            f"invalid pseudovariance: |ct|={abs(ct):.6g} exceeds variance c={c:.6g}"
-        )
-    return 0.5 * np.array(
-        [[c + ct.real, ct.imag], [ct.imag, c - ct.real]], dtype=float
-    )
+    return _composite(*_user("strategy", c, ct))
 
 
-def check_composite_cov(m, tol: float = PSD_TOL) -> np.ndarray:
+def check_composite_cov(m) -> np.ndarray:
     """Validate a 2x2 composite real covariance: symmetric and PSD."""
     arr = np.asarray(m, dtype=float)
     if arr.shape != (2, 2):
@@ -226,17 +235,14 @@ def check_composite_cov(m, tol: float = PSD_TOL) -> np.ndarray:
         raise ValidationError("composite covariance must be symmetric")
     tr = arr[0, 0] + arr[1, 1]
     det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
-    if tr < -2 * tol * scale or det < -tol * scale * scale:
+    if tr < -2 * PSD_TOL * scale or det < -PSD_TOL * scale * scale:
         raise ValidationError("composite covariance is indefinite")
     return arr
 
 
 def strategy_from_composite_cov(m) -> tuple[float, complex]:
     """Invert :func:`composite_cov_from_strategy`: recover ``(c, ct)``."""
-    arr = check_composite_cov(m)
-    c = float(arr[0, 0] + arr[1, 1])
-    ct = complex(arr[0, 0] - arr[1, 1], arr[0, 1] + arr[1, 0])
-    return c, ct
+    return _state(check_composite_cov(m))
 
 
 @dataclass(frozen=True)

@@ -144,47 +144,23 @@ def cmd_reproduce(args) -> int:
         write_curve(outdir / f"{method}.csv", curves[method], fmt="csv")
 
     best, runs = multistart(ch, (1.0, 1.0), n_starts=args.starts, seed=args.seed)
-    terminal_points = [r.rates for r in runs]
 
+    pure = curves["proper-pure"].points()
+    candidates = {
+        "corner-r1": [(max(p.r1 for p in pure),)],
+        "corner-r2": [(max(p.r2 for p in pure),)],
+        "pure-balanced": [balance_pure_proper(ch, RateProfile(0.5, 0.5), eps=1e-8).rates],
+        "ts-balanced": [p for b, p in curves["proper-timesharing"].samples if abs(b - 0.5) < 1e-9],
+        "improper-min-sum": [best.rates],
+        "improper-point": [r.rates for r in runs],
+    }
     failures = 0
     lines = []
     for chk in reference_points.REFERENCE_CHECKS:
         if chk.scenario != name:
             continue
-        if chk.kind == "corner-r1":
-            got = max(p.r1 for p in curves["proper-pure"].points())
-            dev = abs(got - chk.expected[0])
-            ok = dev <= chk.tol
-        elif chk.kind == "corner-r2":
-            got = max(p.r2 for p in curves["proper-pure"].points())
-            dev = abs(got - chk.expected[0])
-            ok = dev <= chk.tol
-        elif chk.kind == "pure-balanced":
-            res = balance_pure_proper(ch, RateProfile(0.5, 0.5), eps=1e-8)
-            dev = max(
-                abs(res.rates.r1 - chk.expected[0]),
-                abs(res.rates.r2 - chk.expected[1]),
-            )
-            ok = dev <= chk.tol
-        elif chk.kind == "ts-balanced":
-            pt = next(
-                p for b, p in curves["proper-timesharing"].samples
-                if abs(b - 0.5) < 1e-9
-            )
-            dev = max(abs(pt.r1 - chk.expected[0]), abs(pt.r2 - chk.expected[1]))
-            ok = dev <= chk.tol
-        elif chk.kind == "improper-min-sum":
-            got = best.rates.r1 + best.rates.r2
-            dev = max(0.0, chk.expected[0] - got)
-            ok = got >= chk.expected[0]
-        elif chk.kind == "improper-point":
-            dev = min(
-                max(abs(p.r1 - chk.expected[0]), abs(p.r2 - chk.expected[1]))
-                for p in terminal_points
-            )
-            ok = dev <= chk.tol
-        else:  # pragma: no cover
-            continue
+        dev = chk.deviation(candidates[chk.kind])
+        ok = dev <= chk.tol
         failures += 0 if ok else 1
         lines.append(
             f"{'PASS' if ok else 'FAIL'}  {chk.name}: deviation {dev:.4g} "

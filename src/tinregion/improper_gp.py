@@ -24,9 +24,12 @@ import numpy as np
 
 from .channel import (
     SimoChannel,
+    _composite,
+    _state,
     composite_cov_from_strategy,
     check_composite_cov,
     int_scalar,
+    real_scalar,
     validate_channel,
     validate_eps,
 )
@@ -105,16 +108,6 @@ def _point(ks, w, x):
             (k1 * a1 + k2 * e2, k1 * b1 + k2 * f2, k2 * a2 + k1 * e1, k2 * b2 + k1 * f1))
 
 
-def _state(m):
-    """``(c, ct)`` of a 2x2 matrix, its symmetric part read as ``(c I + S(ct)) / 2``."""
-    (a, b), (e, d) = np.asarray(m, dtype=float).tolist()
-    return a + d, complex(a - d, b + e)
-
-
-def _matrix(c, ct) -> np.ndarray:
-    return 0.5 * np.array([[c + ct.real, ct.imag], [ct.imag, c - ct.real]])
-
-
 def _axpy(x, lam, d):
     return x[0] + lam * d[0], x[1] + lam * d[1], x[2] + lam * d[2], x[3] + lam * d[3]
 
@@ -147,7 +140,7 @@ def wsr_gradient(ch: SimoChannel, m1, m2, w) -> tuple[np.ndarray, np.ndarray]:
     w = _weights(w)
     x = _state(check_composite_cov(m1)) + _state(check_composite_cov(m2))
     g = _point(_receivers(ch), w, x)[2]
-    return _matrix(g[0], g[1]), _matrix(g[2], g[3])
+    return _composite(g[0], g[1]), _composite(g[2], g[3])
 
 
 def _project(c, ct, p):
@@ -166,26 +159,17 @@ def _project(c, ct, p):
 
 
 def project_psd_trace(m, p) -> np.ndarray:
-    """Nearest PSD matrix with trace at most ``p`` (Frobenius distance), for
-    one symmetric 2x2 matrix or a ``(..., 2, 2)`` stack of them.  ``p`` is one
-    budget or an array of them that broadcasts to the stack's shape ``(...)``.
-    Each matrix goes through the gradient projection's closed form on its
+    """Nearest PSD matrix with trace at most ``p`` (Frobenius distance) to one
+    symmetric 2x2 matrix, by the gradient projection's closed form on its
     eigenvalues, which keeps the eigenvectors.  A zero budget gives the zero
     matrix.
     """
     arr = np.asarray(m, dtype=float)
-    if arr.shape[-2:] != (2, 2):
-        raise ValidationError(f"expected 2x2 matrices, got shape {arr.shape}")
-    try:
-        p = np.broadcast_to(np.asarray(p, dtype=float), arr.shape[:-2])
-    except ValueError:
-        raise ValidationError(f"trace targets {p!r} do not fit matrices {arr.shape}") from None
-    if not np.all(p >= 0):
-        raise ValidationError("trace target must be nonnegative")
-    out = np.empty(arr.shape)
-    for i in np.ndindex(p.shape):
-        out[i] = _matrix(*_project(*_state(arr[i]), float(p[i])))
-    return out
+    if arr.shape != (2, 2):
+        raise ValidationError(f"expected a 2x2 matrix, got shape {arr.shape}")
+    if not real_scalar("trace target", p) >= 0:
+        raise ValidationError(f"trace target must be nonnegative, got {p}")
+    return _composite(*_project(*_state(arr), float(p)))
 
 
 def random_improper_init(
@@ -263,7 +247,7 @@ def _ascend(ks, w, budget, x, eps: float, max_iter: int) -> GpResult:
         if obj > best[1]:
             best = y, yobj, yrates, yg
     x, obj, rates, g = best
-    return GpResult(_matrix(x[0], x[1]), _matrix(x[2], x[3]), obj, RatePoint(*rates),
+    return GpResult(_composite(x[0], x[1]), _composite(x[2], x[3]), obj, RatePoint(*rates),
                     converged, residual(toward(x, 1.0, g)))
 
 

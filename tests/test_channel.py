@@ -74,6 +74,30 @@ class TestValidation:
         validate_channel(replace(bad, h12=0 * bad.h12, h21=0 * bad.h21))
 
 
+_LIST_ENTRY_POINTS = {
+    "rate_proper": lambda ch: rate_proper(ch, 3.0, 7.0),
+    "balance_pure_proper": lambda ch: balance_pure_proper(ch, RateProfile(0.5, 0.5)).rates,
+    "proper-timesharing": lambda ch: sweep_region(ch, "proper-timesharing", [0.25, 0.5]).points(),
+    "rate_complex": lambda ch: rate_complex(ch, TxStrategy(3.0, 7.0, 1.0 + 2.0j, -4.0)),
+    "multistart": lambda ch: multistart(ch, (0.5, 0.5), n_starts=3)[0].W,
+    "transform_channel": transform_channel,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_LIST_ENTRY_POINTS))
+def test_links_given_as_lists(entry):
+    # links given as Python lists are stored as complex arrays, so every
+    # entry point solves the channel as it does the same links as arrays
+    links = {"h11": [1.0, 0.5], "h12": [0.2, 0.1], "h21": [0.3, 0], "h22": [0.9, 0.4]}
+    listed = validate_channel(SimoChannel(**links, p1=10.0, p2=10.0))
+    for name, v in links.items():
+        h = getattr(listed, name)
+        assert isinstance(h, np.ndarray) and h.dtype == complex and h.tolist() == v
+    arrays = SimoChannel(**{k: np.array(v, dtype=complex) for k, v in links.items()},
+                         p1=10.0, p2=10.0)
+    assert _LIST_ENTRY_POINTS[entry](listed) == _LIST_ENTRY_POINTS[entry](arrays)
+
+
 def test_unit_budgets(fig1):
     # power p_k on a channel is p_k / P_k at unit budgets; a zero budget
     # zeroes the links of its transmitter

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tinregion import cli, preset_scenario, region
+from tinregion import cli, preset_scenario, reference_points, region
 from tinregion.cli import main
 
 from conftest import scenario_dict
@@ -178,6 +178,25 @@ def test_reproduce_sweeps_pure_once(tmp_path, monkeypatch):
     region.write_curve(tmp_path / "hull.csv", hull, fmt="csv")
     want = (tmp_path / "hull.csv").read_bytes()
     assert (outdir / "convex-hull.csv").read_bytes() == want
+
+
+def test_reference_check_deviation():
+    # the largest coordinate error of the nearest candidate, or for a floor
+    # on the sum rate, the shortfall below it
+    point = reference_points.ReferenceCheck("fig1", "p", "improper-point", (1.0, 2.0), 0.1)
+    assert point.deviation([(1.5, 2.0), (1.0, 2.25)]) == 0.25
+    floor = reference_points.ReferenceCheck("fig1", "s", "improper-min-sum", (6.0,), 0.0)
+    assert floor.deviation([(3.0, 2.5)]) == 0.5
+    assert floor.deviation([(3.0, 3.5)]) == 0.0
+
+
+def test_reproduce_rejects_unknown_check_kind(tmp_path, monkeypatch):
+    # a check of a kind with no measured candidates raises, not passes silently
+    bogus = reference_points.ReferenceCheck("fig3", "bogus", "bogus-kind", (1.0,), 0.1)
+    monkeypatch.setattr(reference_points, "REFERENCE_CHECKS", [bogus])
+    with pytest.raises(KeyError, match="bogus-kind"):
+        main(["reproduce", "fig3", "--betas", "3", "--starts", "1",
+              "--out", str(tmp_path / "rep")])
 
 
 @pytest.mark.slow

@@ -363,31 +363,14 @@ class TestClosedFormProjection:
             np.testing.assert_allclose(out, _eigh_projection(m, p), atol=1e-12)
             np.testing.assert_allclose(out, p * np.outer(v[:, 0], v[:, 0]), atol=1e-12)
 
-    def test_stack_equals_single_calls(self):
-        rng = np.random.default_rng(49)
-        ms = self._symmetric(rng, 64)
-        ms[:4] = [np.eye(2), np.zeros((2, 2)), np.diag([1.5, -1.5]), -np.eye(2)]
-        for p in (0.0, 1.0, 3.0):
-            single = [project_psd_trace(m, p) for m in ms]
-            np.testing.assert_array_equal(project_psd_trace(ms, p), single)
-
-    def test_budget_array(self):
-        # one call projects both users' stacks, each against its own budget
-        rng = np.random.default_rng(53)
-        ms = self._symmetric(rng, 20).reshape(10, 2, 2, 2)
-        budget = np.array([0.5, 7.0])
-        out = project_psd_trace(ms, budget)
-        for i in range(10):
-            for u in range(2):
-                np.testing.assert_array_equal(out[i, u], project_psd_trace(ms[i, u], budget[u]))
-
     def test_matches_engine_projection(self):
         # matrix by matrix, project_psd_trace is the engine's projection of (c, ct)
         rng = np.random.default_rng(54)
         ms = self._symmetric(rng, 200)
         ps = rng.uniform(0, 30, 200)
         ps[:5] = 0.0
-        for m, p, out in zip(ms, ps, project_psd_trace(ms, ps)):
+        for m, p in zip(ms, ps):
+            out = project_psd_trace(m, p)
             c, ct = improper_gp._project(m[0, 0] + m[1, 1],
                                          complex(m[0, 0] - m[1, 1], m[0, 1] + m[1, 0]), p)
             np.testing.assert_array_equal(
@@ -395,12 +378,15 @@ class TestClosedFormProjection:
 
     @pytest.mark.parametrize("p", [[1.0, -1.0], [1.0, np.nan], [1.0, 2.0, 3.0], [[1.0, 2.0]] * 3])
     def test_rejects_bad_budget_arrays(self, p):
-        with pytest.raises(ValidationError):
-            project_psd_trace(np.zeros((4, 2, 2, 2)), np.array(p))
+        # one matrix, one budget: an array of budgets is not one
+        with pytest.raises(ValidationError, match="must be a real number"):
+            project_psd_trace(np.zeros((2, 2)), np.array(p))
 
     def test_rejects_other_shapes(self):
         with pytest.raises(ValidationError):
             project_psd_trace(np.eye(3), 1.0)
+        with pytest.raises(ValidationError):
+            project_psd_trace(np.zeros((4, 2, 2)), 1.0)  # a stack
         with pytest.raises(ValidationError):
             project_psd_trace(np.eye(2), np.nan)
 

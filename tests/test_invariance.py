@@ -7,6 +7,8 @@
   no inner product the rates depend on.
 * Swap: exchanging the users exchanges their rates, and beta with
   ``1 - beta``.
+* Transform: the two-antenna channel of ``transform_channel`` has the same
+  region as the channel it came from.
 """
 
 import functools
@@ -15,7 +17,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tinregion import RateProfile, cutting_plane, multistart, preset_scenario, sweep_region
+from tinregion import (
+    RateProfile, ValidationError, channel_from_transform, cutting_plane, multistart,
+    preset_scenario, sweep_region, transform_channel,
+)
 
 from conftest import random_channel
 
@@ -160,15 +165,9 @@ def _original(name):
     return _regions(SYMMETRY_CHANNELS[name])
 
 
-@pytest.mark.parametrize("relation", ["rotation", "swap"])
-@pytest.mark.parametrize("name", sorted(SYMMETRY_CHANNELS))
-def test_rotations_and_user_swap(name, relation):
-    ch = SYMMETRY_CHANNELS[name]
-    if relation == "rotation":
-        rng = np.random.default_rng([29, sorted(SYMMETRY_CHANNELS).index(name)])
-        other, back = _rotated(ch, rng), np.asarray
-    else:
-        other, back = _swapped(ch), _swap_back
+def _check_same_regions(name, other, back=np.asarray):
+    """``other`` has the region of ``SYMMETRY_CHANNELS[name]``: each method's
+    output, mapped by ``back``, agrees within the method's tolerance."""
     want, got = _original(name), _regions(other)
     _check_certificates(other, BETAS, got["proper-timesharing"])
     ts = [rates for _, rates in got["proper-timesharing"]]
@@ -178,3 +177,24 @@ def test_rotations_and_user_swap(name, relation):
         assert back(got[method]).shape == want[method].shape, method
         assert np.abs(back(got[method]) - want[method]).max() <= 1e-9, method
     assert np.all(np.abs(back(got["W"]) - want["W"]) <= 1e-6 * want["W"])
+
+
+@pytest.mark.parametrize("relation", ["rotation", "swap"])
+@pytest.mark.parametrize("name", sorted(SYMMETRY_CHANNELS))
+def test_rotations_and_user_swap(name, relation):
+    ch = SYMMETRY_CHANNELS[name]
+    if relation == "rotation":
+        rng = np.random.default_rng([29, sorted(SYMMETRY_CHANNELS).index(name)])
+        _check_same_regions(name, _rotated(ch, rng))
+    else:
+        _check_same_regions(name, _swapped(ch), _swap_back)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_CHANNELS))
+def test_two_antenna_transform(name):
+    ch = SYMMETRY_CHANNELS[name]
+    if not (ch.h11.any() and ch.h22.any()):
+        with pytest.raises(ValidationError, match="zero direct channel"):
+            transform_channel(ch)
+        return
+    _check_same_regions(name, channel_from_transform(transform_channel(ch), ch.p1, ch.p2))
