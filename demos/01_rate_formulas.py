@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Walk through the rate formulas on the bundled two-antenna scenario.
 
-Shows that the complex-valued rate expression, its composite-real twin, and
-the two-antenna canonical form of the channel all agree, and that the
-phase-enhanced channel really bounds the achievable rates from above.
+Shows that the complex-valued rate expression gives the same rates for a
+strategy given as (variance, pseudovariance) pairs, as composite real
+covariances, and on the two-antenna canonical form of the channel, and that
+the phase-enhanced channel really bounds the achievable rates from above.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ print("\n-- single-user corners --")
 print("user 1 alone:", rate_proper(ch, ch.p1, 0.0))
 print("user 2 alone:", rate_proper(ch, 0.0, ch.p2))
 
-print("\n-- one improper strategy, three equivalent formulas --")
+print("\n-- one improper strategy, three equivalent inputs --")
 x = TxStrategy(c1=8.0, c2=6.0, ct1=3.0 * np.exp(0.7j), ct2=4.0 * np.exp(-1.2j))
 r_complex = rate_complex(ch, x)
 r_composite = rate_composite(

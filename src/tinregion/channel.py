@@ -1,4 +1,4 @@
-"""Channel data model, composite-real embedding, and channel transformations.
+"""Channel data model, the composite real input map, and channel transformations.
 
 The two-user SIMO interference channel is
 
@@ -93,6 +93,15 @@ def int_scalar(name: str, v, least: int = 0) -> int:
     return int(v)
 
 
+def real_array(name: str, m) -> np.ndarray:
+    """``m`` as a float array, or ``ValidationError`` if it holds complex
+    numbers, whose imaginary parts a cast to float would drop."""
+    arr = np.asarray(m)
+    if arr.dtype.kind == "c":
+        raise ValidationError(f"{name} must be real, got complex entries")
+    return arr.astype(float, copy=False)
+
+
 def complex_scalar(name: str, v) -> complex:
     """``v`` as a complex, or ``ValidationError`` unless it is one number."""
     if not isinstance(v, _NUMBER):
@@ -149,14 +158,10 @@ def validate_channel(ch: SimoChannel) -> SimoChannel:
         raise ValidationError(f"channel must be a SimoChannel, got {ch!r}")
     s11, s12, s21, s22 = (_squared_norm(name, getattr(ch, name))
                           for name in ("h11", "h12", "h21", "h22"))
-    if len(ch.h12) != len(ch.h11):
-        raise ValidationError(
-            f"h12: dimension mismatch (len {len(ch.h12)} != len(h11) {len(ch.h11)})"
-        )
-    if len(ch.h21) != len(ch.h22):
-        raise ValidationError(
-            f"h21: dimension mismatch (len {len(ch.h21)} != len(h22) {len(ch.h22)})"
-        )
+    for direct, cross in (("h11", "h12"), ("h22", "h21")):  # each receiver's links
+        n, m = len(getattr(ch, direct)), len(getattr(ch, cross))
+        if m != n:
+            raise ValidationError(f"{cross}: dimension mismatch (len {m} != len({direct}) {n})")
     for name, p in (("p1", ch.p1), ("p2", ch.p2)):
         if not math.isfinite(real_scalar(name, p)):
             raise ValidationError(f"{name}: non-finite power")
@@ -177,25 +182,6 @@ def unit_budgets(ch: SimoChannel) -> SimoChannel:
     s1, s2 = math.sqrt(ch.p1), math.sqrt(ch.p2)
     return replace(ch, h11=ch.h11 * s1, h21=ch.h21 * s1, h12=ch.h12 * s2, h22=ch.h22 * s2,
                    p1=1.0, p2=1.0)
-
-
-def composite_real_embed(m) -> np.ndarray:
-    """Represent a complex matrix (or column vector) as a real matrix.
-
-    A complex linear map ``b -> M b`` acts on stacked real/imaginary parts as
-    the doubled-size real matrix ``[[Re M, -Im M], [Im M, Re M]]``.  The
-    embedding is a ring homomorphism: products map to products.
-    """
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    elif arr.ndim != 2:
-        raise ValidationError(f"embed: expected matrix or vector, got ndim {arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValidationError("embed: non-finite entry")
-    return np.block([[arr.real, -arr.imag], [arr.imag, arr.real]])
 
 
 def _composite(c: float, ct: complex) -> np.ndarray:
@@ -223,8 +209,8 @@ def composite_cov_from_strategy(c: float, ct: complex) -> np.ndarray:
 
 
 def check_composite_cov(m) -> np.ndarray:
-    """Validate a 2x2 composite real covariance: symmetric and PSD."""
-    arr = np.asarray(m, dtype=float)
+    """Validate a 2x2 composite real covariance: real, symmetric and PSD."""
+    arr = real_array("composite covariance", m)
     if arr.shape != (2, 2):
         raise ValidationError(f"composite covariance must be 2x2, got {arr.shape}")
     top = float(np.abs(arr).max())  # NaN if any entry is
@@ -241,17 +227,22 @@ def check_composite_cov(m) -> np.ndarray:
 
 
 def strategy_from_composite_cov(m) -> tuple[float, complex]:
-    """Invert :func:`composite_cov_from_strategy`: recover ``(c, ct)``."""
-    return _state(check_composite_cov(m))
+    """Invert :func:`composite_cov_from_strategy`: recover ``(c, ct)``, ``c``
+    clipped at 0 and ``|ct|`` at ``c``, since :func:`check_composite_cov`
+    allows a PSD slack relative to the scale of ``m``."""
+    c, ct = _state(check_composite_cov(m))
+    c, mag = max(c, 0.0), abs(ct)
+    return c, (ct * (c / mag) if mag > c else ct)
 
 
 @dataclass(frozen=True)
 class TransformedChannel:
     """Rate-equivalent two-antenna form of a :class:`SimoChannel`.
 
-    Per user ``k`` the reduced QR of ``[h_kk, h_kj]`` yields a nonnegative
-    direct gain ``hk``, real nonnegative cross coefficients ``ak`` (first
-    antenna) and ``bk`` (second antenna), and the cross phase ``phik``;
+    Per user ``k`` the R factor of the reduced QR of ``[h_kk, h_kj]``, taken
+    from the receiver's Gram matrix, yields a nonnegative direct gain ``hk``,
+    real nonnegative cross coefficients ``ak`` (first antenna) and ``bk``
+    (second antenna), and the cross phase ``phik``;
     ``theta`` is the residual phase ``-phi1 - phi2`` left on the second
     user's direct link after rotating everything else real.
     """
@@ -269,25 +260,16 @@ class TransformedChannel:
         return replace(x, ct2=complex(x.ct2) * np.exp(2j * self.phik[0]))
 
 
-def _reduced_qr(hkk: np.ndarray, hkj: np.ndarray):
-    """Triangular factor of the reduced QR of ``[hkk, hkj]``.
-
-    Returns ``(hk, ak, bk, phik)`` with
-    ``R = [[hk, ak exp(j phik)], [0, bk]]`` and ``hk, ak, bk >= 0``, so
-    that ``[hkk, hkj]^H [hkk, hkj] = R^H R``.  ``bk`` is 0 when ``hkj`` is
-    (numerically) parallel to ``hkk``.
-    """
-    hk = float(np.linalg.norm(hkk))
-    if hk <= 0.0:
-        raise ValidationError("zero direct channel: transformation undefined")
-    q1 = hkk / hk
-    r12 = complex(np.vdot(q1, hkj))
-    ak = abs(r12)
-    phik = float(np.angle(r12)) if ak > 0 else 0.0
-    nv = float(np.linalg.norm(hkj - q1 * r12))
-    scale = max(1.0, float(np.linalg.norm(hkj)))
-    bk = nv if nv > 1e-12 * scale else 0.0
-    return hk, ak, bk, phik
+def _gram(hkk: np.ndarray, hkj: np.ndarray) -> tuple[float, complex, float, float]:
+    """The Gram matrix of receiver k's links ``[h_kk, h_kj]``: ``g = |h_kk|^2``,
+    ``z = h_kj^H h_kk``, ``n = |h_kj|^2`` and its determinant ``c = g n -
+    |z|^2``, by the Lagrange identity half the squared Frobenius norm of ``a
+    b^T - b a^T`` (``a = h_kk``, ``b = h_kj``), which never cancels and is
+    exactly 0 on one antenna."""
+    w = hkk[:, None] * hkj
+    w = w - w.T
+    return (float(np.vdot(hkk, hkk).real), complex(np.vdot(hkj, hkk)),
+            float(np.vdot(hkj, hkj).real), float(np.vdot(w, w).real) / 2)
 
 
 def transform_channel(ch: SimoChannel) -> TransformedChannel:
@@ -298,18 +280,20 @@ def transform_channel(ch: SimoChannel) -> TransformedChannel:
     2's direct link.  Rates of the returned channel (via
     :func:`channel_from_transform`) match the original for every strategy,
     with the pseudovariance bookkeeping of
-    :meth:`TransformedChannel.map_strategy` applied.
+    :meth:`TransformedChannel.map_strategy` applied.  Receiver k's rotation
+    is the Q of ``[h_kk, h_kj] = Q R``, whose R factor comes from the Gram
+    matrix ``R^H R`` of :func:`_gram` in closed form.
     """
     validate_channel(ch)
-    h1, a1, b1, phi1 = _reduced_qr(ch.h11, ch.h12)
-    h2, a2, b2, phi2 = _reduced_qr(ch.h22, ch.h21)
-    return TransformedChannel(
-        hk=(h1, h2),
-        ak=(a1, a2),
-        bk=(b1, b2),
-        phik=(phi1, phi2),
-        theta=float(-phi1 - phi2),
-    )
+    factors = []
+    for hkk, hkj in ((ch.h11, ch.h12), (ch.h22, ch.h21)):
+        g, z, _, c = _gram(hkk, hkj)
+        if g <= 0.0:
+            raise ValidationError("zero direct channel: transformation undefined")
+        factors.append((math.sqrt(g), abs(z) / math.sqrt(g), math.sqrt(c / g),
+                        cmath.phase(z.conjugate()) if z else 0.0))  # arg(h_kk^H h_kj)
+    hk, ak, bk, phik = zip(*factors)
+    return TransformedChannel(hk, ak, bk, phik, theta=-phik[0] - phik[1])
 
 
 def enhance_channel(tc: TransformedChannel) -> TransformedChannel:

@@ -25,10 +25,12 @@ import numpy as np
 from .channel import (
     SimoChannel,
     _composite,
+    _gram,
     _state,
     composite_cov_from_strategy,
     check_composite_cov,
     int_scalar,
+    real_array,
     real_scalar,
     validate_channel,
     validate_eps,
@@ -60,12 +62,13 @@ class GpResult:
 
 def _receivers(ch: SimoChannel):
     """Constants ``(c/n, x/n, x, n, conj(z)^2)`` of each receiver for
-    :func:`_receiver_rate`, from the proper gains ``(g, x, n, c)`` of
-    :func:`~tinregion.rates._proper_gains` (``c = g n - x``) and ``z =
-    h_kj^H h_kk``.  A dead cross link (``n = 0``) gives ``(g, 0, 0, 0, 0)``."""
+    :func:`_receiver_rate`, from its Gram matrix ``(g, z, n, c)`` of
+    :func:`~tinregion.channel._gram` (``x = |z|^2``, ``c = g n - x``).  A
+    dead cross link (``n = 0``) gives ``(g, 0, 0, 0, 0)``."""
     out = []
-    for (g, x, n, c), hkk, hkj in zip(zip(*_proper_gains(ch)), (ch.h11, ch.h22), (ch.h12, ch.h21)):
-        z = complex(np.vdot(hkj, hkk))
+    for hkk, hkj in ((ch.h11, ch.h12), (ch.h22, ch.h21)):
+        g, z, n, c = _gram(hkk, hkj)
+        x = abs(z) ** 2
         out.append((c / n, x / n, x, n, z.conjugate() ** 2) if n else (g, 0.0, 0.0, 0.0, 0j))
     return tuple(out)
 
@@ -121,8 +124,8 @@ def _dot(a, b):
 
 def _weights(w) -> tuple[float, float]:
     try:
-        arr = np.asarray(w, dtype=float)
-    except (TypeError, ValueError):  # strings or a ragged nesting
+        arr = real_array("weights", w)
+    except (TypeError, ValueError):  # strings, complex numbers or a ragged nesting
         arr = None
     if arr is None or arr.shape != (2,) or not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise ValidationError(f"weights must be two finite nonnegative numbers: {w!r}")
@@ -164,7 +167,7 @@ def project_psd_trace(m, p) -> np.ndarray:
     eigenvalues, which keeps the eigenvectors.  A zero budget gives the zero
     matrix.
     """
-    arr = np.asarray(m, dtype=float)
+    arr = real_array("matrix", m)
     if arr.shape != (2, 2):
         raise ValidationError(f"expected a 2x2 matrix, got shape {arr.shape}")
     if not real_scalar("trace target", p) >= 0:

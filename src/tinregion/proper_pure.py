@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SimoChannel, real_scalar, validate_channel, validate_eps
+from .channel import SimoChannel, real_array, real_scalar, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
 from .rates import RatePoint, _proper_gains, _proper_rates, mmse_filter, rate_proper
 
@@ -78,7 +78,7 @@ def dominant_eigenpair(a):
     It is scaled to last entry 1 when that entry is nonzero, otherwise to
     unit norm.  The zero matrix gives the root 0 and the all-ones vector.
     """
-    a = np.asarray(a, dtype=float)
+    a = real_array("matrix", a)
     if a.shape != (3, 3):
         raise ValidationError(f"expected 3x3 matrix, got {a.shape}")
     if not np.isfinite(a).all():

@@ -1,4 +1,4 @@
-"""TIN rate formulas: improper complex form, composite-real form, proper
+"""TIN rate formulas: improper complex form, composite real inputs, proper
 special case, the MMSE receive filter, and the enhanced-channel upper bound.
 
 All rates are in bits per channel use.  Each receiver treats the other
@@ -23,11 +23,12 @@ from .channel import (
     SimoChannel,
     TransformedChannel,
     TxStrategy,
+    _gram,
     channel_from_transform,
-    check_composite_cov,
-    composite_real_embed,
     enhance_channel,
     real_scalar,
+    strategy_from_composite_cov,
+    validate_channel,
     validate_strategy,
 )
 from .errors import TinRegionError, ValidationError
@@ -53,15 +54,10 @@ def _clip_rate(r: float) -> float:
 def _proper_gains(ch: SimoChannel):
     """Per-user gains ``(g, x, n, c)`` of the closed-form proper rate, each a
     pair indexed by user (0-based): ``g_k = |h_kk|^2``, ``x_k = |h_kj^H h_kk|^2``,
-    ``n_k = |h_kj|^2`` and ``c_k = g_k n_k - x_k``, by the Lagrange identity
-    half the squared Frobenius norm of ``a b^T - b a^T`` (``a = h_kk``,
-    ``b = h_kj``), which never cancels and is exactly 0 on one antenna."""
-    gains = []
-    for a, b in ((ch.h11, ch.h12), (ch.h22, ch.h21)):  # (h_kk, h_kj) per user
-        w = a[:, None] * b
-        w = w - w.T
-        gains.append((np.vdot(a, a), abs(np.vdot(b, a)) ** 2, np.vdot(b, b), np.vdot(w, w) / 2))
-    return tuple(tuple(float(v.real) for v in k) for k in zip(*gains))
+    ``n_k = |h_kj|^2`` and ``c_k = g_k n_k - x_k``, from receiver k's
+    :func:`~tinregion.channel._gram`, whose ``c_k`` never cancels."""
+    (g1, z1, n1, c1), (g2, z2, n2, c2) = _gram(ch.h11, ch.h12), _gram(ch.h22, ch.h21)
+    return (g1, g2), (abs(z1) ** 2, abs(z2) ** 2), (n1, n2), (c1, c2)
 
 
 def _proper_rates(gains, p1, p2):
@@ -93,42 +89,33 @@ def _rate_complex_one(hkk, hkj, ck, cj, ctk, ctj) -> float:
     return r
 
 
+def _rates(ch: SimoChannel, x: TxStrategy) -> RatePoint:
+    """:func:`rate_complex` of a channel and strategy known to be valid."""
+    r1 = _rate_complex_one(ch.h11, ch.h12, x.c1, x.c2, complex(x.ct1), complex(x.ct2))
+    r2 = _rate_complex_one(ch.h22, ch.h21, x.c2, x.c1, complex(x.ct2), complex(x.ct1))
+    return RatePoint(_clip_rate(r1), _clip_rate(r2))
+
+
 def rate_complex(ch: SimoChannel, x: TxStrategy) -> RatePoint:
     """Achievable TIN rate pair for a (possibly improper) strategy.
 
     The first term is the proper-signal determinant ratio; the second
     corrects for the pseudocovariances of the receive and interference
     signals and vanishes for proper inputs.  Raises ``ValidationError`` for
-    a strategy that :func:`~tinregion.channel.validate_strategy` rejects.
+    a channel or strategy that :func:`~tinregion.channel.validate_channel`
+    or :func:`~tinregion.channel.validate_strategy` rejects.
     """
-    validate_strategy(x)
-    r1 = _rate_complex_one(ch.h11, ch.h12, x.c1, x.c2, complex(x.ct1), complex(x.ct2))
-    r2 = _rate_complex_one(ch.h22, ch.h21, x.c2, x.c1, complex(x.ct2), complex(x.ct1))
-    return RatePoint(_clip_rate(r1), _clip_rate(r2))
-
-
-def _rate_composite_one(hkk_e, hkj_e, mk, mj) -> float:
-    n2 = hkk_e.shape[0]
-    cs = hkj_e @ mj @ hkj_e.T + 0.5 * np.eye(n2)
-    cy = hkk_e @ mk @ hkk_e.T + cs
-    return 0.5 * np.log2(np.linalg.det(cy) / np.linalg.det(cs))
+    return _rates(validate_channel(ch), validate_strategy(x))
 
 
 def rate_composite(ch: SimoChannel, m1, m2) -> RatePoint:
-    """Rate pair from 2x2 composite real input covariances.
-
-    Equals :func:`rate_complex` when ``m_k`` comes from
-    :func:`composite_cov_from_strategy`.
+    """Rate pair from 2x2 composite real input covariances: the rates of
+    :func:`rate_complex` at the strategy that
+    :func:`~tinregion.channel.strategy_from_composite_cov` reads from them.
     """
-    m1 = check_composite_cov(m1)
-    m2 = check_composite_cov(m2)
-    e11 = composite_real_embed(ch.h11)
-    e12 = composite_real_embed(ch.h12)
-    e21 = composite_real_embed(ch.h21)
-    e22 = composite_real_embed(ch.h22)
-    r1 = _rate_composite_one(e11, e12, m1, m2)
-    r2 = _rate_composite_one(e22, e21, m2, m1)
-    return RatePoint(_clip_rate(r1), _clip_rate(r2))
+    validate_channel(ch)
+    (c1, ct1), (c2, ct2) = strategy_from_composite_cov(m1), strategy_from_composite_cov(m2)
+    return _rates(ch, TxStrategy(c1, c2, ct1, ct2))
 
 
 def rate_proper(ch: SimoChannel, p1: float, p2: float) -> RatePoint:
@@ -154,13 +141,18 @@ def mmse_filter(ch: SimoChannel, k: int, p_j: float) -> np.ndarray:
     return np.linalg.solve(cs, hkk)
 
 
+def _transformed(tc) -> TransformedChannel:
+    if not isinstance(tc, TransformedChannel):
+        raise ValidationError(f"tc must be a TransformedChannel, got {tc!r}")
+    return tc
+
+
 def transformed_rates(tc: TransformedChannel, x: TxStrategy) -> RatePoint:
     """Rates of the two-antenna transformed channel for a strategy given in
     the original channel's coordinates; the internal phase bookkeeping is
     applied, so the result matches the original channel's rates."""
-    ch2 = channel_from_transform(tc, p1=0.0, p2=0.0)  # budgets unused here
-    # validates x: the map keeps every magnitude
-    return rate_complex(ch2, tc.map_strategy(x))
+    ch2 = channel_from_transform(_transformed(tc), p1=0.0, p2=0.0)  # budgets unused here
+    return _rates(ch2, tc.map_strategy(validate_strategy(x)))
 
 
 def enhanced_upper_bound(tc: TransformedChannel, x: TxStrategy) -> RatePoint:
@@ -172,9 +164,9 @@ def enhanced_upper_bound(tc: TransformedChannel, x: TxStrategy) -> RatePoint:
     rates for the same magnitudes under any phase choice, and is attained
     with equality on the enhanced channel itself.
     """
-    etc = enhance_channel(tc)
-    ch2 = channel_from_transform(etc, p1=0.0, p2=0.0)
+    ch2 = channel_from_transform(enhance_channel(_transformed(tc)), p1=0.0, p2=0.0)
+    validate_strategy(x)
     aligned = TxStrategy(
         c1=x.c1, c2=x.c2, ct1=abs(complex(x.ct1)), ct2=-abs(complex(x.ct2))
     )
-    return rate_complex(ch2, aligned)  # validates x: magnitudes are kept
+    return _rates(ch2, aligned)

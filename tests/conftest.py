@@ -60,6 +60,30 @@ def filter_sinr(ch, w1, w2, p1, p2):
     return out[0], out[1]
 
 
+def composite_real_embed(m):
+    """A complex matrix, or a vector as a column, as the real matrix ``[[Re
+    M, -Im M], [Im M, Re M]]`` that acts on stacked real and imaginary parts;
+    products map to products."""
+    arr = np.asarray(m, dtype=complex)
+    arr = arr.reshape(-1, 1) if arr.ndim == 1 else arr.reshape(arr.shape or (1, 1))
+    return np.block([[arr.real, -arr.imag], [arr.imag, arr.real]])
+
+
+def composite_rates(ch, m1, m2):
+    """TIN rates ``(r1, r2)`` from 2x2 composite real covariances by ``2n x
+    2n`` real determinants, ``r_k = log2(det Cy / det Cs) / 2`` with ``Cs =
+    E_kj M_j E_kj^T + I/2`` and ``Cy = E_kk M_k E_kk^T + Cs`` (``E`` the
+    embedded links): the oracle of ``rate_composite``, which evaluates the
+    complex ``n x n`` form."""
+    out = []
+    for hkk, hkj, mk, mj in ((ch.h11, ch.h12, m1, m2), (ch.h22, ch.h21, m2, m1)):
+        ekk, ekj = composite_real_embed(hkk), composite_real_embed(hkj)
+        cs = ekj @ np.asarray(mj, dtype=float) @ ekj.T + 0.5 * np.eye(len(ekk))
+        cy = ekk @ np.asarray(mk, dtype=float) @ ekk.T + cs
+        out.append(0.5 * np.log2(np.linalg.det(cy) / np.linalg.det(cs)))
+    return out[0], out[1]
+
+
 def wsr(ch, m1, m2, w1, w2):
     """Weighted sum of the composite-real rates, the objective whose finite
     differences check ``improper_gp.wsr_gradient``."""

@@ -15,6 +15,7 @@ from tinregion import (
     contains,
     convex_hull_2d,
     cutting_plane,
+    enhanced_upper_bound,
     multistart,
     primal_recovery,
     rate_complex,
@@ -26,14 +27,15 @@ from tinregion import (
     transformed_rates,
     validate_channel,
 )
-from tinregion.channel import (
-    _reduced_qr, composite_real_embed, enhance_channel, load_scenario, unit_budgets,
-    validate_eps,
+from tinregion.channel import enhance_channel, load_scenario, unit_budgets, validate_eps
+from tinregion.improper_gp import (
+    gradient_projection, project_psd_trace, random_improper_init, wsr_gradient,
 )
-from tinregion.improper_gp import gradient_projection, random_improper_init
+from tinregion.proper_pure import dominant_eigenpair
 from tinregion.rates import mmse_filter
+from tinregion.timesharing import LAMBDA_FLOOR
 
-from conftest import random_channel, random_strategy, scenario_dict
+from conftest import composite_real_embed, random_channel, random_strategy, scenario_dict
 
 
 class TestValidation:
@@ -173,6 +175,10 @@ _NON_REAL = {
     "contains-region": lambda ch: contains(None, (0.5, 0.5)),
     "hull-point": lambda ch: convex_hull_2d([1.0]),
     "betas-scalar": lambda ch: sweep_region(ch, "proper-pure", 0.5),
+    "rate-complex-channel": lambda ch: rate_complex("fig1", TxStrategy(1.0, 1.0)),
+    "rate-composite-channel": lambda ch: rate_composite(None, np.eye(2), np.eye(2)),
+    "transformed-rates-tc": lambda ch: transformed_rates(ch, TxStrategy(1.0, 1.0)),
+    "enhanced-bound-tc": lambda ch: enhanced_upper_bound("tc", TxStrategy(1.0, 1.0)),
 }
 
 
@@ -186,7 +192,48 @@ def test_non_real_scalars_raise_validation_error(fig1, case):
         _NON_REAL[case](fig1)
 
 
+_STRATEGY_FORMULAS = {
+    "rate_complex": lambda ch: rate_complex(ch, TxStrategy(3.0, 7.0, 1.0 + 2.0j, -4.0)),
+    "rate_composite": lambda ch: rate_composite(ch, np.eye(2), np.diag([2.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_STRATEGY_FORMULAS))
+def test_strategy_formulas_validate_the_channel(fig1, entry):
+    # a cross link longer than the direct one broadcast in NumPy, and a
+    # NaN link warned in det before a bare TinRegionError
+    nan = fig1.h11.copy()
+    nan[0] = np.nan
+    for bad, match in ((replace(fig1, h12=np.ones(3, complex)), "dimension mismatch"),
+                       (replace(fig1, h21=np.ones(1, complex)), "dimension mismatch"),
+                       (replace(fig1, h11=nan), "non-finite")):
+        with pytest.raises(ValidationError, match=match):
+            _STRATEGY_FORMULAS[entry](bad)
+
+
+_COMPLEX = np.array([[2.0, 1j], [1j, 1.0]])
+_COMPLEX_MATRICES = {
+    "rate_composite": lambda ch: rate_composite(ch, _COMPLEX, np.eye(2)),
+    "strategy_from_composite_cov": lambda ch: strategy_from_composite_cov(_COMPLEX.tolist()),
+    "gradient_projection": lambda ch: gradient_projection(ch, (0.5, 0.5), (np.eye(2), _COMPLEX)),
+    "wsr_gradient": lambda ch: wsr_gradient(ch, _COMPLEX, np.eye(2), (0.5, 0.5)),
+    "project_psd_trace": lambda ch: project_psd_trace(_COMPLEX, 1.0),
+    "dominant_eigenpair": lambda ch: dominant_eigenpair(np.eye(3) + 0j),
+    "weights": lambda ch: multistart(ch, np.array([0.5 + 1j, 0.5]), n_starts=1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COMPLEX_MATRICES))
+def test_complex_matrices_raise_validation_error(fig1, entry):
+    # a cast to float dropped the imaginary parts with a ComplexWarning:
+    # rate_composite read [[2, 1j], [1j, 1]] as diag(2, 1)
+    with pytest.raises(ValidationError, match="must be (real|two finite)"):
+        _COMPLEX_MATRICES[entry](fig1)
+
+
 class TestEmbedding:
+    # the tests' composite real embedding, on which the oracle of
+    # rate_composite (conftest.composite_rates) rests
     def test_scalar_one(self):
         np.testing.assert_allclose(composite_real_embed(1.0), np.eye(2))
 
@@ -273,7 +320,19 @@ class TestCompositeCov:
                 composite_cov_from_strategy(c, ct)
 
 
+def _reduced_qr(hkk, hkj):
+    """The R factor ``(hk, ak, bk, phik)`` that :func:`transform_channel`
+    gives both receivers of a channel whose links are ``hkk`` and ``hkj`` at
+    each."""
+    tc = transform_channel(SimoChannel(hkk, hkj, hkj, hkk, 1.0, 1.0))
+    first, second = zip(tc.hk, tc.ak, tc.bk, tc.phik)
+    assert first == second
+    return first
+
+
 class TestReducedQr:
+    # transform_channel's R factor of the reduced QR of [h_kk, h_kj], which
+    # it takes from the receiver's Gram matrix in closed form
     def test_consistency(self):
         rng = np.random.default_rng(4)
         for n in (2, 3, 4):
@@ -382,3 +441,20 @@ class TestScenarioIo:
         with pytest.raises(ValidationError):
             load_scenario({"h11": "nope", "h12": [], "h21": [], "h22": [],
                            "p1": 1, "p2": 1})
+
+    def test_not_an_object(self):
+        with pytest.raises(ValidationError, match="expected a JSON object"):
+            load_scenario([["h11", [[1, 0]]]])
+
+    @pytest.mark.parametrize("powers", [{"p1": "ten", "p2": 1}, {"p1": 1, "p2": None}, {"p1": 1}])
+    def test_bad_powers(self, fig1, powers):
+        links = {k: v for k, v in scenario_dict(fig1).items() if k.startswith("h")}
+        with pytest.raises(ValidationError, match="bad powers"):
+            load_scenario({**links, **powers})
+
+
+@pytest.mark.parametrize("dv, match", [((-1e-3, 1.0, 0.1, 0.1), "nonnegative"),
+                                       ((1.0, 1.0, 0.1, 0.5 * LAMBDA_FLOOR), "lambda floor")])
+def test_multipliers_out_of_range(dv, match):
+    with pytest.raises(ValidationError, match=match):
+        DualVariables(*dv)

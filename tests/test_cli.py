@@ -94,6 +94,24 @@ def test_region_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_region_random_scenario(tmp_path):
+    # the README's `tinregion region --scenario random --seed 3`: the seed
+    # draws the channel, so it fixes the bytes
+    paths = {}
+    for name, seed in (("a", "3"), ("b", "3"), ("c", "4")):
+        paths[name] = tmp_path / f"{name}.csv"
+        assert main(["region", "--scenario", "random", "--seed", seed, "--method",
+                     "proper-pure", "--betas", "5", "--out", str(paths[name])]) == 0
+    a, b, c = (paths[n].read_bytes() for n in "abc")
+    assert a == b and a != c
+
+
+@pytest.mark.parametrize("betas", ["0", ",", "a"])
+def test_region_bad_beta_grid(capsys, betas):
+    assert main(["region", "--scenario", "fig1", "--betas", betas]) == 2
+    assert "bad beta grid" in capsys.readouterr().err
+
+
 def test_region_bad_scenario_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -24,7 +24,7 @@ from tinregion.improper_gp import (
     wsr_gradient,
 )
 
-from conftest import proper_rates, random_channel, wsr
+from conftest import composite_real_embed, proper_rates, random_channel, wsr
 
 
 def _random_improper(rng, p):
@@ -47,15 +47,10 @@ def _eigh_projection(m, p):
     return (omega * np.clip(xi - level, 0.0, None)) @ omega.T
 
 
-def _embed(h):
-    col = np.asarray(h, dtype=complex)[:, None]
-    return np.block([[col.real, -col.imag], [col.imag, col.real]])
-
-
 def _reference_gp(ch, w, init, eps=GP_EPS, max_iter=GP_MAX_ITER):
     """One start of the spectral projected gradient ascent on the 2x2
     matrices themselves, sharing no code with the engine's closed forms: rates
-    from ``rate_composite``'s determinants, gradients from matrix inverses and
+    from ``rate_composite``'s determinants (``rate_complex``'s), gradients from matrix inverses and
     projections from ``eigh``.  Each iteration takes the
     direction ``d = proj(M + alpha G) - M``; it stops converged once
     ``||proj(M + G) - M|| <= eps max(P1, P2)`` and unconverged after
@@ -66,7 +61,7 @@ def _reference_gp(ch, w, init, eps=GP_EPS, max_iter=GP_MAX_ITER):
     ``[1e-10, 1e10]``, and 1e10 if ``-s.y <= 0``.  A stationary point below
     the best iterate restarts the loop from the best one with a unit step.
     Returns ``(m1, m2, W, converged)`` of the best iterate."""
-    e11, e12, e21, e22 = (_embed(h) for h in (ch.h11, ch.h12, ch.h21, ch.h22))
+    e11, e12, e21, e22 = (composite_real_embed(h) for h in (ch.h11, ch.h12, ch.h21, ch.h22))
     c1, c2 = w[0] / (2 * np.log(2)), w[1] / (2 * np.log(2))
     tol = eps * max(ch.p1, ch.p2)
 

@@ -14,13 +14,16 @@ from tinregion import (
     rate_complex,
     rate_composite,
     rate_proper,
+    strategy_from_composite_cov,
     transform_channel,
     transformed_rates,
 )
-from tinregion.channel import enhance_channel
+from tinregion.channel import PSD_TOL, check_composite_cov, enhance_channel
 from tinregion.rates import _proper_gains, _proper_rates, mmse_filter
 
-from conftest import filter_sinr, random_channel, random_strategy
+from conftest import (
+    composite_rates, composite_real_embed, filter_sinr, random_channel, random_strategy,
+)
 
 
 class TestEndpoints:
@@ -35,34 +38,28 @@ class TestEndpoints:
         assert r.r1 == 0.0
 
 
+def _check_composite(ch, m1, m2):
+    # rate_composite evaluates rate_complex's n x n complex determinants;
+    # the oracle takes the 2n x 2n real ones of the composite representation
+    np.testing.assert_allclose(rate_composite(ch, m1, m2), composite_rates(ch, m1, m2),
+                               rtol=1e-12, atol=0)
+
+
 class TestFormulaEquivalence:
     def test_complex_vs_composite(self, fig1):
         rng = np.random.default_rng(10)
-        worst = 0.0
         for _ in range(200):
             x = random_strategy(rng)
-            ra = rate_complex(fig1, x)
-            rb = rate_composite(
-                fig1,
-                composite_cov_from_strategy(x.c1, x.ct1),
-                composite_cov_from_strategy(x.c2, x.ct2),
-            )
-            worst = max(worst, abs(ra.r1 - rb.r1), abs(ra.r2 - rb.r2))
-        assert worst <= 1e-10
+            _check_composite(fig1, composite_cov_from_strategy(x.c1, x.ct1),
+                             composite_cov_from_strategy(x.c2, x.ct2))
 
     def test_complex_vs_composite_random_channels(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             ch = random_channel(rng, n1=rng.integers(1, 4), n2=rng.integers(1, 4))
             x = random_strategy(rng)
-            ra = rate_complex(ch, x)
-            rb = rate_composite(
-                ch,
-                composite_cov_from_strategy(x.c1, x.ct1),
-                composite_cov_from_strategy(x.c2, x.ct2),
-            )
-            assert abs(ra.r1 - rb.r1) <= 1e-10
-            assert abs(ra.r2 - rb.r2) <= 1e-10
+            _check_composite(ch, composite_cov_from_strategy(x.c1, x.ct1),
+                             composite_cov_from_strategy(x.c2, x.ct2))
 
     def test_proper_equals_complex(self, fig2):
         # the closed form against the determinant formula, on fig2 and on
@@ -124,18 +121,44 @@ class TestComposite:
     def test_zero_signal(self, fig1):
         r = rate_composite(fig1, np.zeros((2, 2)), np.zeros((2, 2)))
         assert r == (0.0, 0.0)
+        _check_composite(fig1, np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_proper_case(self, fig1):
         r = rate_composite(fig1, np.diag([5.0, 5.0]), np.diag([5.0, 5.0]))
         rp = rate_complex(fig1, TxStrategy(10.0, 10.0))
         assert abs(r.r1 - rp.r1) <= 1e-12
         assert abs(r.r2 - rp.r2) <= 1e-12
+        _check_composite(fig1, np.diag([5.0, 5.0]), np.diag([5.0, 5.0]))
 
     def test_against_determinant_oracle(self, fig1):
         # frozen from an independent cofactor-expansion determinant
         r = rate_composite(fig1, np.diag([10.0, 0.0]), np.diag([0.0, 10.0]))
         assert abs(r.r1 - 2.196389840092468) <= 1e-10
         assert abs(r.r2 - 2.102310687691399) <= 1e-10
+        _check_composite(fig1, np.diag([10.0, 0.0]), np.diag([0.0, 10.0]))
+
+    def test_random_channels_against_real_determinants(self):
+        # 1-4 antennas per receiver, maximally improper inputs among them
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            ch = random_channel(rng, n1=rng.integers(1, 5), n2=rng.integers(1, 5))
+            for f1, f2 in ((0.0, 0.0), (1.0, 1.0), (0.5, 1.0), (None, None), (None, None)):
+                x = random_strategy(rng)  # its own pseudovariances where f is None
+                m1 = composite_cov_from_strategy(x.c1, x.ct1 if f1 is None else f1 * x.c1)
+                m2 = composite_cov_from_strategy(x.c2, x.ct2 if f2 is None else f2 * x.c2)
+                _check_composite(ch, m1, m2)
+
+    def test_psd_slack_at_large_budget(self, fig1):
+        # check_composite_cov takes a PSD slack relative to the matrix's
+        # scale, here |ct| - c = 1e-6 at c = 1e6: the strategy read from it
+        # is clipped to |ct| = c rather than rejected by the absolute 1e-9
+        # of validate_strategy
+        m = np.diag([1e6, -0.5 * PSD_TOL * 1e6])
+        check_composite_cov(m)
+        c, ct = strategy_from_composite_cov(m)
+        assert c == 1e6 - 0.5 * PSD_TOL * 1e6 and ct == c
+        r = rate_composite(fig1, m, np.eye(2))
+        assert r == rate_complex(fig1, TxStrategy(c, 2.0, ct, 0.0))
 
 
 class TestSinr:
@@ -274,8 +297,6 @@ class TestPhaseDerivative:
             x = TxStrategy(c1, c2, m1, m2 * np.exp(1j * alpha2))
             mk1 = composite_cov_from_strategy(x.c1, x.ct1)
             mk2 = composite_cov_from_strategy(x.c2, x.ct2)
-            from tinregion.channel import composite_real_embed
-
             if k == 1:
                 hkk, hkj, mkk, mkj = ch2.h11, ch2.h12, mk1, mk2
             else:

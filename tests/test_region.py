@@ -9,7 +9,7 @@ from tinregion import (
     preset_scenario,
     sweep_region,
 )
-from tinregion.region import RegionCurve, curve_to_csv_rows
+from tinregion.region import RegionCurve, curve_to_csv_rows, write_curve
 
 
 class TestPresets:
@@ -110,6 +110,10 @@ class TestHull:
         with pytest.raises(ValidationError, match="non-finite"):
             convex_hull_2d([(1.0, 2.0), (bad, 1.0)])
 
+    def test_rejects_no_points(self):
+        with pytest.raises(ValidationError, match="at least one point"):
+            convex_hull_2d([])
+
 
 class TestContains:
     def _curve(self):
@@ -181,3 +185,9 @@ class TestExport:
         rows = curve_to_csv_rows(curve)
         assert rows[0] == "method,beta,r1,r2"
         assert rows[1] == "proper-pure,0.25,1.23456789012,2"
+
+    def test_unknown_format(self, tmp_path):
+        curve = RegionCurve(method="proper-pure", samples=((0.5, RatePoint(1.0, 2.0)),))
+        with pytest.raises(ValidationError, match="unknown format"):
+            write_curve(tmp_path / "r.xml", curve, fmt="xml")
+        assert not (tmp_path / "r.xml").exists()

@@ -487,12 +487,13 @@ class TestExactInner:
 def _solver_imports(source):
     """What ``source`` imports from ``tinregion.timesharing`` or of the
     proper-rate kernel ``tinregion.rates._proper_gains`` and
-    ``_proper_rates``, and where it names that module, its
-    ``_InnerProblem`` or the kernel."""
+    ``_proper_rates`` and the receiver reduction ``tinregion.channel._gram``
+    under it, and where it names that module, its ``_InnerProblem`` or the
+    kernel."""
     module = timesharing.__name__
     defined = {name for name, obj in vars(timesharing).items()
                if getattr(obj, "__module__", None) == module} | {"timesharing"}
-    kernel = {"_proper_gains", "_proper_rates"}
+    kernel = {"_proper_gains", "_proper_rates", "_gram"}
     watched = {"timesharing", "_InnerProblem"} | kernel
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -522,6 +523,7 @@ def test_oracle_shares_no_code_with_the_solver():
     assert _solver_imports(conftest) == []
     for name in ("_proper_gains", "_proper_rates"):
         assert _solver_imports(f"{conftest}\nfrom tinregion.rates import RatePoint, {name}\n")
+    assert _solver_imports(f"{conftest}\nfrom tinregion.channel import _gram\n")
 
 
 def _all_pieces(coef):
