@@ -296,12 +296,6 @@ def transform_channel(ch: SimoChannel) -> TransformedChannel:
     return TransformedChannel(hk, ak, bk, phik, theta=-phik[0] - phik[1])
 
 
-def enhance_channel(tc: TransformedChannel) -> TransformedChannel:
-    """Zero the residual phase; the resulting channel's rate region contains
-    the original's."""
-    return replace(tc, theta=0.0)
-
-
 def channel_from_transform(
     tc: TransformedChannel, p1: float, p2: float
 ) -> SimoChannel:

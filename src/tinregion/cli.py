@@ -65,9 +65,9 @@ def _resolve_scenario(name: str, seed: int) -> SimoChannel:
 
 
 def _parse_betas(text: str) -> list[float]:
-    """Either a sample count N (uniform grid on [0, 1]) or a comma list."""
+    """Either a plain integer N (N uniform samples of [0, 1]) or a comma list."""
     try:
-        if "," not in text and "." not in text:
+        if text.strip().isdecimal():
             n = int(text)
             if n < 1:
                 raise ValueError("need at least one sample")

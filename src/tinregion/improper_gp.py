@@ -8,9 +8,9 @@ sum rate from random improper starts and from the proper optimum, and stops
 on a stationarity residual relative to the budgets.  Each start is one
 scalar loop on the users' (variance, pseudovariance) pairs ``(c, ct)``,
 whose matrices are ``M = (c I + S(ct)) / 2`` with ``S(ct) = [[Re ct, Im ct],
-[Im ct, -Re ct]]``.  Sylvester's determinant identity and the Woodbury
-identity turn each receiver's rate and its gradient into closed forms in
-these pairs, and the projection onto the power set is a closed form on the
+[Im ct, -Re ct]]``.  Each receiver's rate and its gradient come from the
+closed-form kernel :func:`~tinregion.rates._receiver_rate` in these pairs,
+and the projection onto the power set is a closed form on the
 eigenvalues ``(c ± |ct|) / 2``.  From exactly proper matrices the iteration
 never leaves the proper set, which is why the other starts are improper.
 """
@@ -25,7 +25,6 @@ import numpy as np
 from .channel import (
     SimoChannel,
     _composite,
-    _gram,
     _state,
     composite_cov_from_strategy,
     check_composite_cov,
@@ -36,10 +35,9 @@ from .channel import (
     validate_eps,
 )
 from .errors import ValidationError
-from .rates import RatePoint, _proper_gains
+from .rates import _LN2, RatePoint, _proper_gains, _receiver_rate, _receivers
 from .timesharing import _InnerProblem
 
-_LN2 = float(np.log(2.0))
 # stop once ||proj(M + G) - M||, each user's part over its budget, is at most
 # GP_EPS; the absolute-gain stop this replaced left fig1 and fig3 at 1.4e-6 or less
 GP_EPS = 1e-6
@@ -58,44 +56,6 @@ class GpResult:
     rates: RatePoint
     converged: bool  # stopped on the residual test at m1, m2, its last iterate
     residual: float | None = None  # ||proj(M + G) - M|| at m1, m2, per unit of budget
-
-
-def _receivers(ch: SimoChannel):
-    """Constants ``(c/n, x/n, x, n, conj(z)^2)`` of each receiver for
-    :func:`_receiver_rate`, from its Gram matrix ``(g, z, n, c)`` of
-    :func:`~tinregion.channel._gram` (``x = |z|^2``, ``c = g n - x``).  A
-    dead cross link (``n = 0``) gives ``(g, 0, 0, 0, 0)``."""
-    out = []
-    for hkk, hkj in ((ch.h11, ch.h12), (ch.h22, ch.h21)):
-        g, z, n, c = _gram(hkk, hkj)
-        x = abs(z) ** 2
-        out.append((c / n, x / n, x, n, z.conjugate() ** 2) if n else (g, 0.0, 0.0, 0.0, 0j))
-    return tuple(out)
-
-
-def _receiver_rate(k, ck, tk, cj, tj):
-    """``T - 1`` at receiver ``k``, whose rate is ``log2(T) / 2``, with the
-    gradients of ``T`` in ``ck, tk`` (its user's variance and pseudovariance)
-    and ``cj, tj`` (the interferer's); a complex gradient is ``d/dRe + i
-    d/dIm``.
-
-    Sylvester's identity gives ``T = det(I + M_k A)`` with ``A = E_kk^T
-    Cs^-1 E_kk``, and Woodbury gives ``A = a I + S(b)`` with ``D = det(I +
-    2n M_j) / 2``, ``a = 2(g - x/n) + (x/n + x cj) / D`` and ``b = -conj(z)^2
-    tj / D``, so ``T = 1 + ck a + Re(tk conj b) + (ck^2 - |tk|^2)(a^2 -
-    |b|^2) / 4``.  The proper gain ``c/n`` stands for ``g - x/n``, which
-    cancels on cross links along the direct ones."""
-    cn, xn, x, n, zz = k
-    u, v = 1.0 + n * cj, n * abs(tj)
-    d = 0.5 * (u - v) * (u + v)
-    a, b = 2.0 * cn + (xn + x * cj) / d, -zz * tj / d
-    mk, mb = abs(tk), abs(b)
-    ek, p = (ck - mk) * (ck + mk), (a - mb) * (a + mb)
-    ta, tb = ck + 0.5 * ek * a, tk - 0.5 * ek * b
-    rho = (tb.conjugate() * b).real / d
-    return (ck * a + (tk * b.conjugate()).real + 0.25 * ek * p, a + 0.5 * ck * p,
-            b - 0.5 * tk * p, -0.5 * ta * x * (u * u + v * v) / (d * d) - rho * n * u,
-            ta * x * n * u * tj / (d * d) - tb * zz.conjugate() / d + rho * n * n * tj)
 
 
 def _point(ks, w, x):

@@ -9,12 +9,15 @@ number of receive antennas, ``r_k = log2(1 + p_k q_k(p_j))``.  Its one copy,
 :func:`_proper_gains` and :func:`_proper_rates`, also serves the
 time-sharing inner problem, the proper seed of the improper gradient
 projection (the exact proper optimum on the full-power edges) and the
-single-user shortcuts of pure balancing.
+single-user shortcuts of pure balancing.  The improper rate has one too,
+:func:`_receiver_rate`, behind the gradient projection and, at each
+receiver's best phase, the enhanced-channel upper bound.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +28,6 @@ from .channel import (
     TxStrategy,
     _gram,
     channel_from_transform,
-    enhance_channel,
     real_scalar,
     strategy_from_composite_cov,
     validate_channel,
@@ -70,6 +72,44 @@ def _proper_rates(gains, p1, p2):
     r1 = np.log1p(p1 * (g1 / d1 + c1 * (p2 / d1))) / _LN2
     r2 = np.log1p(p2 * (g2 / d2 + c2 * (p1 / d2))) / _LN2
     return r1, r2
+
+
+def _receivers(ch: SimoChannel):
+    """Constants ``(c/n, x/n, x, n, conj(z)^2)`` of each receiver for
+    :func:`_receiver_rate`, from its Gram matrix ``(g, z, n, c)`` of
+    :func:`~tinregion.channel._gram` (``x = |z|^2``, ``c = g n - x``).  A
+    dead cross link (``n = 0``) gives ``(g, 0, 0, 0, 0)``."""
+    out = []
+    for hkk, hkj in ((ch.h11, ch.h12), (ch.h22, ch.h21)):
+        g, z, n, c = _gram(hkk, hkj)
+        x = abs(z) ** 2
+        out.append((c / n, x / n, x, n, z.conjugate() ** 2) if n else (g, 0.0, 0.0, 0.0, 0j))
+    return tuple(out)
+
+
+def _receiver_rate(k, ck, tk, cj, tj):
+    """``T - 1`` at receiver ``k``, whose rate is ``log2(T) / 2``, with the
+    gradients of ``T`` in ``ck, tk`` (its user's variance and pseudovariance)
+    and ``cj, tj`` (the interferer's); a complex gradient is ``d/dRe + i
+    d/dIm``.
+
+    Sylvester's identity gives ``T = det(I + M_k A)`` with ``A = E_kk^T
+    Cs^-1 E_kk``, and Woodbury gives ``A = a I + S(b)`` with ``D = det(I +
+    2n M_j) / 2``, ``a = 2(g - x/n) + (x/n + x cj) / D`` and ``b = -conj(z)^2
+    tj / D``, so ``T = 1 + ck a + Re(tk conj b) + (ck^2 - |tk|^2)(a^2 -
+    |b|^2) / 4``.  The proper gain ``c/n`` stands for ``g - x/n``, which
+    cancels on cross links along the direct ones."""
+    cn, xn, x, n, zz = k
+    u, v = 1.0 + n * cj, n * abs(tj)
+    d = 0.5 * (1.0 + n * (cj - abs(tj))) * (u + v)  # u - v, not cancelling as |tj| -> cj
+    a, b = 2.0 * cn + (xn + x * cj) / d, -zz * tj / d
+    mk, mb = abs(tk), abs(b)
+    ek, p = (ck - mk) * (ck + mk), (a - mb) * (a + mb)
+    ta, tb = ck + 0.5 * ek * a, tk - 0.5 * ek * b
+    rho = (tb.conjugate() * b).real / d
+    return (ck * a + (tk * b.conjugate()).real + 0.25 * ek * p, a + 0.5 * ck * p,
+            b - 0.5 * tk * p, -0.5 * ta * x * (u * u + v * v) / (d * d) - rho * n * u,
+            ta * x * n * u * tj / (d * d) - tb * zz.conjugate() / d + rho * n * n * tj)
 
 
 def _rate_complex_one(hkk, hkj, ck, cj, ctk, ctj) -> float:
@@ -158,15 +198,16 @@ def transformed_rates(tc: TransformedChannel, x: TxStrategy) -> RatePoint:
 def enhanced_upper_bound(tc: TransformedChannel, x: TxStrategy) -> RatePoint:
     """Per-user rate upper bound from the phase-enhanced channel.
 
-    Evaluates the enhanced channel (residual phase zeroed) with the two
-    pseudovariance phases anti-aligned, keeping variances and
-    pseudovariance magnitudes.  The result bounds the transformed channel's
-    rates for the same magnitudes under any phase choice, and is attained
-    with equality on the enhanced channel itself.
+    The kernel :func:`_receiver_rate` sees the phases only in ``Re(tk conj
+    b)``, ``b = -conj(z)^2 tj / D``.  On the enhanced channel (residual
+    phase zeroed) ``conj(z)^2 >= 0``, so with the pseudovariances real and
+    of opposite signs, keeping variances and magnitudes, ``b`` lies on the
+    phase of ``tk`` at both receivers: each takes its best phase.  The
+    result bounds the transformed channel's rates for the same magnitudes
+    under any phase choice.
     """
-    ch2 = channel_from_transform(enhance_channel(_transformed(tc)), p1=0.0, p2=0.0)
+    ch2 = channel_from_transform(replace(_transformed(tc), theta=0.0), p1=0.0, p2=0.0)
     validate_strategy(x)
-    aligned = TxStrategy(
-        c1=x.c1, c2=x.c2, ct1=abs(complex(x.ct1)), ct2=-abs(complex(x.ct2))
-    )
-    return _rates(ch2, aligned)
+    ks, t1, t2 = _receivers(ch2), abs(complex(x.ct1)), -abs(complex(x.ct2))
+    q = _receiver_rate(ks[0], x.c1, t1, x.c2, t2)[0], _receiver_rate(ks[1], x.c2, t2, x.c1, t1)[0]
+    return RatePoint(*(_clip_rate(math.log1p(qk) / (2.0 * _LN2)) for qk in q))

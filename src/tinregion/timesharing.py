@@ -31,7 +31,7 @@ import numpy as np
 from .channel import SimoChannel, real_scalar, unit_budgets, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
 from .proper_pure import RateProfile, validate_profile
-from .rates import RatePoint, _proper_gains, _proper_rates, rate_proper
+from .rates import _LN2, RatePoint, _proper_gains, _proper_rates, rate_proper
 
 
 # Called by nothing in the package; perfbench/layers.py wraps it (ROADMAP item 0).
@@ -43,7 +43,6 @@ def linprog(*args, **kwargs):
 
 
 LAMBDA_FLOOR = 1e-9
-_LN2 = math.log(2.0)
 _MAX_ITER = 200
 _MAX_PIVOTS = 1000
 # Root error allowed for in each cut's dual upper bound.  The slow oracle
@@ -373,18 +372,20 @@ def _lambda_max(ch: SimoChannel, profile: RateProfile) -> float:
 
 
 def _multiplier_box(ch: SimoChannel, profile: RateProfile):
-    """The master's multipliers ``(mu1, mu2, lam1, lam2) = z0 + E y`` over
-    the box ``lo <= y <= hi``, as ``(z0, E, lo, hi)``: ``mu`` is eliminated
-    through ``rho . mu = 1``, so ``y = (mu2, lam1, lam2)``, or ``y = (lam1,
-    lam2)`` at a fixed ``mu`` when one rho is 0, and ``lam >= LAMBDA_FLOOR``."""
-    rho1, rho2 = profile.rho1, profile.rho2
+    """The master's multipliers ``(mu1, mu2, lam1, lam2) = z0 + E y``, ``lam
+    >= LAMBDA_FLOOR``, over the box ``lo <= y <= hi``, as ``(z0, E, lo, hi)``:
+    ``rho . mu = 1`` eliminates ``mu_i`` of the larger rho (``mu1`` on a tie),
+    so ``y = (mu_j, lam1, lam2)`` and ``mu_i``'s slope ``-rho_j / rho_i`` is
+    at most 1 in size; or ``y = (lam1, lam2)`` at a single-user profile's ``mu``."""
+    rho = profile.rho1, profile.rho2
     lam_max = max(_lambda_max(ch, profile), 10 * LAMBDA_FLOOR)
     lo, hi = np.full(2, LAMBDA_FLOOR), np.full(2, lam_max)
-    if rho1 > 0 and rho2 > 0:
-        E = np.eye(4)[:, 1:]
-        E[0, 0] = -rho2 / rho1
-        return np.r_[1.0 / rho1, 0.0, 0.0, 0.0], E, np.r_[0.0, lo], np.r_[1.0 / rho2, hi]
-    mu = (1.0 / rho1, 0.0) if rho1 > 0 else (0.0, 1.0 / rho2)
+    if rho[0] > 0 and rho[1] > 0:
+        i = int(rho[1] > rho[0])
+        E = np.delete(np.eye(4), i, axis=1)
+        E[i, 0] = -rho[1 - i] / rho[i]
+        return np.eye(4)[i] / rho[i], E, np.r_[0.0, lo], np.r_[1.0 / rho[1 - i], hi]
+    mu = (1.0 / rho[0], 0.0) if rho[0] > 0 else (0.0, 1.0 / rho[1])
     return np.r_[mu, 0.0, 0.0], np.eye(4)[:, 2:], lo, hi
 
 
@@ -518,7 +519,7 @@ def _mixture(powers, rates, box, unit, ch, work=None) -> TimeSharingSolution:
     model = np.c_[np.r_[rates, [rate_proper(unit, *p) for p in corners]], 1 - powers]
     z0, E, lo, hi = box
     tau = _master(model @ E, model @ z0, lo, hi, work)[3]
-    keep = tau > 1e-9
+    keep = tau > 0
     tau = tau[keep] / tau[keep].sum()
     powers = powers[keep] * [ch.p1, ch.p2]
     entries = tuple((float(t), float(p1), float(p2)) for t, (p1, p2) in zip(tau, powers))

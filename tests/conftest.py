@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq, linprog
@@ -82,6 +83,39 @@ def composite_rates(ch, m1, m2):
         cy = ekk @ np.asarray(mk, dtype=float) @ ekk.T + cs
         out.append(0.5 * np.log2(np.linalg.det(cy) / np.linalg.det(cs)))
     return out[0], out[1]
+
+
+def mp_rates_and_gradients(ch, x):
+    """Rates ``(r1, r2)`` and the gradient of each in the state ``x = (c1,
+    ct1, c2, ct2)``, from the composite-real determinants at 50 digits:
+    ``r_k = log2(det Cy / det Cs) / 2`` with ``Cs = E_kj M_j E_kj^T + I/2``
+    and ``Cy = E_kk M_k E_kk^T + Cs``.  The matrix gradients are ``E_kk^T
+    Cy^-1 E_kk`` (own) and ``E_kj^T (Cy^-1 - Cs^-1) E_kj`` (cross), over
+    ``2 ln 2``; a symmetric ``G`` is written as the state ``(tr G, G00 - G11 +
+    i (G01 + G10))``, six reals per rate."""
+    with mpmath.workdps(50):
+        def emb(h):
+            return mpmath.matrix([[v.real, -v.imag] for v in h] + [[v.imag, v.real] for v in h])
+
+        def mat(c, ct):
+            c, re, im = mpmath.mpf(c), mpmath.mpf(ct.real), mpmath.mpf(ct.imag)
+            return mpmath.matrix([[c + re, im], [im, c - re]]) / 2
+
+        m, scale = (mat(x[0], x[1]), mat(x[2], x[3])), 2 * mpmath.log(2)
+        rates, grads = [], []
+        for k, (hkk, hkj) in enumerate(((ch.h11, ch.h12), (ch.h22, ch.h21))):
+            ek, ej = emb(hkk), emb(hkj)
+            cs = ej * m[1 - k] * ej.T + mpmath.eye(ek.rows) / 2
+            cy = ek * m[k] * ek.T + cs
+            iy = mpmath.inverse(cy)
+            own, cross = ek.T * iy * ek, ej.T * (iy - mpmath.inverse(cs)) * ej
+            rates.append(float(mpmath.log(mpmath.det(cy) / mpmath.det(cs)) / scale))
+            g = []
+            for gm in ((own, cross) if k == 0 else (cross, own)):
+                gm = gm / scale
+                g += [gm[0, 0] + gm[1, 1], gm[0, 0] - gm[1, 1], gm[0, 1] + gm[1, 0]]
+            grads.append(np.array([float(v) for v in g]))
+    return rates, grads
 
 
 def wsr(ch, m1, m2, w1, w2):

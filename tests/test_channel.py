@@ -27,7 +27,7 @@ from tinregion import (
     transformed_rates,
     validate_channel,
 )
-from tinregion.channel import enhance_channel, load_scenario, unit_budgets, validate_eps
+from tinregion.channel import load_scenario, unit_budgets, validate_eps
 from tinregion.improper_gp import (
     gradient_projection, project_psd_trace, random_improper_init, wsr_gradient,
 )
@@ -417,13 +417,6 @@ class TestTransform:
             )
             assert abs(base.r1 - rot.r1) <= 1e-12
             assert abs(base.r2 - rot.r2) <= 1e-12
-
-    def test_enhance(self, fig1):
-        tc = transform_channel(fig1)
-        etc = enhance_channel(tc)
-        assert etc.theta == 0.0
-        assert etc.hk == tc.hk and etc.ak == tc.ak and etc.bk == tc.bk
-        assert enhance_channel(etc) == etc
 
 
 class TestScenarioIo:

@@ -106,6 +106,13 @@ def test_region_random_scenario(tmp_path):
     assert a == b and a != c
 
 
+@pytest.mark.parametrize("betas, want", [("1e-3", [1e-3]), ("1e-9,0.5", [1e-9, 0.5]),
+                                          ("3", [0.0, 0.5, 1.0]), (" 2 ", [0.0, 1.0])])
+def test_parse_betas(betas, want):
+    # only a plain integer is a sample count
+    assert cli._parse_betas(betas) == want
+
+
 @pytest.mark.parametrize("betas", ["0", ",", "a"])
 def test_region_bad_beta_grid(capsys, betas):
     assert main(["region", "--scenario", "fig1", "--betas", betas]) == 2

@@ -1,7 +1,6 @@
 import warnings
 from dataclasses import replace
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -23,8 +22,11 @@ from tinregion.improper_gp import (
     GP_EPS, GP_MAX_ITER, gradient_projection, project_psd_trace, random_improper_init,
     wsr_gradient,
 )
+from tinregion.rates import _receivers
 
-from conftest import composite_real_embed, proper_rates, random_channel, wsr
+from conftest import (
+    composite_real_embed, mp_rates_and_gradients, proper_rates, random_channel, wsr,
+)
 
 
 def _random_improper(rng, p):
@@ -184,39 +186,6 @@ class TestGradient:
         assert np.linalg.eigvalsh(g1).max() <= 1e-12
 
 
-def _mp_rates_and_gradients(ch, x):
-    """Rates ``(r1, r2)`` and the gradient of each in the state ``x = (c1,
-    ct1, c2, ct2)``, from the composite-real determinants at 50 digits:
-    ``r_k = log2(det Cy / det Cs) / 2`` with ``Cs = E_kj M_j E_kj^T + I/2``
-    and ``Cy = E_kk M_k E_kk^T + Cs``.  The matrix gradients are ``E_kk^T
-    Cy^-1 E_kk`` (own) and ``E_kj^T (Cy^-1 - Cs^-1) E_kj`` (cross), over
-    ``2 ln 2``; a symmetric ``G`` is written as the state ``(tr G, G00 - G11 +
-    i (G01 + G10))``, six reals per rate."""
-    with mpmath.workdps(50):
-        def emb(h):
-            return mpmath.matrix([[v.real, -v.imag] for v in h] + [[v.imag, v.real] for v in h])
-
-        def mat(c, ct):
-            c, re, im = mpmath.mpf(c), mpmath.mpf(ct.real), mpmath.mpf(ct.imag)
-            return mpmath.matrix([[c + re, im], [im, c - re]]) / 2
-
-        m, scale = (mat(x[0], x[1]), mat(x[2], x[3])), 2 * mpmath.log(2)
-        rates, grads = [], []
-        for k, (hkk, hkj) in enumerate(((ch.h11, ch.h12), (ch.h22, ch.h21))):
-            ek, ej = emb(hkk), emb(hkj)
-            cs = ej * m[1 - k] * ej.T + mpmath.eye(ek.rows) / 2
-            cy = ek * m[k] * ek.T + cs
-            iy = mpmath.inverse(cy)
-            own, cross = ek.T * iy * ek, ej.T * (iy - mpmath.inverse(cs)) * ej
-            rates.append(float(mpmath.log(mpmath.det(cy) / mpmath.det(cs)) / scale))
-            g = []
-            for gm in ((own, cross) if k == 0 else (cross, own)):
-                gm = gm / scale
-                g += [gm[0, 0] + gm[1, 1], gm[0, 0] - gm[1, 1], gm[0, 1] + gm[1, 0]]
-            grads.append(np.array([float(v) for v in g]))
-    return rates, grads
-
-
 def _kernel_channel(rng, case):
     """A channel of the kernel accuracy test: random with 1-4 antennas per
     receiver, with a dead cross link, or with cross links within 1e-6 of
@@ -244,15 +213,15 @@ class TestRateKernel:
                 c = p * rng.uniform(0.05, 1.0)
                 mag = {"improper": c * rng.uniform(0.0, 0.9), "proper": 0.0}.get(kind, c)
                 x += [c, complex(mag * np.exp(2j * np.pi * rng.uniform()))]
-            rates, grads = _mp_rates_and_gradients(ch, x)
+            rates, grads = mp_rates_and_gradients(ch, x)
             slack = np.zeros(2)
             if kind == "maximally-improper":
                 # on |ct| = c the exact gradient moves by up to ~2e-11 of its
                 # size when |ct| moves by one ulp, more than the kernel's error
-                off = _mp_rates_and_gradients(ch, [x[0], x[1] * (1 - 2**-52),
-                                                   x[2], x[3] * (1 - 2**-52)])[1]
+                off = mp_rates_and_gradients(ch, [x[0], x[1] * (1 - 2**-52),
+                                                  x[2], x[3] * (1 - 2**-52)])[1]
                 slack = [np.abs(a - b).max() / np.abs(a).max() for a, b in zip(grads, off)]
-            ks = improper_gp._receivers(ch)
+            ks = _receivers(ch)
             for k, w in enumerate(((1.0, 0.0), (0.0, 1.0))):
                 _, r, g = improper_gp._point(ks, w, tuple(x))
                 assert abs(r[k] - rates[k]) <= 1e-12 * rates[k]

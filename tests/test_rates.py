@@ -18,11 +18,12 @@ from tinregion import (
     transform_channel,
     transformed_rates,
 )
-from tinregion.channel import PSD_TOL, check_composite_cov, enhance_channel
+from tinregion.channel import PSD_TOL, check_composite_cov
 from tinregion.rates import _proper_gains, _proper_rates, mmse_filter
 
 from conftest import (
-    composite_rates, composite_real_embed, filter_sinr, random_channel, random_strategy,
+    composite_rates, composite_real_embed, filter_sinr, mp_rates_and_gradients,
+    random_channel, random_strategy,
 )
 
 
@@ -273,7 +274,7 @@ class TestEnhancedBound:
         assert worst <= 1e-10
 
     def test_attained_on_enhanced_channel(self, fig1):
-        tc = enhance_channel(transform_channel(fig1))
+        tc = replace(transform_channel(fig1), theta=0.0)
         x = TxStrategy(8.0, 9.0, 3.0, 4.0)
         bound = enhanced_upper_bound(tc, x)
         attained = rate_complex(
@@ -281,6 +282,26 @@ class TestEnhancedBound:
         )
         assert abs(bound.r1 - attained.r1) <= 1e-10
         assert abs(bound.r2 - attained.r2) <= 1e-10
+
+
+    @pytest.mark.parametrize("p", [10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_matches_mp_determinants(self, p):
+        # the theta-zeroed channel at the anti-aligned strategy by 50-digit
+        # determinants, with each |ct_k| 1e-12 to 1e-3 of c_k below it, where
+        # an n x n determinant form cancels at large budgets; the last draw
+        # has a dead cross link into receiver 1
+        rng = np.random.default_rng([35, int(np.log10(p))])
+        for i in range(10):
+            ch = random_channel(rng, *map(int, rng.integers(1, 5, 2)), p=p)
+            tc = transform_channel(replace(ch, h12=ch.h12 * (i < 9)))
+            c1, c2 = p * rng.uniform(0.05, 1.0, 2)
+            m1, m2 = (c * (1 - 10 ** rng.uniform(-12, -3)) for c in (c1, c2))
+            a1, a2 = rng.uniform(0, 2 * np.pi, 2)
+            x = TxStrategy(c1, c2, m1 * np.exp(1j * a1), m2 * np.exp(1j * a2))
+            bound = enhanced_upper_bound(tc, x)
+            ref = mp_rates_and_gradients(channel_from_transform(replace(tc, theta=0.0), 0, 0),
+                                         (c1, complex(abs(x.ct1)), c2, -complex(abs(x.ct2))))[0]
+            assert np.all(np.abs(np.subtract(bound, ref)) <= 1e-12 * np.abs(ref)), (bound, ref)
 
 
 class TestPhaseDerivative:

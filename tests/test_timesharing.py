@@ -724,12 +724,15 @@ def _random_cuts(rng, ch, n, low=0.0, high=3.0):
 
 
 def _multipliers(profile, y):
-    """``(mu1, mu2, lam1, lam2)`` at the master's variables ``y``: ``(mu2,
-    lam1, lam2)`` with ``mu1`` from ``rho . mu = 1``, or ``(lam1, lam2)`` at
-    the one ``mu`` of a single-user profile."""
+    """``(mu1, mu2, lam1, lam2)`` at the master's variables ``y``: ``(mu_j,
+    lam1, lam2)`` with the other ``mu``, that of the larger rho (``mu1`` on a
+    tie), from ``rho . mu = 1``, or ``(lam1, lam2)`` at the one ``mu`` of a
+    single-user profile."""
     rho1, rho2 = profile.rho1, profile.rho2
     if rho1 > 0 and rho2 > 0:
-        return np.r_[(1.0 - rho2 * y[0]) / rho1, y]
+        if rho1 >= rho2:
+            return np.r_[(1.0 - rho2 * y[0]) / rho1, y]
+        return np.r_[y[0], (1.0 - rho1 * y[0]) / rho2, y[1:]]
     return np.r_[1.0 / rho1 if rho1 > 0 else 0.0, 1.0 / rho2 if rho2 > 0 else 0.0, y]
 
 
@@ -1045,6 +1048,19 @@ class TestPrimalRecovery:
         for sol, upper, eps, profile, ch, _ in recoveries:
             R = _scaling(sol, profile)
             assert upper - eps <= R <= upper, (profile, ch.p1, upper - eps - R)
+
+
+class TestExtremeWeights:
+    # profiles within 1e-12 of a single user's: the master's slopes in mu
+    # stay at most 1 in size whichever weight is tiny, and the mixture keeps
+    # the small weight that serves the tiny rho_k, without which R is 0
+    @pytest.mark.parametrize("beta", [1e-12, 1e-9, 1e-6, 1 - 1e-9, 1 - 1e-12])
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+    def test_certificate(self, name, beta, request):
+        ch, profile, eps = request.getfixturevalue(name), RateProfile.from_beta(beta), 1e-2
+        res = cutting_plane(ch, profile, eps=eps)
+        R = _scaling(res.solution, profile)
+        assert res.upper - eps <= R <= res.upper, (res.upper, R)
 
 
 class TestZeroDirectLink:
