@@ -163,8 +163,8 @@ def _ascend(ks, w, budget, x, eps: float, max_iter: int) -> GpResult:
     ``s.s / -s.y`` after odd moves and ``-s.y / y.y`` after even ones
     (Barzilai and Borwein), clipped to ``[1e-10, 1e10]``, and to 1e10 when
     ``-s.y <= 0``.  The start returns its best iterate; one that becomes
-    stationary below it restarts from it with a unit step and a fresh
-    window, so a converged start's best iterate is its last."""
+    stationary below it restarts from it with a unit step and a fresh window,
+    so a converged start returns its last iterate, which ties the best."""
     p1, p2 = budget
     u1, u2 = (1.0 / (p * p) if p > 0 else 0.0 for p in budget)
 
@@ -181,10 +181,10 @@ def _ascend(ks, w, budget, x, eps: float, max_iter: int) -> GpResult:
     window, alpha, moves, converged = [obj] * _WINDOW, 1.0, 0, False
     while True:
         if residual(toward(x, 1.0, g)) <= eps:
-            if obj >= best[1]:
-                converged = True
+            if obj >= best[1]:  # a tie too: the last iterate is the one that passed
+                best, converged = (x, obj, rates, g), True
                 break
-            x, obj, _, g = best  # stationary below the best iterate: restart
+            x, obj, rates, g = best  # stationary below the best iterate: restart
             window, alpha = [obj] * _WINDOW, 1.0
             continue
         if moves >= max_iter:
@@ -205,7 +205,7 @@ def _ascend(ks, w, budget, x, eps: float, max_iter: int) -> GpResult:
         sy, moves = -_dot(s, v), moves + 1
         bb = (_dot(s, s) / sy if moves % 2 else sy / _dot(v, v)) if sy > 0 else _STEP_MAX
         alpha = min(max(bb, _STEP_MIN), _STEP_MAX)
-        x, obj, g = y, yobj, yg
+        x, obj, rates, g = y, yobj, yrates, yg
         window[moves % _WINDOW] = obj
         if obj > best[1]:
             best = y, yobj, yrates, yg

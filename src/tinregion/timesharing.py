@@ -15,7 +15,7 @@ powers of user 2 are both ends of its range and the real roots of the
 hidden-variable resultant of the two stationarity polynomials (Nakatsukasa,
 Noferini and Townsend, Numer. Math. 2015), found from piecewise Chebyshev
 interpolants and colleague matrices (Boyd, SIAM Review 2013); user 1's best
-power for each is a root of a cubic.  The explicit mixture is the primal
+power for each is a closed-form cubic root.  The explicit mixture is the primal
 side of the same LP (Dantzig and Wolfe, Oper. Res. 1960): the convex weights
 of one more master, over the fixed pairs, the inner maximizers and the
 single-user corners, mix at most four strategies.
@@ -31,7 +31,8 @@ import numpy as np
 from .channel import SimoChannel, real_scalar, unit_budgets, validate_channel, validate_eps
 from .errors import ConvergenceError, ValidationError
 from .proper_pure import RateProfile, validate_profile
-from .rates import _LN2, RatePoint, _proper_gains, _proper_rates, rate_proper
+from .rates import _LN2, RatePoint, _clip_rate, _proper_gains, _proper_rates
+from .rates import rate_proper  # noqa: F401  no caller here; perfbench wraps it (ROADMAP item 0)
 
 
 # Called by nothing in the package; perfbench/layers.py wraps it (ROADMAP item 0).
@@ -129,7 +130,6 @@ class Cut:
 class _InnerProblem:
     """The inner objective: the proper rates of ``gains`` weighted by ``mu``
     (:func:`tinregion.rates._proper_rates`) minus the power penalty ``lam``.
-    ``value`` works elementwise on scalars and arrays.
     """
 
     def __init__(self, gains, mu, lam):
@@ -144,65 +144,87 @@ class _InnerProblem:
             for mu, lam, g in zip(self.mu, self.lam, self.gains[0])
         )
 
-    def value(self, p1, p2):
-        """Weighted proper sum rate minus the power penalty at ``(p1, p2)``."""
-        r1, r2 = _proper_rates(self.gains, p1, p2)
-        return self.mu[0] * r1 + self.mu[1] * r2 - self.lam[0] * p1 - self.lam[1] * p2
-
     def swapped(self) -> "_InnerProblem":
         """The same objective with the users' roles exchanged."""
         return _InnerProblem(tuple(v[::-1] for v in self.gains),
                              self.mu[::-1], self.lam[::-1])
 
     def p1_max(self, p2, cap1: float):
-        """Maximizers and maxima of ``value(p1, p2)`` over ``p1`` in
-        ``[0, cap1]`` for a 1-D array ``p2`` of user 2's power.  With
+        """Maximizers and maxima of the objective over ``p1`` in ``[0,
+        cap1]`` for a 1-D array ``p2`` of user 2's power.  With
         ``A = q_1(p2) = (g_1 + p2 c_1) / (1 + p2 n_1)``, ``B = 1 + p2 g_2``,
         ``C = n_2 + p2 c_2`` and ``N = n_2`` it maximizes ``[mu1 ln(1 + A p1) + mu2 ln((B + C p1)
         / (1 + N p1))]/ln 2 - lam1 p1 - lam2 p2``, whose derivative times its
-        three positive denominators is a cubic.  The cubic's roots and both
-        ends are feasible candidates, so a spurious root can only lose.
+        three positive denominators is a cubic.  Its roots in ``(0, cap1)``
+        and both ends are scored in plain floats; a spurious root only loses.
         """
         (g1, g), _, (n1, N), (c1, c) = self.gains
-        mu1, mu2 = self.mu
-        lam = self.lam[0] * _LN2
-        A = (g1 + p2 * c1) / (1.0 + p2 * n1)
-        B = 1.0 + p2 * g
-        C = N + p2 * c
-        # In the scaled power t = p1 / cap1 each linear factor is divided by
-        # its value at t = 1 so that no product overflows: the derivative
-        # times (1 + A p1)(B + C p1)(1 + N p1) is, up to a positive factor,
-        # mu1 alpha_1 beta nu + mu2 (beta_1 nu_0 - nu_1 beta_0) alpha
-        # - lam cap1 alpha beta nu, with coefficients of t^0 .. t^3.
-        one = np.ones_like(B)
-        alpha, beta, nu = (
-            np.stack([u, v], axis=1) / (u + v)[:, None]
-            for u, v in ((one, A * cap1), (B, C * cap1), (one, N * cap1 * one))
-        )
-        beta_nu = _mul(beta, nu)
-        c = -lam * cap1 * _mul(alpha, beta_nu)
-        c[:, :3] += mu1 * alpha[:, 1:] * beta_nu
-        c[:, :2] += mu2 * (beta[:, 1:] * nu[:, :1] - nu[:, 1:] * beta[:, :1]) * alpha
-        # A dead cross link (N = 0), a silenced user 1 (A = 0) or a cubic term
-        # negligible on [0, cap1] leaves a quadratic or linear derivative: the
-        # stable quadratic formula, whose root c0/q also solves the linear case.
-        deg = np.abs(c[:, 3]) <= 1e-12 * np.abs(c[:, :3]).sum(axis=1)
-        t = np.tile([0.0, 0.0, 0.0, 0.0, 1.0], (len(c), 1))  # 3 roots, 2 ends
-        comp = np.zeros((np.count_nonzero(~deg), 3, 3))
-        comp[:, 0] = -c[~deg, 2::-1] / c[~deg, 3:]
-        comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-        t[~deg, :3] = np.linalg.eigvals(comp).real
-        c0, c1, c2 = c[deg, 0], c[deg, 1], c[deg, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
-            t[deg, 0] = q / c2
-            t[deg, 1] = c0 / q
-        # NaN or infinite roots (no real root, no quadratic) land in [0, 1]
-        t = np.clip(np.nan_to_num(t, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
-        vals = self.value(cap1 * t, p2[:, None])
-        best = np.argmax(vals, axis=1)
-        rows = np.arange(len(c))
-        return cap1 * t[rows, best], vals[rows, best]
+        mu1, mu2, lam1, lam2, cap1 = (float(v) for v in self.mu + self.lam + (cap1,))
+        lc, v0, v1 = -lam1 * _LN2 * cap1, 1.0 / (1.0 + N * cap1), N * cap1 / (1.0 + N * cap1)
+        out = []
+        for b in p2.tolist():
+            # in t = p1 / cap1, with alpha = a0 + a1 t, beta = b0 + b1 t and nu = v0 + v1 t
+            # the linear factors over their values at t = 1 so that no product overflows,
+            # the derivative times alpha beta nu is, up to a positive factor, k0 + k1 t +
+            # k2 t^2 + k3 t^3 = mu1 a1 beta nu + mu2 (b1 v0 - v1 b0) alpha + lc alpha beta nu
+            A, B, C = (g1 + b * c1) / (1.0 + b * n1) * cap1, 1.0 + b * g, (N + b * c) * cap1
+            a0, a1, b0, b1 = 1.0 / (1.0 + A), A / (1.0 + A), B / (B + C), C / (B + C)
+            bv0, bv1, bv2 = b0 * v0, b0 * v1 + b1 * v0, b1 * v1
+            m, w = mu1 * a1, mu2 * (b1 * v0 - v1 * b0)
+            k0 = lc * (a0 * bv0) + m * bv0 + w * a0
+            k1 = lc * (a0 * bv1 + a1 * bv0) + m * bv1 + w * a1
+            k2, k3 = lc * (a0 * bv2 + a1 * bv1) + m * bv2, lc * (a1 * bv2)
+            # a dead cross link (N = 0), a silenced user 1 (A = 0) or a cubic
+            # term negligible on [0, cap1] leaves a quadratic or linear one
+            deg = abs(k3) <= 1e-12 * (abs(k0) + abs(k1) + abs(k2))
+            roots = _quadratic_roots(k0, k1, k2) if deg else _cubic_roots(k0, k1, k2, k3)
+            d1 = 1.0 + b * n1
+            q1, pen, top, arg = g1 / d1 + c1 * (b / d1), lam2 * b, -math.inf, 0.0
+            # a NaN, infinite or outside root only repeats an end, scored last
+            for t in [t for t in roots if 0.0 < t < 1.0] + [0.0, 1.0]:
+                p1 = cap1 * t
+                d2 = 1.0 + p1 * N
+                v = (mu1 * (math.log1p(p1 * q1) / _LN2)
+                     + mu2 * (math.log1p(b * (g / d2 + c * (p1 / d2))) / _LN2) - lam1 * p1 - pen)
+                if v > top:
+                    top, arg = v, p1
+            out.append((arg, top))
+        return tuple(np.array(out).reshape(-1, 2).T)
+
+
+def _quadratic_roots(c0, c1, c2):
+    """The roots of ``c0 + c1 t + c2 t^2`` by the stable formula (``c0 / q``
+    solves a linear one), or 0 where undefined; for a complex pair (``c2 !=
+    0``), its real part ``q / c2`` and a spurious ``c0 / q``."""
+    disc = c1 * c1 - 4.0 * c2 * c0
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1) if disc >= 0.0 else c1)
+    return q / c2 if c2 else 0.0, c0 / q if q else 0.0
+
+
+def _cubic_roots(c0, c1, c2, c3):
+    """The roots of ``P(t) = c0 + c1 t + c2 t^2 + c3 t^3`` (``c3 != 0``), a complex
+    pair as in :func:`_quadratic_roots`, each after one Newton step kept where it
+    lowers ``|P|``.  With ``t = x - s``, ``P / c3 = x^3 + p x + q``; the trigonometric
+    form, or Cardano's real root free of cancellation, gives the real root ``r`` of
+    largest size, which a large ``s`` does not swamp.  The others solve ``t^2 + e t
+    + f``, deflated from the constant term if ``r`` is the largest root, else the top."""
+    s, b, d = c2 / c3 / 3.0, c1 / c3, c0 / c3
+    p, q = b - 3.0 * s * s, d - s * (b - 2.0 * s * s)
+    h = 0.25 * q * q + p * p * p / 27.0
+    if h < 0.0:  # three real roots, so p < 0; the middle one is never the largest
+        m = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(min(max(3.0 * q / (p * m), -1.0), 1.0)) / 3.0
+        r = max(m * math.cos(phi) - s, m * math.cos(phi + 2.0 * math.pi / 3.0) - s, key=abs)
+    else:
+        u = -0.5 * q - math.copysign(math.sqrt(h), q)
+        u = math.copysign(abs(u) ** (1.0 / 3.0), u)
+        r = (u - p / (3.0 * u) if u else 0.0) - s
+    big = r and abs(r) * r * r >= abs(d)
+    e, f = ((-d / r - b) / r, -d / r) if big else (3.0 * s + r, b + r * (3.0 * s + r))
+    for t in (r, *_quadratic_roots(f, e, 1.0)):
+        P, dP = ((c3 * t + c2) * t + c1) * t + c0, (3.0 * c3 * t + 2.0 * c2) * t + c1
+        step = t - P / dP if dP else t
+        yield step if abs(((c3 * step + c2) * step + c1) * step + c0) < abs(P) else t
 
 
 def _mul(a, b):
@@ -363,22 +385,21 @@ def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, work=N
     raise ConvergenceError(f"master LP made {_MAX_PIVOTS} pivots without an optimum")
 
 
-def _lambda_max(ch: SimoChannel, profile: RateProfile) -> float:
+def _lambda_max(gains, profile: RateProfile) -> float:
     # the dual is at least lam1 + lam2, so no optimal lam_k exceeds its minimum,
     # the time-sharing optimum, which is at most log2(1 + g_k) / rho_k at unit budgets
-    g = _proper_gains(ch)[0]
-    rho = (profile.rho1, profile.rho2)
+    g, rho = gains[0], (profile.rho1, profile.rho2)
     return 10.0 * max(math.log1p(g[k]) / rho[k] for k in (0, 1) if rho[k] > 0) / _LN2
 
 
-def _multiplier_box(ch: SimoChannel, profile: RateProfile):
+def _multiplier_box(gains, profile: RateProfile):
     """The master's multipliers ``(mu1, mu2, lam1, lam2) = z0 + E y``, ``lam
     >= LAMBDA_FLOOR``, over the box ``lo <= y <= hi``, as ``(z0, E, lo, hi)``:
     ``rho . mu = 1`` eliminates ``mu_i`` of the larger rho (``mu1`` on a tie),
     so ``y = (mu_j, lam1, lam2)`` and ``mu_i``'s slope ``-rho_j / rho_i`` is
     at most 1 in size; or ``y = (lam1, lam2)`` at a single-user profile's ``mu``."""
     rho = profile.rho1, profile.rho2
-    lam_max = max(_lambda_max(ch, profile), 10 * LAMBDA_FLOOR)
+    lam_max = max(_lambda_max(gains, profile), 10 * LAMBDA_FLOOR)
     lo, hi = np.full(2, LAMBDA_FLOOR), np.full(2, lam_max)
     if rho[0] > 0 and rho[1] > 0:
         i = int(rho[1] > rho[0])
@@ -476,10 +497,9 @@ def cutting_plane(
     validate_eps(eps)
     if eps <= _ROOT_SLACK:
         raise ValidationError(f"eps must exceed the root slack {_ROOT_SLACK}, got {eps}")
-    unit = unit_budgets(ch)
-    box = z0, E, lo, hi = _multiplier_box(unit, profile)
+    gains = _proper_gains(unit_budgets(ch))
+    box = z0, E, lo, hi = _multiplier_box(gains, profile)
     cuts = [] if seed_cuts is None else _as_cuts(seed_cuts)
-    gains = _proper_gains(unit)
     # row i minorizes the dual by (rates_i, 1 - powers_i) . (mu, lam): the fixed
     # strategies first, so that a warm working set keeps its rows, then the cuts
     powers, rates = _strategies(gains, profile, cuts, ch)
@@ -489,7 +509,7 @@ def cutting_plane(
     def add_cut(dv: DualVariables):
         nonlocal powers, rates, best_upper, best_dv
         (p1, p2), val = _exact_inner(_InnerProblem(gains, (dv.mu1, dv.mu2), (dv.lam1, dv.lam2)))
-        r = rate_proper(unit, p1, p2)
+        r = RatePoint(*(_clip_rate(x) for x in _proper_rates(gains, p1, p2)))
         value = dv.lam1 + dv.lam2 + val
         cuts.append(Cut(dv=dv, p_star=(p1 * ch.p1, p2 * ch.p2), rates=r, value=value))
         powers, rates = np.vstack([powers, (p1, p2)]), np.vstack([rates, r])
@@ -501,7 +521,7 @@ def cutting_plane(
         model = np.hstack([rates, 1 - powers])
         y, t_model, work, _ = _master(model @ E, model @ z0, lo, hi, work)
         if best_upper - t_model <= eps:
-            solution = _mixture(powers, rates, box, unit, ch, work)
+            solution = _mixture(powers, rates, box, gains, ch, work)
             return CuttingPlaneResult(best_upper, best_dv, cuts, solution)
         mu1, mu2, lam1, lam2 = z0 + E @ y
         add_cut(DualVariables(max(mu1, 0.0), max(mu2, 0.0), lam1, lam2))
@@ -510,13 +530,13 @@ def cutting_plane(
     )
 
 
-def _mixture(powers, rates, box, unit, ch, work=None) -> TimeSharingSolution:
+def _mixture(powers, rates, box, gains, ch, work=None) -> TimeSharingSolution:
     """The mixture of largest common scaling over the master's strategies and
     the single-user corners, in ``ch``'s units: the weights of one more
     :func:`_master`, cold or from ``work``, which appended rows keep dual feasible."""
     corners = np.array([(1.0, 0.0), (0.0, 1.0)])
     powers = np.r_[powers, corners]
-    model = np.c_[np.r_[rates, [rate_proper(unit, *p) for p in corners]], 1 - powers]
+    model = np.c_[np.r_[rates, np.transpose(_proper_rates(gains, *corners.T))], 1 - powers]
     z0, E, lo, hi = box
     tau = _master(model @ E, model @ z0, lo, hi, work)[3]
     keep = tau > 0
@@ -545,6 +565,6 @@ def primal_recovery(
     cuts = _as_cuts(cuts)
     if not cuts:
         raise ValidationError("no cuts to recover from")
-    unit = unit_budgets(ch)
-    strategies = _strategies(_proper_gains(unit), profile, cuts, ch)
-    return _mixture(*strategies, _multiplier_box(unit, profile), unit, ch)
+    gains = _proper_gains(unit_budgets(ch))
+    strategies = _strategies(gains, profile, cuts, ch)
+    return _mixture(*strategies, _multiplier_box(gains, profile), gains, ch)

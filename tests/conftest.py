@@ -367,6 +367,63 @@ def p1_bound(gains, dv, a, b, cap1):
     return cap1 * t[rows, best], vals[rows, best]
 
 
+def p1_cubic(gains, mu, lam, p2, cap1):
+    """Coefficients ``(c0, c1, c2, c3)``, one row per ``p2`` of a 1-D array,
+    of the cubic in ``t = p1 / cap1`` whose sign is that of the
+    ``p1``-derivative of ``mu1 r1 + mu2 r2 - lam1 p1``: the derivative times
+    ``(1 + A p1)(B + C p1)(1 + N p1)``, with ``A = q_1(p2)``, ``B = 1 + p2
+    g_2``, ``C = n_2 + p2 c_2`` and ``N = n_2``, after each linear factor is
+    divided by its value at ``t = 1`` so that no product overflows."""
+    (g1, g2), _, (n1, n2), (c1, c2) = gains
+    A = (g1 + p2 * c1) / (1.0 + p2 * n1) * cap1
+    B, C, one = 1.0 + p2 * g2, (n2 + p2 * c2) * cap1, np.ones_like(p2)
+
+    def linear(u, v):
+        return np.stack([u, v], axis=1) / (u + v)[:, None]
+
+    def mul(a, b):
+        out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+        for i in range(a.shape[1]):
+            out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
+        return out
+
+    alpha, beta, nu = linear(one, A), linear(B, C), linear(one, n2 * cap1 * one)
+    beta_nu = mul(beta, nu)
+    c = -lam[0] * np.log(2) * cap1 * mul(alpha, beta_nu)
+    c[:, :3] += mu[0] * alpha[:, 1:] * beta_nu
+    c[:, :2] += mu[1] * (beta[:, 1:] * nu[:, :1] - nu[:, 1:] * beta[:, :1]) * alpha
+    return c
+
+
+def p1_max_eig(gains, mu, lam, p2, cap1):
+    """Maximizers and maxima over ``p1`` in ``[0, cap1]`` of ``mu1 r1 + mu2
+    r2 - lam1 p1 - lam2 p2`` for a 1-D array ``p2``, with the rates of
+    ``gains = (g, x, n, c)`` in the library's ``log1p`` form: the batched companion-matrix
+    eigensolve that the library's scalar closed form replaced, kept as its
+    reference.  The candidates are both ends and the real parts of the
+    eigenvalues of the companion matrix of :func:`p1_cubic`, or, where its
+    cubic term is below 1e-12 of the others, the roots of its quadratic
+    part; NaN ones go to 0 and infinite ones to the end their sign points to."""
+    (g1, g2), _, (n1, n2), (c1, c2) = gains
+    c = p1_cubic(gains, mu, lam, p2, cap1)
+    deg = np.abs(c[:, 3]) <= 1e-12 * np.abs(c[:, :3]).sum(axis=1)
+    t = np.tile([0.0, 0.0, 0.0, 0.0, 1.0], (len(c), 1))
+    comp = np.zeros((np.count_nonzero(~deg), 3, 3))
+    comp[:, 0] = -c[~deg, 2::-1] / c[~deg, 3:]
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    t[~deg, :3] = np.linalg.eigvals(comp).real
+    with np.errstate(all="ignore"):
+        t[deg, :2] = np.stack(quadratic_roots(*c[deg, :3].T), axis=1)
+    t = np.clip(np.nan_to_num(t, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
+    p1, b = cap1 * t, p2[:, None]
+    d1, d2 = 1.0 + b * n1, 1.0 + p1 * n2
+    r1 = np.log1p(p1 * (g1 / d1 + c1 * (b / d1))) / np.log(2)
+    r2 = np.log1p(b * (g2 / d2 + c2 * (p1 / d2))) / np.log(2)
+    vals = mu[0] * r1 + mu[1] * r2 - lam[0] * p1 - lam[1] * b
+    rows, best = np.arange(len(c)), np.argmax(vals, axis=1)
+    return p1[rows, best], vals[rows, best]
+
+
 def grid_oracle(ch, dv):
     """Maximum of the inner objective on a 400x400 grid of
     ``[0, root_corner]``, refined seven times around its best point."""

@@ -25,28 +25,28 @@ from tinregion import region, timesharing
 from tinregion.channel import SimoChannel, validate_channel
 from tinregion.errors import ConvergenceError
 from tinregion.proper_pure import gamma_of_R
-from tinregion.rates import _proper_gains
+from tinregion.rates import _proper_gains, _proper_rates
 from tinregion.timesharing import (
     _COLLEAGUE, _COLLEAGUE_WEIGHT, _EDGES, _FIT, _NODES, LAMBDA_FLOOR, _ROOT_SLACK, Cut,
     _InnerProblem, _colleague_roots, _exact_inner, _master, _lambda_max,
 )
 
 from conftest import (
-    fixed_strategies, grid_oracle, highs_recovery, inner_bnb, p1_bound, peak_box,
-    proper_gains, proper_rates, random_channel, root_corner, split_objective,
+    fixed_strategies, grid_oracle, highs_recovery, inner_bnb, p1_bound, p1_cubic, p1_max_eig,
+    peak_box, proper_gains, proper_rates, random_channel, root_corner, split_objective,
 )
 
 
 class TestMmObjective:
-    # the library's inner objective, _InnerProblem.value, and the oracle's
-    # mixed-monotonic one, conftest.split_objective
+    # the inner objective from the library's proper-rate kernel, _value, and
+    # the oracle's mixed-monotonic one, conftest.split_objective
     def test_zero(self, fig1):
         prob = _problem(fig1, DualVariables(1.0, 1.0, 0.1, 0.1))
-        assert prob.value(0.0, 0.0) == 0.0
+        assert _value(prob, 0.0, 0.0) == 0.0
 
     def test_no_interference_no_penalty(self, fig1):
         prob = _problem(fig1, DualVariables(1.0, 1.0, LAMBDA_FLOOR, LAMBDA_FLOOR))
-        got = prob.value(4.0, 0.0) + prob.value(0.0, 7.0)
+        got = _value(prob, 4.0, 0.0) + _value(prob, 0.0, 7.0)
         want = np.log2(1 + 4.0 * np.linalg.norm(fig1.h11) ** 2) + np.log2(
             1 + 7.0 * np.linalg.norm(fig1.h22) ** 2
         ) - 11.0 * LAMBDA_FLOOR
@@ -63,10 +63,10 @@ class TestMmObjective:
             for p in powers:
                 r = rate_complex(fig1, TxStrategy(*p))
                 want = dv.mu1 * r.r1 + dv.mu2 * r.r2 - dv.lam1 * p[0] - dv.lam2 * p[1]
-                assert abs(prob.value(*p) - want) <= 1e-10
+                assert abs(_value(prob, *p) - want) <= 1e-10
             # the array form is the scalar form elementwise
             np.testing.assert_array_equal(
-                prob.value(*np.transpose(powers)), [prob.value(*p) for p in powers])
+                _value(prob, *np.transpose(powers)), [_value(prob, *p) for p in powers])
 
     def test_monotonicity(self, fig1):
         # the oracle's objective, user 2 sending at b but interfering and
@@ -88,6 +88,13 @@ class TestMmObjective:
 def _problem(ch, dv):
     """The library's inner problem on ``ch`` at multipliers ``dv``."""
     return _InnerProblem(_proper_gains(ch), (dv.mu1, dv.mu2), (dv.lam1, dv.lam2))
+
+
+def _value(prob, p1, p2):
+    """The objective of ``prob`` at ``(p1, p2)`` from the library's proper-rate
+    kernel, elementwise: ``mu . r - lam . p``."""
+    r1, r2 = _proper_rates(prob.gains, p1, p2)
+    return prob.mu[0] * r1 + prob.mu[1] * r2 - prob.lam[0] * p1 - prob.lam[1] * p2
 
 
 def solve_inner(ch, dv):
@@ -157,7 +164,7 @@ class TestP1Max:
             p2 = np.concatenate([[0.0, cap2], rng.uniform(0, cap2, 3)])
             p1, val = prob.p1_max(p2, cap1)
             assert ((0.0 <= p1) & (p1 <= cap1)).all()
-            np.testing.assert_allclose(val, prob.value(p1, p2), atol=1e-12)
+            np.testing.assert_allclose(val, _value(prob, p1, p2), atol=1e-12)
             want = [_p1_grid_max(ch, dv, b, b, cap1) for b in p2]
             np.testing.assert_allclose(val, want, atol=1e-6)
 
@@ -175,11 +182,12 @@ class TestP1Max:
                 f = _direct_objective(ch, dv, np.linspace(0, cap1, 4001), p2, p2)
                 assert f.max() <= bound + 1e-9
 
-    def test_oracle_matches_library(self, fig1, fig2, fig3):
-        # at a == b the oracle's closed-form cubic and the library's
-        # eigensolve maximize the same function, so the two codes agree
+    @classmethod
+    def _all_cases(cls, fig1, fig2, fig3):
+        """``(ch, dv, cap1, p2)``: ``_cases`` at 20 random ``p2``, channels
+        with no interference into receiver 2, and a one-antenna receiver."""
         cases = [(ch, dv, cap1, rng.uniform(0, cap2, 20))
-                 for ch, dv, (cap1, cap2), rng in self._cases(fig1, fig2, fig3)]
+                 for ch, dv, (cap1, cap2), rng in cls._cases(fig1, fig2, fig3)]
         rng = np.random.default_rng(39)
         for case in _INTERFERENCE_FREE:
             ch = _interference_free(case, fig1, fig3)
@@ -192,11 +200,104 @@ class TestP1Max:
         ch = random_channel(np.random.default_rng(3), 1, 1)
         dv = DualVariables(1.5, 0.2, 2.7e-9, 2e-7)
         cases.append((ch, dv, peak_box(proper_gains(ch), dv)[0], np.array([7e7, 7.5e7, 8e7])))
-        for ch, dv, cap1, p2 in cases:
-            p2 = np.concatenate([[0.0], p2])
+        return [(ch, dv, cap1, np.concatenate([[0.0], p2])) for ch, dv, cap1, p2 in cases]
+
+    def test_oracle_matches_library(self, fig1, fig2, fig3):
+        # at a == b the oracle's closed-form cubic and the library's
+        # closed-form roots maximize the same function, so the two codes agree
+        for ch, dv, cap1, p2 in self._all_cases(fig1, fig2, fig3):
             _, want = _problem(ch, dv).p1_max(p2, cap1)
             _, got = p1_bound(proper_gains(ch), dv, p2, p2, cap1)
             assert (np.abs(got - want) <= 1e-12 * (1 + np.abs(want))).all(), dv
+
+    def test_matches_eigensolve(self, fig1, fig2, fig3):
+        # the scalar closed form against the companion-matrix eigensolve it
+        # replaced, on the library's own gains
+        for ch, dv, cap1, p2 in self._all_cases(fig1, fig2, fig3):
+            _check_p1_max(_proper_gains(ch), (dv.mu1, dv.mu2), (dv.lam1, dv.lam2), p2, cap1)
+
+    @pytest.mark.parametrize("case", ["cap1-zero", "dead-cross-link", "silent-user-1",
+                                      "no-penalty"])
+    def test_degenerate(self, fig1, case):
+        # each leaves a zero cubic term or zero coefficients; none may
+        # raise, and none may warn (RuntimeWarnings are errors here)
+        ch = {"dead-cross-link": replace(fig1, h21=0 * fig1.h21),
+              "silent-user-1": replace(fig1, h11=0 * fig1.h11)}.get(case, fig1)
+        lam = (0.0, 0.0) if case == "no-penalty" else (0.05, 0.1)
+        cap1 = 0.0 if case == "cap1-zero" else fig1.p1
+        for mu in ((1.0, 1.0), (1.9, 0.1), (0.0, 1.0), (1.0, 0.0)):
+            p1, val = _check_p1_max(_proper_gains(ch), mu, lam,
+                                    np.array([0.0, 1e-9, 1.0, fig1.p2, 1e3]), cap1)
+            assert np.isfinite(val).all()
+            if case == "cap1-zero":
+                assert (p1 == 0.0).all()
+
+    def test_budget_range(self, fig1):
+        # budgets from 1e-10 to 1e10 with fig1's links, prices near the
+        # single-user slopes, so the maximizers lie inside the range
+        gains = _proper_gains(fig1)
+        g = gains[0]
+        for P in 10.0 ** np.arange(-10, 11):
+            for scale in (0.01, 0.3, 1.0):
+                lam = tuple(scale * gk / (1 + gk * P) / np.log(2) for gk in g)
+                p2 = P * np.array([0.0, 1e-6, 0.3, 1.0])
+                _, val = _check_p1_max(gains, (1.0, 1.0), lam, p2, P)
+                assert np.isfinite(val).all()
+
+    def test_far_roots(self):
+        # a one-antenna receiver 2 (c_2 = 0) and a cheap user 2, so that
+        # p2 g_2 swamps the cross term: the cubic term is 1e-12 to 1e-6 of
+        # the others and one root lies up to 1e12 away.  The two near roots
+        # are found from it, not from the shifted cubic it swamps
+        rng = np.random.default_rng(40)
+        small = []
+        for _ in range(200):
+            gains = _proper_gains(random_channel(rng, int(rng.integers(1, 5)), 1))
+            mu1 = rng.uniform(0, 2)
+            mu, lam = (mu1, 2 - mu1), (10 ** rng.uniform(-3, 0), 10 ** rng.uniform(-9, -5))
+            cap1, cap2 = _InnerProblem(gains, mu, lam).peak
+            p2 = rng.uniform(0, cap2, 5)
+            c = np.abs(p1_cubic(gains, mu, lam, p2, cap1))
+            small += [c3 / (c0 + c1 + c2) for c0, c1, c2, c3 in c if c3 > 0]
+            _check_p1_max(gains, mu, lam, p2, cap1)
+        assert sum(1e-12 < r < 1e-8 for r in small) >= 100
+
+    @pytest.mark.parametrize("mu, p2, lams", [
+        ((1.0, 1.0), 10.0, (0.2, 0.4)), ((0.5, 1.5), 1.0, (0.1, 0.2)),
+        ((1.5, 0.5), 1.0, (0.5, 1.5)),
+    ])
+    def test_near_double_roots(self, fig1, mu, p2, lams):
+        # lam1 bisected to where the cubic's two roots in (0, 1) merge (its
+        # discriminant changes sign), and the prices around it
+        gains, p2 = _proper_gains(fig1), np.array([p2])
+
+        def disc(lam1):
+            c0, c1, c2, c3 = p1_cubic(gains, mu, (lam1, 0.1), p2, fig1.p1)[0]
+            return (18 * c3 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 ** 2 * c1 ** 2
+                    - 4 * c3 * c1 ** 3 - 27 * c3 ** 2 * c0 ** 2)
+
+        lo, hi = lams
+        assert disc(lo) > 0 > disc(hi)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if disc(mid) > 0 else (lo, mid)
+        t = np.roots(p1_cubic(gains, mu, (lo, 0.1), p2, fig1.p1)[0, ::-1])
+        assert np.sum((np.abs(t.imag) < 1e-6) & (0 < t.real) & (t.real < 1)) == 2
+        for lam1 in lo * (1 + np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6])):
+            _check_p1_max(gains, mu, (lam1, 0.1), p2, fig1.p1)
+
+
+def _check_p1_max(gains, mu, lam, p2, cap1):
+    """``_InnerProblem.p1_max`` against conftest's eigensolve within 1e-12
+    relative to the terms of the maximum, which may cancel: the weighted
+    rates are the maximum plus the penalty.  The maximizers lie in ``[0,
+    cap1]``."""
+    p1, got = _InnerProblem(gains, mu, lam).p1_max(p2, cap1)
+    _, want = p1_max_eig(gains, mu, lam, p2, cap1)
+    assert ((0.0 <= p1) & (p1 <= cap1)).all()
+    size = np.abs(want) + lam[0] * p1 + lam[1] * p2
+    assert (np.abs(got - want) <= 1e-12 * size).all(), (mu, lam, p2, cap1)
+    return p1, got
 
 
 def _scaled_channel(rng):
@@ -352,7 +453,7 @@ def _solve_attained(ch, dv):
     p, val = solve_inner(ch, dv)
     prob = _problem(ch, dv)
     assert all(0.0 <= p[k] <= prob.peak[k] for k in (0, 1))
-    assert abs(prob.value(*p) - val) <= 1e-12 * (1 + abs(val))
+    assert abs(_value(prob, *p) - val) <= 1e-12 * (1 + abs(val))
     return p, val
 
 
@@ -854,8 +955,8 @@ class TestMaster:
             _check_rows(args, fig1, RateProfile(*rho), cuts, rng)
             a, b, lo, hi, _ = args
             y = _check_master(a, b, lo, hi)
-            assert hi[-1] == max(_lambda_max(_at_unit_budgets(fig1), RateProfile(*rho)),
-                                 10 * LAMBDA_FLOOR)
+            gains = _proper_gains(_at_unit_budgets(fig1))
+            assert hi[-1] == max(_lambda_max(gains, RateProfile(*rho)), 10 * LAMBDA_FLOOR)
             if at == "max":
                 assert np.allclose(y[-2:], hi[-2:], rtol=1e-12, atol=0)
                 continue
@@ -900,6 +1001,26 @@ class TestMaster:
 
 
 class TestCuttingPlane:
+    def test_cut_rates_match_rate_proper(self, fig1, fig2, fig3, monkeypatch):
+        # each cut's rates come from the gains cutting_plane holds at unit
+        # budgets, with no rate_proper call; rate_proper recomputes them from
+        # the links in the caller's units.  The 21-beta sweeps share one pool,
+        # so the last point's cuts are all of them
+        def no_rate_proper(*args):
+            raise AssertionError("cutting_plane called rate_proper")
+
+        for ch in (fig1, fig2, fig3):
+            pool = None
+            with monkeypatch.context() as m:
+                m.setattr(timesharing, "rate_proper", no_rate_proper)
+                for beta in np.linspace(0, 1, 21):
+                    pool = cutting_plane(ch, RateProfile.from_beta(beta), eps=2e-2,
+                                         seed_cuts=pool).cuts
+            assert len(pool) > 21
+            for cut in pool:
+                np.testing.assert_allclose(cut.rates, rate_proper(ch, *cut.p_star),
+                                           rtol=1e-12, atol=0)
+
     # the dual values the HiGHS master reached at eps = 1e-2; the single-user
     # corner is the one test_single_user_profile pins
     @pytest.mark.parametrize("rho, want", [
