@@ -13,12 +13,13 @@ past a budget, whose cuts fall in that user's power multiplier and so keep
 Kelley's method (Kelley, J. SIAM 1960) off the lambda floor.  The candidate
 powers of user 2 are both ends of its range and the real roots of the
 hidden-variable resultant of the two stationarity polynomials (Nakatsukasa,
-Noferini and Townsend, Numer. Math. 2015), found from piecewise Chebyshev
-interpolants and colleague matrices (Boyd, SIAM Review 2013); user 1's best
-power for each is a closed-form cubic root.  The explicit mixture is the primal
-side of the same LP (Dantzig and Wolfe, Oper. Res. 1960): the convex weights
-of one more master, over the fixed pairs, the inner maximizers and the
-single-user corners, mix at most four strategies.
+Noferini and Townsend, Numer. Math. 2015): the eigenvalues of one 15x15
+block companion linearization of their 5x5 Sylvester matrix, cubic in user
+2's power, polished by Newton steps on the resultant in closed form; user 1's
+best power for each is a closed-form cubic root.  The explicit mixture is the
+primal side of the same LP (Dantzig and Wolfe, Oper. Res. 1960): the convex
+weights of one more master, over the fixed pairs, the inner maximizers and
+the single-user corners, mix at most four strategies.
 """
 
 from __future__ import annotations
@@ -55,21 +56,11 @@ _MAX_PIVOTS = 1000
 # value is at most 7.0e-13 below the oracle's incumbent.  Each decade of a
 # tighter slack costs that check about sqrt(10) times more.
 _ROOT_SLACK = 1e-7
-# pieces of [0, 1] for the resultant's fit, graded toward both ends
-_EDGES = np.concatenate([[0.0], 10.0 ** np.arange(-8, 0),
-                         1 - 10.0 ** np.arange(-1, -9, -1), [1.0]])
-# 14 Chebyshev points interpolate the degree-13 resultant exactly; _FIT
-# inverts the Vandermonde matrix T_k(x) = cos(k arccos x) (numpy's chebvander)
-_NODES = np.cos(np.pi * (np.arange(14) + 0.5) / 14)
-_FIT = np.linalg.inv(np.cos(np.arange(14) * np.arccos(_NODES)[:, None]))
-_T2 = _EDGES[:-1, None] + 0.5 * np.diff(_EDGES)[:, None] * (1 + _NODES)
-# colleague matrix of T_13, tridiagonal; a degree-13 series c adds
-# -c[:-1] / c[-1] times _COLLEAGUE_WEIGHT to its last column (numpy's
-# chebcompanion)
-_COLLEAGUE_WEIGHT = np.r_[np.sqrt(0.5), np.full(12, 0.5)]
-_COLLEAGUE = np.diag(_COLLEAGUE_WEIGHT[:-1], 1) + np.diag(_COLLEAGUE_WEIGHT[:-1], -1)
-# rho^k, k = 0..13, on the Bernstein ellipse through 1 + 1e-9 + 1e-3 i (rho = 1.0321)
-_REACH = np.exp(np.arccosh(1 + 1e-9 + 1e-3j).real * np.arange(14))
+# S(sigma + s) = sum_j Q_j s^j for a cubic matrix polynomial S(t) = sum_k S_k t^k:
+# Q_j = sum_k C(k, j) sigma^(k - j) S_k, at two shifts outside [0, 1]
+_SIGMAS = (-1.0, 2.0)
+_SHIFTS = np.array([[[math.comb(k, j) * sigma ** (k - j) for k in range(4)] for j in range(4)]
+                    for sigma in _SIGMAS])
 
 
 @dataclass(frozen=True)
@@ -227,12 +218,15 @@ def _cubic_roots(c0, c1, c2, c3):
         yield step if abs(((c3 * step + c2) * step + c1) * step + c0) < abs(P) else t
 
 
-def _mul(a, b):
-    """Batched products of polynomials, lowest power first on the last axis."""
-    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,))
-    for i in range(a.shape[-1]):
-        out[..., i:i + b.shape[-1]] += a[..., i:i + 1] * b
-    return out
+def _bilinear(p, q):
+    """The product of two polynomials of degree 1 in each of ``t1`` and ``t2``, with
+    the coefficient of ``t1^i t2^j`` in row ``i`` and column ``j`` of nested lists."""
+    (p00, p01), (p10, p11) = p
+    (q00, q01), (q10, q11) = q
+    return [[p00 * q00, p00 * q01 + p01 * q00, p01 * q01],
+            [p00 * q10 + p10 * q00, p00 * q11 + p01 * q10 + p10 * q01 + p11 * q00,
+             p01 * q11 + p11 * q01],
+            [p10 * q10, p10 * q11 + p11 * q10, p11 * q11]]
 
 
 def _stationary_t2(prob: _InnerProblem) -> np.ndarray:
@@ -242,60 +236,112 @@ def _stationary_t2(prob: _InnerProblem) -> np.ndarray:
     In the scaled powers ``t_k = p_k / peak_k`` the two partial derivatives
     times their positive denominators are polynomials of degree 3 and 2 in
     ``t1`` with coefficients of degree at most 2 and 3 in ``t2``.  So at a
-    common root their 5x5 Sylvester determinant in ``t1``, of degree at most
-    13 in ``t2``, vanishes.  It is interpolated on each piece of
-    ``_EDGES``, with one scale per row and piece, and its roots come from
-    :func:`_colleague_roots`.
+    common root their Sylvester resultant in ``t1`` vanishes; its roots come
+    from :func:`_resultant_roots`.
     """
     (g1, g2), (x1, x2), (n1, n2), (c1, c2) = prob.gains
     (mu1, mu2), (cap1, cap2) = prob.mu, prob.peak
     lam1, lam2 = (lam * _LN2 for lam in prob.lam)
-    t2 = _T2[..., None]
     # B_k = 1 + g_k p_k + n_k p_j + c_k p_1 p_2 and D_k = 1 + n_j p_k, each
     # divided by its value s_k, e_k at t = (1, 1) so that no product overflows
     s1 = 1 + n1 * cap2 + cap1 * (g1 + c1 * cap2)
     s2 = 1 + g2 * cap2 + cap1 * (n2 + c2 * cap2)
     e1, e2 = 1 + n1 * cap2, 1 + n2 * cap1
-    b1 = np.concatenate([1 + n1 * cap2 * t2, cap1 * (g1 + c1 * cap2 * t2)], -1) / s1
-    b2 = np.concatenate([1 + g2 * cap2 * t2, cap1 * (n2 + c2 * cap2 * t2)], -1) / s2
-    # dL/dp_k ln 2 times B_1 B_2 D_k / (s_1 s_2 e_k), as polynomials in t1
-    da = -lam1 * b1
-    da[..., :1] += mu1 * (g1 + c1 * cap2 * t2) / s1
-    f1 = _mul(da, _mul(b2, np.array([1.0, n2 * cap1]) / e2))
-    f1[..., :2] -= mu2 * x2 * cap2 / s2 / e2 * t2 * b1
-    db = mu2 * np.array([g2, c2 * cap1]) / s2 - lam2 * b2
-    f2 = (1 + n1 * cap2 * t2) / e1 * _mul(b1, db)
-    f2[..., 1:] -= mu1 * x1 * cap1 / s1 / e1 * b2
-    f1 /= np.maximum(np.abs(f1).max(axis=(1, 2), keepdims=True), 1e-300)
-    f2 /= np.maximum(np.abs(f2).max(axis=(1, 2), keepdims=True), 1e-300)
-    syl = np.zeros(_T2.shape + (5, 5))
+    b1 = [[1 / s1, n1 * cap2 / s1], [cap1 * g1 / s1, cap1 * c1 * cap2 / s1]]
+    b2 = [[1 / s2, g2 * cap2 / s2], [cap1 * n2 / s2, cap1 * c2 * cap2 / s2]]
+    # dL/dp_k ln 2 times B_1 B_2 D_k / (s_1 s_2 e_k); a factor u + v t_j
+    # mixes neighbouring coefficients along the axis of t_j
+    da = [[mu1 * g1 / s1 - lam1 * b1[0][0], mu1 * c1 * cap2 / s1 - lam1 * b1[0][1]],
+          [-lam1 * b1[1][0], -lam1 * b1[1][1]]]
+    f1, zero, u, v = _bilinear(da, b2), [0.0] * 3, 1 / e2, n2 * cap1 / e2
+    f1 = [[u * x + v * y for x, y in zip(a, b)] for a, b in zip(f1 + [zero], [zero] + f1)]
+    w = mu2 * x2 * cap2 / s2 / e2
+    f1[:2] = [[r[0], r[1] - w * b[0], r[2] - w * b[1]] for r, b in zip(f1, b1)]
+    db = [[mu2 * g2 / s2 - lam2 * b2[0][0], -lam2 * b2[0][1]],
+          [mu2 * c2 * cap1 / s2 - lam2 * b2[1][0], -lam2 * b2[1][1]]]
+    u, v = 1 / e1, n1 * cap2 / e1
+    f2 = [[u * x + v * y for x, y in zip(r + [0.0], [0.0] + r)] for r in _bilinear(b1, db)]
+    w = mu1 * x1 * cap1 / s1 / e1
+    f2[1:] = [[r[0] - w * b[0], r[1] - w * b[1], *r[2:]] for r, b in zip(f2[1:], b2)]
+    return _resultant_roots(f1, f2)
+
+
+def _resultant_roots(f1, f2) -> np.ndarray:
+    """The real parts in ``[0, 1]`` of the roots ``t2`` of the Sylvester
+    determinant in ``t1`` of ``f1`` (4 x 3) and ``f2`` (3 x 4), polynomials in
+    ``(t1, t2)`` with the coefficient of ``t1^i t2^j`` in row ``i`` and column
+    ``j``, plus spurious values.  The 5x5 Sylvester matrix ``S(t2)`` is cubic;
+    at the shift ``sigma`` of ``_SIGMAS`` where ``S(sigma)`` is farther from
+    singular, the block companion matrix of ``S(sigma + 1/mu) mu^3`` times
+    ``S(sigma)^-1``, 15 x 15, has the eigenvalues ``mu = 1 / (t2 - sigma)``
+    (Mackey, Mackey, Mehl and Mehrmann, SIAM J. Matrix Anal. Appl. 2006).
+    A pencil singular at both shifts gives no roots.  Roots with ``|Im t2| <=
+    1e-3`` and ``Re t2`` within 1e-4 of ``[0, 1]`` are kept: a complex one, a
+    near-double root that roundoff split, gives its real part; a real one
+    gives the end of Newton steps by :func:`_polish`, whose closed form
+    keeps the accuracy of the coefficients near ``t2 = 0``, where the shift
+    loses it, and within 1e-4 of an end it stays a candidate too."""
+    # t1 = alpha tau leaves the roots in t2 alone; alpha^d, the ratio of the
+    # constant and leading coefficients in t1 (geometric mean over f1 and
+    # f2, within 1e+-100), balances the powers of t1, which span up to 1e25
+    f1, f2 = np.array(f1), np.array(f2)
+    tops = [np.abs(f).max(axis=1).tolist() for f in (f1, f2)]
+    logs = [(math.log(m[0]) - math.log(m[-1])) / (len(m) - 1) for m in tops if m[0] and m[-1]]
+    alpha = math.exp(min(max(sum(logs) / len(logs), -230.0), 230.0)) if logs else 1.0
+    f1, f2 = (f / (max(m) + 1e-300) * alpha ** np.arange(len(f))[:, None]
+              for f, m in zip((f1, f2), tops))
+    f1, f2 = f1 / (np.abs(f1).max() + 1e-300), f2 / (np.abs(f2).max() + 1e-300)
+    syl = np.zeros((4, 5, 5))
     for i in range(2):
-        syl[..., i, i:i + 4] = f1[..., ::-1]
+        syl[:3, i, i:i + 4] = f1[::-1].T
     for i in range(3):
-        syl[..., 2 + i, i:i + 3] = f2[..., ::-1]
-    return _colleague_roots(np.linalg.det(syl) @ _FIT.T)
+        syl[:, 2 + i, i:i + 3] = f2[::-1].T
+    # farther from singular: |det| over the product of the row norms (Hadamard)
+    heads = (_SHIFTS[:, 0] @ syl.reshape(4, 25)).reshape(2, 5, 5)
+    i = int(np.argmax(np.abs(np.linalg.det(heads))
+                      / (np.linalg.norm(heads, axis=2).prod(axis=1) + 1e-300)))
+    q = (_SHIFTS[i] @ syl.reshape(4, 25)).reshape(4, 5, 5)
+    companion = np.eye(15, k=-5)
+    try:
+        companion[:5] = -np.linalg.solve(q[0], np.concatenate(q[1:], axis=1))
+        mus = np.linalg.eigvals(companion).tolist()
+    except np.linalg.LinAlgError:
+        return np.zeros(0)
+    f1, f2, out = f1.tolist(), f2.tolist(), []
+    for mu in mus:
+        # |t2 - sigma| <= 4 on the window, so mu = 0, an infinite t2, is left out
+        t = _SIGMAS[i] + 1 / mu if abs(mu) >= 0.25 else math.inf
+        if abs(t.imag) <= 1e-3 and -1e-4 <= t.real <= 1 + 1e-4:
+            near = not 1e-4 < t.real < 1 - 1e-4
+            if near or t.imag:
+                out.append(t.real)
+            if near or not t.imag:
+                out.append(_polish(f1, f2, t.real))
+    return np.array([t for t in out if 0.0 <= t <= 1.0])
 
 
-def _colleague_roots(coef: np.ndarray) -> np.ndarray:
-    """The roots kept from the Chebyshev series ``coef`` of the pieces of
-    ``_EDGES``, mapped into ``[0, 1]`` in piece order.  A series with
-    ``|c_0| > sum_{k>=1} |c_k| rho^k`` has no root inside the Bernstein
-    ellipse ``E_rho``, where ``|T_k| <= rho^k``, which holds the window of
-    kept roots; such a piece skips the eigensolve.  A margin of 1e-9 of
-    ``sum_k |c_k| rho^k`` covers the eigensolver's backward error."""
-    # a vanishing leading coefficient only sends roots far off the piece
-    size, lead = np.abs(coef).max(axis=1, keepdims=True), coef[:, -1:]
-    lead = np.where(np.abs(lead) > 1e-14 * size, lead, 1e-14 * size + 1e-300)
-    coef = np.concatenate([coef[:, :-1], lead], axis=1)
-    live = 2 * np.abs(coef[:, 0]) <= (1 + 1e-9) * (np.abs(coef) @ _REACH)
-    colleague = np.repeat(_COLLEAGUE[None], np.count_nonzero(live), axis=0)
-    colleague[:, :, -1] -= coef[live, :-1] / coef[live, -1:] * _COLLEAGUE_WEIGHT
-    z = np.linalg.eigvals(colleague)
-    # a near-double root may come out as a pair with a small imaginary part
-    keep = (np.abs(z.imag) <= 1e-3) & (np.abs(z.real) <= 1.0 + 1e-9)
-    start, width = _EDGES[:-1][live, None], np.diff(_EDGES)[live, None]
-    t = start + 0.5 * width * (1.0 + z.real.clip(-1, 1))
-    return t[keep]
+def _polish(f1, f2, t):
+    """Newton steps from ``t`` on the Sylvester determinant of
+    :func:`_resultant_roots` in closed form, the 13-term resultant of the
+    cubic ``a`` and the quadratic ``b`` in ``t1`` that ``f1`` and ``f2`` take
+    at ``t2``, while they stay within 1e-4 of ``[0, 1]``; the derivative
+    comes from a complex step, ``Im R(t + i h) / h``."""
+    for _ in range(8):
+        z = complex(t, 1e-30)
+        a0, a1, a2, a3 = (r[0] + z * (r[1] + z * r[2]) for r in f1)
+        b0, b1, b2 = (r[0] + z * (r[1] + z * (r[2] + z * r[3])) for r in f2)
+        r = (a0 * (a0 * b2 * b2 * b2 - a1 * b1 * b2 * b2 - 2 * a2 * b0 * b2 * b2
+                   + a2 * b1 * b1 * b2 + 3 * a3 * b0 * b1 * b2 - a3 * b1 * b1 * b1)
+             + b0 * (a1 * a1 * b2 * b2 - a1 * a2 * b1 * b2 - 2 * a1 * a3 * b0 * b2
+                     + a1 * a3 * b1 * b1 + a2 * a2 * b0 * b2 - a2 * a3 * b0 * b1
+                     + a3 * a3 * b0 * b0))
+        step = r.real / r.imag * 1e-30 if r.imag else 0.0
+        if not step or not -1e-4 <= t - step <= 1 + 1e-4:
+            break
+        t -= step
+        if abs(step) <= 1e-8 * abs(t):
+            break
+    return t
 
 
 def _exact_inner(prob: _InnerProblem):
@@ -523,7 +569,7 @@ def cutting_plane(
         if best_upper - t_model <= eps:
             solution = _mixture(powers, rates, box, gains, ch, work)
             return CuttingPlaneResult(best_upper, best_dv, cuts, solution)
-        mu1, mu2, lam1, lam2 = z0 + E @ y
+        mu1, mu2, lam1, lam2 = (z0 + E @ y).tolist()
         add_cut(DualVariables(max(mu1, 0.0), max(mu2, 0.0), lam1, lam2))
     raise ConvergenceError(
         f"cutting-plane method did not reach gap {eps} in {_MAX_ITER} iterations"

@@ -268,15 +268,29 @@ def split_objective(gains, dv, p1, a, b):
             - dv.lam1 * p1 - dv.lam2 * a)
 
 
+def poly_mul(a, b):
+    """Batched products of polynomials, lowest power first on the last axis."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,))
+    for i in range(a.shape[-1]):
+        out[..., i:i + b.shape[-1]] += a[..., i:i + 1] * b
+    return out
+
+
+def inner_peak(gains, mu, lam):
+    """``(peak_1, peak_2)`` of :func:`peak_box` for multipliers given as pairs
+    ``mu`` and ``lam``: zero exactly where ``lam_k ln 2 >= mu_k g_k``, so that
+    ``1 / g_k`` never overflows."""
+    return tuple(max(mk / (lk * np.log(2)) - 1.0 / g, 0.0) if mk * g > lk * np.log(2) else 0.0
+                 for mk, lk, g in zip(mu, lam, gains[0]))
+
+
 def peak_box(gains, dv):
     """``(peak_1, peak_2)``, where ``peak_k = mu_k / (lam_k ln 2) - 1/g_k``
     (at least 0) is user k's interference-free optimum.  Interference only
     lowers ``q_k <= g_k``, and ``q / (1 + p q)`` grows with ``q``, so past
     ``peak_k`` the objective falls in ``p_k``: ``[0, peak_1] x [0, peak_2]``
     holds every maximizer."""
-    return tuple(
-        max(mu / (lam * np.log(2)) - 1 / g, 0.0) if g > 0 else 0.0
-        for g, mu, lam in zip(gains[0], (dv.mu1, dv.mu2), (dv.lam1, dv.lam2)))
+    return inner_peak(gains, (dv.mu1, dv.mu2), (dv.lam1, dv.lam2))
 
 
 def cubic_roots(c0, c1, c2, c3):
@@ -381,15 +395,9 @@ def p1_cubic(gains, mu, lam, p2, cap1):
     def linear(u, v):
         return np.stack([u, v], axis=1) / (u + v)[:, None]
 
-    def mul(a, b):
-        out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
-        for i in range(a.shape[1]):
-            out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
-        return out
-
     alpha, beta, nu = linear(one, A), linear(B, C), linear(one, n2 * cap1 * one)
-    beta_nu = mul(beta, nu)
-    c = -lam[0] * np.log(2) * cap1 * mul(alpha, beta_nu)
+    beta_nu = poly_mul(beta, nu)
+    c = -lam[0] * np.log(2) * cap1 * poly_mul(alpha, beta_nu)
     c[:, :3] += mu[0] * alpha[:, 1:] * beta_nu
     c[:, :2] += mu[1] * (beta[:, 1:] * nu[:, :1] - nu[:, 1:] * beta[:, :1]) * alpha
     return c
@@ -489,3 +497,73 @@ def inner_bnb(ch, dv, eps, incumbent=None):
         lo = np.concatenate([lo, mid])[keep]
         hi = np.concatenate([mid, hi])[keep]
         upper = vals[:k][keep]
+
+
+# The piecewise resultant solve that the library's linearized Sylvester
+# pencil replaced, kept as its reference: it reads nothing from the solver.
+PIECES = np.concatenate([[0.0], 10.0 ** np.arange(-8, 0),
+                         1 - 10.0 ** np.arange(-1, -9, -1), [1.0]])
+
+
+def piecewise_t2(gains, mu, lam):
+    """Candidate ``t2 = p2 / peak_2`` of the inner problem: the real roots in
+    ``[0, 1]`` of the 5x5 Sylvester determinant in ``t1 = p1 / peak_1`` of
+    the two stationarity polynomials, interpolated at 14 Chebyshev points on
+    each of the 17 pieces of ``PIECES``, graded toward both ends, with one
+    scale per row and piece, and solved by colleague matrices; a root with
+    ``|Im z| <= 1e-3`` in a piece's ``z`` in ``[-1, 1]`` gives its real part."""
+    cheb = np.polynomial.chebyshev
+    (g1, g2), (x1, x2), (n1, n2), (c1, c2) = gains
+    (mu1, mu2), (cap1, cap2) = mu, inner_peak(gains, mu, lam)
+    lam1, lam2 = (v * np.log(2) for v in lam)
+    nodes = cheb.chebpts1(14)
+    t2 = (PIECES[:-1, None] + 0.5 * np.diff(PIECES)[:, None] * (1 + nodes))[..., None]
+    # B_k = 1 + g_k p_k + n_k p_j + c_k p_1 p_2 and D_k = 1 + n_j p_k over
+    # their values at t = (1, 1)
+    s1 = 1 + n1 * cap2 + cap1 * (g1 + c1 * cap2)
+    s2 = 1 + g2 * cap2 + cap1 * (n2 + c2 * cap2)
+    e1, e2 = 1 + n1 * cap2, 1 + n2 * cap1
+    b1 = np.concatenate([1 + n1 * cap2 * t2, cap1 * (g1 + c1 * cap2 * t2)], -1) / s1
+    b2 = np.concatenate([1 + g2 * cap2 * t2, cap1 * (n2 + c2 * cap2 * t2)], -1) / s2
+    da = -lam1 * b1
+    da[..., :1] += mu1 * (g1 + c1 * cap2 * t2) / s1
+    f1 = poly_mul(da, poly_mul(b2, np.array([1.0, n2 * cap1]) / e2))
+    f1[..., :2] -= mu2 * x2 * cap2 / s2 / e2 * t2 * b1
+    db = mu2 * np.array([g2, c2 * cap1]) / s2 - lam2 * b2
+    f2 = (1 + n1 * cap2 * t2) / e1 * poly_mul(b1, db)
+    f2[..., 1:] -= mu1 * x1 * cap1 / s1 / e1 * b2
+    f1 /= np.maximum(np.abs(f1).max(axis=(1, 2), keepdims=True), 1e-300)
+    f2 /= np.maximum(np.abs(f2).max(axis=(1, 2), keepdims=True), 1e-300)
+    syl = np.zeros(t2.shape[:2] + (5, 5))
+    for i in range(2):
+        syl[..., i, i:i + 4] = f1[..., ::-1]
+    for i in range(3):
+        syl[..., 2 + i, i:i + 3] = f2[..., ::-1]
+    coef = np.linalg.solve(cheb.chebvander(nodes, 13), np.linalg.det(syl).T).T
+    # a vanishing leading coefficient only sends roots far off the piece
+    size, lead = np.abs(coef).max(axis=1), coef[:, -1]
+    coef[:, -1] = np.where(np.abs(lead) > 1e-14 * size, lead, 1e-14 * size + 1e-300)
+    z = np.linalg.eigvals([cheb.chebcompanion(c) for c in coef])
+    keep = (np.abs(z.imag) <= 1e-3) & (np.abs(z.real) <= 1.0 + 1e-9)
+    t = PIECES[:-1, None] + 0.5 * np.diff(PIECES)[:, None] * (1.0 + z.real.clip(-1, 1))
+    return t[keep]
+
+
+def piecewise_inner(gains, mu, lam):
+    """Maximizer and maximum of the inner objective ``mu . r - lam . p`` of
+    ``gains = (g, x, n, c)`` by the piecewise resultant solve: ``p2`` at
+    both ends of ``[0, peak_2]`` and at ``peak_2`` times each root of
+    :func:`piecewise_t2`, scored over ``p1`` by :func:`p1_max_eig`.  User 2
+    is the user whose cross link has the larger share ``x_k / (g_k n_k)``
+    along its direct link; with both shares zero the ends suffice."""
+    share = [x / (g * n) if g * n > 0 else 0.0 for g, x, n in zip(*gains[:3])]
+    if share[1] < share[0]:
+        (p2, p1), val = piecewise_inner(tuple(v[::-1] for v in gains), mu[::-1], lam[::-1])
+        return (p1, p2), val
+    cap1, cap2 = inner_peak(gains, mu, lam)
+    p2 = np.array([0.0, cap2])
+    if cap1 > 0 and cap2 > 0 and share[1] > 0:
+        p2 = np.concatenate([p2, cap2 * piecewise_t2(gains, mu, lam)])
+    p1, vals = p1_max_eig(gains, mu, lam, p2, cap1)
+    i = int(np.argmax(vals))
+    return (float(p1[i]), float(p2[i])), float(vals[i])

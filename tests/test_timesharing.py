@@ -27,13 +27,14 @@ from tinregion.errors import ConvergenceError
 from tinregion.proper_pure import gamma_of_R
 from tinregion.rates import _proper_gains, _proper_rates
 from tinregion.timesharing import (
-    _COLLEAGUE, _COLLEAGUE_WEIGHT, _EDGES, _FIT, _NODES, LAMBDA_FLOOR, _ROOT_SLACK, Cut,
-    _InnerProblem, _colleague_roots, _exact_inner, _master, _lambda_max,
+    _SHIFTS, _SIGMAS, LAMBDA_FLOOR, _ROOT_SLACK, Cut, _InnerProblem, _exact_inner, _master,
+    _lambda_max, _resultant_roots,
 )
 
 from conftest import (
-    fixed_strategies, grid_oracle, highs_recovery, inner_bnb, p1_bound, p1_cubic, p1_max_eig,
-    peak_box, proper_gains, proper_rates, random_channel, root_corner, split_objective,
+    fixed_strategies, grid_oracle, highs_recovery, inner_bnb, inner_peak, p1_bound, p1_cubic,
+    p1_max_eig, peak_box, piecewise_inner, proper_gains, proper_rates, random_channel,
+    root_corner, split_objective,
 )
 
 
@@ -287,6 +288,19 @@ class TestP1Max:
             _check_p1_max(gains, mu, (lam1, 0.1), p2, fig1.p1)
 
 
+    def test_root_near_zero(self):
+        # the best p1 is 1.7e-6 of a 6.0e9 peak, a root t = 2.8e-16 of the
+        # cubic, whose closed form is accurate to about 1e-16 absolute: its
+        # Newton step makes the root accurate relative to its size
+        gains = ((1341135.0628839864, 2756222.881481868), (647146194440.479, 740139748537.3221),
+                 (31119535.904258706, 268534.0701254864), (41088354547438.0, 0.0))
+        mu, lam = (8.245812186789905, 18.34718837144562), (1.9942238282850785e-09,
+                                                           2.0860669808500652e-08)
+        cap1, cap2 = _InnerProblem(gains, mu, lam).peak
+        p1, _ = _check_p1_max(gains, mu, lam, np.array([0.0, cap2]), cap1)
+        assert 1e-6 < p1[1] < 2e-6
+
+
 def _check_p1_max(gains, mu, lam, p2, cap1):
     """``_InnerProblem.p1_max`` against conftest's eigensolve within 1e-12
     relative to the terms of the maximum, which may cancel: the weighted
@@ -503,6 +517,22 @@ def _near_ties(ch, lam, mu2, steps=40):
     return [DualVariables(m, mu2, *lam) for m in (lo, hi)]
 
 
+def _p2_grid_max(gains, mu, lam):
+    """The largest of conftest's ``p1_max_eig`` over a dense grid of ``p2`` in
+    ``[0, peak_2]``: 20,001 even points and 2,001 geometric ones toward each
+    end, down to 1e-18 of the peak, then five finer grids around the best."""
+    cap1, cap2 = inner_peak(gains, mu, lam)
+    geo = 10.0 ** np.linspace(-18, 0, 2001)
+    grid = np.unique(np.r_[np.linspace(0, cap2, 20001), cap2 * geo, cap2 * (1 - geo)])
+    best = -np.inf
+    for _ in range(6):
+        _, vals = p1_max_eig(gains, mu, lam, grid, cap1)
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], 2001)
+    return best
+
+
 class TestExactInner:
     # the resultant solve against the interval branch-and-bound oracle
     @pytest.mark.parametrize("case", _INTERFERENCE_FREE)
@@ -553,6 +583,31 @@ class TestExactInner:
         assert len(ties) >= 6
         for ch, dv in ties:
             _check_against_oracle(ch, dv, 1e-6)
+
+    @pytest.mark.parametrize("gains, mu, lam", [
+        (((65.7714819625272, 33.9011915244341), (145.47880887642276, 1140.2624670710347),
+          (43.042055756907665, 56.17771784580003), (2685.46098496912, 764.2291050250514)),
+         (8.947934297773244, 6.2205236421547045), (1.4273740212683124e-09, 89.96994127566161)),
+        (((3623.563615609832, 1.0730119588164797), (0.3908879181148695, 3100341.435893806),
+          (0.00019027603191506973, 3100893.030764776),
+          (0.2985893880551923, 226953.8691274772)),
+         (18.58682327581137, 19.991717136454795), (5.4226719818097405e-09, 0.2005861040941198)),
+        (((11069239.5598303, 113194247.01687312), (161598135794.0229, 4600858156.47637),
+          (14598.8470951929, 40.64568896147655), (0.0, 0.0)),
+         (14.001444463806807, 5.6329634655663), (0.3241289113389711, 4.639645576890967e-06)),
+        (((7.529512249766937, 40.1735849184778), (128.41080724813352, 38.21844844373621),
+          (55.024371897558524, 17.677098102561825), (285.89587499026504, 671.9339532917941)),
+         (11.238085966776335, 7.353075163372029), (1.5194971065080896, 1.915750116105978e-08)),
+    ], ids=["peak-9e9", "peak-5e9", "p2-near-0-of-2e6", "peak-6e8"])
+    def test_large_peak_powers(self, gains, mu, lam):
+        # unit budgets and peaks above 1e6, where the piecewise solve fell
+        # short of the maximum by 1.1e-5, 3.3e-6 and 8.0e-7; in the third the
+        # maximizer is at p2 = 1.56e-5 of a 1.75e6 peak, t2 = 8.9e-12.  In
+        # the last, the users swapped, the coefficients of t1^k fall by about
+        # 1e-10 per power, and a linearization that does not scale t1 missed
+        # the interior critical point by 2.7e-4
+        _, val = _exact_inner(_InnerProblem(gains, mu, lam))
+        assert val >= _p2_grid_max(gains, mu, lam) - _ROOT_SLACK
 
     @pytest.mark.slow
     def test_matches_bnb_oracle(self, fig1, fig2, fig3):
@@ -627,20 +682,6 @@ def test_oracle_shares_no_code_with_the_solver():
     assert _solver_imports(f"{conftest}\nfrom tinregion.channel import _gram\n")
 
 
-def _all_pieces(coef):
-    """The colleague eigensolve of every piece, none skipped: the oracle of
-    the root-free pieces that ``_colleague_roots`` leaves out."""
-    size = np.abs(coef).max(axis=1)
-    lead = coef[:, -1]
-    lead = np.where(np.abs(lead) > 1e-14 * size, lead, 1e-14 * size + 1e-300)
-    colleague = np.repeat(_COLLEAGUE[None], len(coef), axis=0)
-    colleague[:, :, -1] -= coef[:, :-1] / lead[:, None] * _COLLEAGUE_WEIGHT
-    z = np.linalg.eigvals(colleague)
-    keep = (np.abs(z.imag) <= 1e-3) & (np.abs(z.real) <= 1.0 + 1e-9)
-    t = _EDGES[:-1, None] + 0.5 * np.diff(_EDGES)[:, None] * (1.0 + z.real.clip(-1, 1))
-    return t[keep]
-
-
 def _inner_problems(monkeypatch, run):
     """Every inner problem whose resultant ``run()`` solves."""
     seen, stationary = [], timesharing._stationary_t2
@@ -655,22 +696,38 @@ def _inner_problems(monkeypatch, run):
     return seen
 
 
-class TestPieceExclusion:
-    """The pieces that ``_colleague_roots`` proves root-free change nothing:
-    ``_stationary_t2`` returns exactly the array of the full solve."""
+def _pencil(p, q, m=(2.0, 0.0, 0.0, 1.0)):
+    """``f1`` and ``f2`` of ``_resultant_roots`` whose resultant is ``m^3 p
+    q`` up to a constant factor, for quadratics ``p``, ``q`` and a cubic ``m``
+    in ``t2``, lowest power first: ``f2 = m (t1 - 1/2) (t1 - 3/10)``, and
+    ``f1`` is ``p`` at ``t1 = 1/2`` and ``q`` at ``t1 = 3/10`` plus a cubic in
+    ``t1`` that vanishes at both."""
+    poly = np.polynomial.polynomial
+    f1 = np.zeros((4, 3))
+    f1[:2] = (np.outer([-0.3, 1.0], p) - np.outer([-0.5, 1.0], q)) / 0.2
+    f1[:, 0] += poly.polyfromroots([0.5, 0.3, 0.7])
+    f2 = np.outer(poly.polyfromroots([0.5, 0.3]), m)
+    return f1.tolist(), f2.tolist()
+
+
+def _nearest(got, want):
+    """The distance from each root in ``want`` to the nearest of ``got``."""
+    return np.abs(np.subtract.outer(want, got)).min(axis=1)
+
+
+class TestResultantRoots:
+    """The linearized Sylvester pencil of ``_resultant_roots`` on pencils of
+    known roots, and the exact inner solve against conftest's
+    ``piecewise_inner``, the piecewise Chebyshev solve that it replaced: on
+    the problems of the sweeps and of degenerate or floor-priced
+    multipliers, every exact maximum is at least the reference's."""
 
     @staticmethod
-    def _check(monkeypatch, probs):
-        """Compares every solve with the oracle; returns the candidates."""
-        total = 0
+    def _check(probs):
         for prob in probs:
-            got = timesharing._stationary_t2(prob)
-            with monkeypatch.context() as m:
-                m.setattr(timesharing, "_colleague_roots", _all_pieces)
-                want = timesharing._stationary_t2(prob)
-            assert np.array_equal(got, want), (prob.mu, prob.lam)
-            total += len(got)
-        return total
+            _, got = _exact_inner(prob)
+            _, want = piecewise_inner(prob.gains, prob.mu, prob.lam)
+            assert got >= want - 1e-12 * (1 + abs(want)), (prob.mu, prob.lam, want - got)
 
     @pytest.mark.parametrize("eps", [2e-2, 1e-3])
     def test_sweeps(self, fig1, fig2, fig3, monkeypatch, eps):
@@ -680,7 +737,7 @@ class TestPieceExclusion:
                 c, "proper-timesharing", np.linspace(0, 1, 21), eps=eps)
                 for c in (ch, _swap_users(ch))])
             assert len(probs) >= 40
-            self._check(monkeypatch, probs)
+            self._check(probs)
 
     @pytest.mark.parametrize("case", ["h21-zeroed", "h12-zeroed", "orthogonal", "collinear"])
     def test_degenerate_cross_links(self, case, fig1, monkeypatch):
@@ -697,60 +754,73 @@ class TestPieceExclusion:
         probs = _inner_problems(monkeypatch, lambda: (
             cutting_plane(ch, RateProfile(0.5, 0.5), eps=2e-2),
             [solve_inner(ch, dv) for dv in dvs]))
-        self._check(monkeypatch, probs)
+        self._check(probs)
 
     def test_lam_floor(self, fig1, fig2, fig3, monkeypatch):
-        # at the lam floor the resultant can be pure roundoff, and then
-        # hundreds of roots are candidates
+        # at the lam floor the resultant can be pure roundoff, and the
+        # reference then scores hundreds of roots
         rng = np.random.default_rng(46)
         dvs = [DualVariables(20.0, 1.03e-9, 2.5e-8, LAMBDA_FLOOR)]
         dvs += [DualVariables(*rng.uniform(0, 20, 2), LAMBDA_FLOOR,
                               LAMBDA_FLOOR * 10 ** rng.uniform(0, 2)) for _ in range(20)]
         probs = _inner_problems(monkeypatch, lambda: [
             solve_inner(ch, dv) for ch in (fig1, fig2, fig3) for dv in dvs])
-        assert self._check(monkeypatch, probs) >= 200
+        assert len(probs) >= 40
+        self._check(probs)
 
-    @pytest.mark.parametrize("end", [-1.0, 1.0])
-    def test_root_near_a_piece_end_is_kept(self, end):
-        # a root at Re z = +-1 with Im z up to 1e-3 lies in the window of
-        # kept roots; alone, and times factors with roots far off the piece
-        # that weight the constant term, every piece keeps it
-        cheb = np.polynomial.chebyshev
-        rng = np.random.default_rng(47 + int(end))
-        for im in (0.0, 1e-4, 0.999e-3):
-            for far in range(12):
-                rest = rng.choice([-1, 1], far) * 10 ** rng.uniform(0.2, 2, far)
-                roots = [end + 1j * im, end - 1j * im, *rest]
-                c = cheb.chebfromroots(roots).real
-                coef = np.tile(np.r_[c, np.zeros(14 - len(c))], (len(_EDGES) - 1, 1))
-                coef *= 10 ** rng.uniform(-5, 5, (len(coef), 1))
-                got = _colleague_roots(coef)
-                assert np.array_equal(got, _all_pieces(coef))
-                piece_end = _EDGES[1:] if end > 0 else _EDGES[:-1]
-                near = np.abs(got[:, None] - piece_end) <= 1e-6 * np.diff(_EDGES)
-                assert near.any(axis=0).all(), (im, far)
-        # a linear series c_0 + c_1 T_1 with its root at the end has
-        # |c_0| / (|c_1| rho) = 0.969, the nearest to a skipped piece
-        coef = np.tile(np.r_[1.0, -end, np.zeros(12)], (len(_EDGES) - 1, 1))
-        assert len(_colleague_roots(coef)) >= len(coef)
+    @pytest.mark.parametrize("m", [(2.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0)],
+                             ids=["regular", "singular-at-first-shift"])
+    def test_root_near_an_end_is_kept(self, m):
+        # roots 1e-12 and 5e-11 from the ends, and m = 1 + t2^3, whose root
+        # -1 makes S(-1) singular, so that the second shift stands in
+        poly = np.polynomial.polynomial
+        for p, q in (([1e-12, 0.6], [1 - 1e-12, -3.0]), ([5e-11, 0.25], [1 - 5e-11, 1.5])):
+            got = _resultant_roots(*_pencil(poly.polyfromroots(p), poly.polyfromroots(q), m))
+            assert ((0.0 <= got) & (got <= 1.0)).all()
+            assert (_nearest(got, [p[0], q[0]]) <= [1e-13, 1e-14]).all(), got
+            if 0 < p[1] < 1:
+                assert _nearest(got, [p[1]])[0] <= 1e-12, got
 
-    def test_chebyshev_tables_match_numpy(self):
-        # built from cos(k arccos x) and the tridiagonal colleague matrix, so
-        # that importing the package loads no numpy.polynomial
-        cheb = np.polynomial.chebyshev
-        assert np.abs(_FIT - np.linalg.inv(cheb.chebvander(_NODES, 13))).max() <= 1e-15
-        assert np.abs(_COLLEAGUE - cheb.chebcompanion(np.eye(14)[-1])).max() <= 1e-15
+    def test_near_double_pair(self):
+        # two roots 1e-9 apart, which roundoff may split into a complex pair
+        poly = np.polynomial.polynomial
+        got = _resultant_roots(*_pencil(poly.polyfromroots([0.4, 0.4 + 1e-9]),
+                                        poly.polyfromroots([0.8, -3.0])))
+        assert (_nearest(got, [0.4, 0.4 + 1e-9, 0.8]) <= [1e-7, 1e-7, 1e-12]).all(), got
 
     def test_root_off_the_axis_is_kept(self):
-        # z^2 + d^2 = (1/2 + d^2) T_0 + T_2 / 2 has its roots +-i d inside
-        # the window; |c_0| exceeds |c_2|, so a bound on [-1, 1] alone would
-        # skip it, but not |c_2| rho^2
+        # (t2 - 1/2)^2 + d^2 has its roots 1/2 +- i d inside the window of
+        # kept roots, which gives their real part
         d = 0.999e-3
-        coef = np.tile(np.r_[0.5 + d * d, 0.0, 0.5, np.zeros(11)], (len(_EDGES) - 1, 1))
-        got = _colleague_roots(coef)
-        assert np.array_equal(got, _all_pieces(coef))
-        mid = 0.5 * (_EDGES[1:] + _EDGES[:-1])
-        assert (np.abs(got[:, None] - mid) <= 1e-9).sum(axis=0).min() == 2
+        got = _resultant_roots(*_pencil([0.25 + d * d, -1.0, 1.0], [-3.0, -2.0, 1.0]))
+        assert (np.abs(got - 0.5) <= 1e-9).sum() == 2
+
+    def test_random_pencils(self):
+        # quadratics of random scale whose roots, 1e-3 apart or more, lie in
+        # or near [0, 1], a third of them within 1e-12 to 1e-4 of an end;
+        # the polish leaves each root in [0, 1] within 1e-10 of a candidate
+        poly = np.polynomial.polynomial
+        rng = np.random.default_rng(48)
+        for _ in range(300):
+            roots = np.full(4, 0.0)
+            while np.diff(np.sort(roots)).min() <= 1e-3:
+                roots = np.where(rng.random(4) < 0.3, 10.0 ** rng.uniform(-12, -4, 4),
+                                 rng.uniform(-0.5, 1.5, 4))
+                roots = np.where(rng.random(4) < 0.5, roots, 1 - roots)
+            p, q = (poly.polyfromroots(r) * 10 ** rng.uniform(-1, 1)
+                    for r in (roots[:2], roots[2:]))
+            got = _resultant_roots(*_pencil(p, q))
+            want = roots[(0 <= roots) & (roots <= 1)]
+            assert not want.size or (_nearest(got, want) <= 1e-10).all(), (roots, got)
+
+    def test_shift_tables_match_numpy(self):
+        # each table maps the coefficients of a cubic in t to those of the
+        # cubic in s = t - sigma
+        rng = np.random.default_rng(49)
+        for sigma, shift in zip(_SIGMAS, _SHIFTS):
+            c = rng.standard_normal(4)
+            want = np.polynomial.Polynomial(c)(np.polynomial.Polynomial([sigma, 1.0])).coef
+            assert np.abs(shift @ c - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestDualValue:
@@ -1089,6 +1159,14 @@ class TestCuttingPlane:
         # the certified gap never falls below the slack added to each cut
         with pytest.raises(ValidationError, match="root slack"):
             cutting_plane(fig1, RateProfile(0.5, 0.5), eps=_ROOT_SLACK)
+
+    def test_multipliers_are_floats(self, fig1):
+        # the master's multipliers reach the scalar inner solve as Python
+        # floats, not NumPy scalars
+        res = cutting_plane(fig1, RateProfile(0.5, 0.5), eps=2e-2)
+        for cut in res.cuts:
+            assert all(type(v) is float for v in (cut.dv.mu1, cut.dv.mu2, cut.dv.lam1,
+                                                  cut.dv.lam2))
 
     def test_user_swap_symmetry(self, fig3):
         # the engine treats p1 and p2 differently; the swapped fig3 has a
