@@ -4,22 +4,23 @@ The time-sharing problem (average rates and average powers over strategies)
 has zero duality gap, so it is solved through its Lagrangian dual: the
 outer minimization over multipliers runs a cutting-plane method, and each
 inner maximization of the penalized proper sum rate is solved exactly.  The
-cutting plane's master LP has at most three free multipliers in a box; a
-NumPy dual simplex, warm-started from the previous master, solves it; the
-convex weights of its active cuts give a certified lower bound on the cut
-model.  Besides the exact cuts, every master holds the cuts of fixed power
-pairs, one rate evaluation each: full power, and powers one or more decades
-past a budget, whose cuts fall in that user's power multiplier and so keep
-Kelley's method (Kelley, J. SIAM 1960) off the lambda floor.  The candidate
-powers of user 2 are both ends of its range and the real roots of the
+cutting plane's master LP has at most three free multipliers in a box; one
+NumPy dual simplex object holds it for a whole call, warm from its previous
+basis inverse, which each pivot updates by a rank-one step; the convex
+weights of its active cuts give a certified lower bound on the cut model.
+Besides the exact cuts, every master holds the cuts of fixed power pairs,
+one rate evaluation each: full power, and powers one or more decades past a
+budget, whose cuts fall in that user's power multiplier and so keep Kelley's
+method (Kelley, J. SIAM 1960) off the lambda floor.  The candidate powers
+of user 2 are both ends of its range and the real roots of the
 hidden-variable resultant of the two stationarity polynomials (Nakatsukasa,
 Noferini and Townsend, Numer. Math. 2015): the eigenvalues of one 15x15
 block companion linearization of their 5x5 Sylvester matrix, cubic in user
 2's power, polished by Newton steps on the resultant in closed form; user 1's
 best power for each is a closed-form cubic root.  The explicit mixture is the
-primal side of the same LP (Dantzig and Wolfe, Oper. Res. 1960): the convex
-weights of one more master, over the fixed pairs, the inner maximizers and
-the single-user corners, mix at most four strategies.
+primal side of the same LP (Dantzig and Wolfe, Oper. Res. 1960): solved
+once more with the single-user corners appended, the master's convex
+weights mix at most four strategies.
 """
 
 from __future__ import annotations
@@ -377,58 +378,109 @@ def _exact_inner(prob: _InnerProblem):
     return (float(p1[i]), float(p2[i])), float(vals[i])
 
 
-def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, work=None):
-    """Minimizer ``y`` of the cut model ``max_i a_i . y + b_i`` over the box
-    ``lo <= y <= hi``, a certified lower bound on its minimum, the final
-    working set, which stays dual feasible when cuts are appended, and the
-    convex weights ``tau`` of the cuts, at most ``d + 1`` of them nonzero.
+class _Master:
+    """The master LP of one :func:`cutting_plane` call, the cut model ``max_i
+    a_i . y + b_i`` over the box ``lo <= y <= hi``, as rows ``G x >= h`` over
+    ``x = (y, t)``: the lower and upper box rows, then ``t >= a_i . y + b_i``,
+    each divided by its norm once, when appended (unit rows keep a basis that
+    holds a steep cut well conditioned), with ``|G|`` for the violation
+    tolerance.  A dual simplex keeps its working set and basis inverse from
+    one solve to the next, which appended rows keep dual feasible.  A pivot
+    updates the inverse by a rank-one step; a solve that pivoted inverts its
+    final basis again.  A pivot enters the most violated row, the farthest
+    from ``x``, and drops the one the dual ratio test picks, ties to the
+    first; after two that left ``t`` where it was (a zero multiplier left),
+    the first violated row enters: Bland's rule, so a stall cannot cycle."""
 
-    A dual simplex on the epigraph ``t >= a_i . y + b_i`` from ``work``, or
-    else from the highest cut at ``hi`` and the box rows its slope points
-    to.  Each pivot enters the first violated row and drops the row the
-    dual ratio test picks, ties to the first (Bland's rule).  By weak
-    duality ``tau``, the cut multipliers scaled to sum 1, gives the bound
-    ``tau . b + min over the box of (tau a) . y``, whatever roundoff the
-    pivots made.
-    """
-    m, d = a.shape
-    # rows G x >= h over x = (y, t): lower box, upper box, cuts; unit rows
-    # keep a basis that holds a steep cut well conditioned
-    G = np.zeros((2 * d + m, d + 1))
-    G[:d, :d], G[d:2 * d, :d] = np.eye(d), -np.eye(d)
-    G[2 * d:, :d], G[2 * d:, d] = -a, 1.0
-    h = np.concatenate([lo, -hi, b])
-    norm = np.linalg.norm(G, axis=1)
-    G, h = G / norm[:, None], h / norm
-    if work is None:
-        top = np.argmax(a @ hi + b)
-        work = np.append(np.where(a[top] > 0, 0, d) + np.arange(d), 2 * d + top)
-    work = np.array(work)
-    for _ in range(_MAX_PIVOTS):
+    def __init__(self, a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        box = np.eye(len(lo), len(lo) + 1)
+        self.lo, self.hi, self.work, self.inv = lo, hi, None, None
+        self.G, self.h, self.absG = map(np.concatenate, ([box, -box], [lo, -hi], [box, box]))
+        self.append(a, b)
+
+    def append(self, a: np.ndarray, b: np.ndarray):
+        """Add the cut rows ``t >= a_i . y + b_i``."""
+        rows = np.concatenate([-a, np.ones((len(b), 1))], axis=1)
+        norm = np.sqrt(np.add.reduce(rows * rows, axis=1))
+        rows /= norm[:, None]
+        self.G, self.h = np.concatenate([self.G, rows]), np.concatenate([self.h, b / norm])
+        self.absG = np.concatenate([self.absG, np.abs(rows)])
+
+    def restart(self, work):
+        """Start the next solve from ``work`` if it is a dual feasible basis, else cold."""
+        try:
+            inv = np.linalg.inv(self.G[work])
+        except np.linalg.LinAlgError:  # singular, or not d + 1 rows
+            inv = np.full((1, 1), np.nan)
+        feasible = np.isfinite(inv).all() and np.all(inv[-1] >= -1e-12 * np.abs(inv[-1]).max())
+        self.work, self.inv = (np.array(work), inv) if feasible else (None, None)
+
+    def solve(self):
+        """The minimizer ``y``, a bound and the convex weights ``tau`` of at most
+        ``d + 1`` cuts, ``{cut: weight}``, from the highest cut at ``hi`` and the
+        box rows its slope points to if cold.  By weak duality ``tau`` gives the
+        bound ``tau . b + min over the box of (tau a) . y``, whatever the roundoff."""
+        G, h, d = self.G, self.h, len(self.lo)
+        if self.inv is None:
+            top = 2 * d + np.argmax((h[2 * d:] - G[2 * d:, :d] @ self.hi) / G[2 * d:, d])
+            self.work = np.append(np.where(G[top, :d] < 0, 0, d) + np.arange(d), top)
+            self.inv = np.linalg.inv(G[self.work])
+        work, absh, pivots, fresh, stall = self.work, np.abs(h), 0, True, 0
+        while True:
+            x = self.inv @ h[work]
+            slack = G @ x - h
+            slack[work] = 0.0  # basis rows hold; others count past their roundoff
+            violated = (slack < -1e-12 * (self.absG @ np.abs(x) + absh)).nonzero()[0]
+            if not violated.size:
+                if fresh:
+                    break
+                self.inv, fresh = np.linalg.inv(G[work]), True
+                continue
+            pivots += 1
+            if pivots >= _MAX_PIVOTS:
+                raise ConvergenceError(f"master LP made {_MAX_PIVOTS} pivots without an optimum")
+            enter = violated[0] if stall >= 2 else violated[slack[violated].argmin()]
+            alpha = G[enter] @ self.inv  # the entering row in terms of the basis
+            mult = [max(m, 0.0) for m in self.inv[-1].tolist()]  # basis^T mult = e_t
+            small = 1e-12 * np.abs(alpha).max()
+            # the dual ratio test: the first row of the smallest ratio
+            _, _, leave = min(((m / v, i, j) for j, (v, m, i) in enumerate(
+                zip(alpha.tolist(), mult, work.tolist())) if v > small), default=(0, 0, None))
+            if leave is None:
+                raise ConvergenceError("master LP ratio test found no row to leave")
+            stall = stall + 1 if mult[leave] <= 1e-12 * max(mult) else 0  # t stays
+            self._pivot(leave, enter, alpha)
+            fresh = False
+        # one refinement step: a steep cut magnifies the error of y
         basis, rhs = G[work], h[work]
-        inv = np.linalg.inv(basis)
-        x, mult = inv @ rhs, np.maximum(inv[-1], 0.0)  # basis^T mult = e_t
-        slack = G @ x - h
-        slack[work] = 0.0  # basis rows hold; others count past their roundoff
-        enter = np.nonzero(slack < -1e-12 * (np.abs(G) @ np.abs(x) + np.abs(h)))[0]
-        if not enter.size:
-            # only cut rows have a t-coefficient; theirs is 1 / norm
-            tau = np.zeros(len(G))
-            tau[work] = np.where(basis[:, d] > 0, mult, 0.0) / norm[work]
-            tau = tau[2 * d:] / tau.sum()
-            g = tau @ a
-            bound = tau @ b + np.minimum(g * lo, g * hi).sum()
-            # one refinement step: a steep cut magnifies the error of y
-            x += inv @ (rhs - basis @ x)
-            return np.clip(x[:d], lo, hi), bound, work, tau
-        alpha = G[enter[0]] @ inv  # the entering row in terms of the basis
-        pos = alpha > 1e-12 * np.abs(alpha).max()
-        ratio = np.where(pos, mult, np.inf) / np.where(pos, alpha, 1.0)
-        leave = np.lexsort((work, ratio))[0]  # first of the smallest ratios
-        if ratio[leave] == np.inf:
-            raise ConvergenceError("master LP ratio test found no row to leave")
-        work[leave] = enter[0]
-    raise ConvergenceError(f"master LP made {_MAX_PIVOTS} pivots without an optimum")
+        x += self.inv @ (rhs - basis @ x)
+        # only cut rows have a t-coefficient; theirs is 1 / norm
+        tau, top, g = {}, 0.0, [0.0] * d
+        for i, m, row, r in zip(work.tolist(), self.inv[-1].tolist(), basis.tolist(), rhs.tolist()):
+            if row[d] > 0 and m > 0:
+                tau[i - 2 * d], top = m * row[d], top + m * r
+                g = [v - m * c for v, c in zip(g, row)]
+        s = sum(tau.values())
+        top += sum(min(v * l, v * u) for v, l, u in zip(g, self.lo.tolist(), self.hi.tolist()))
+        y = np.minimum(np.maximum(x[:d], self.lo), self.hi)
+        return y, top / s, {i: v / s for i, v in tau.items()}
+
+    def _pivot(self, leave, enter, alpha):
+        """Swap basis row ``leave`` for row ``enter``, ``alpha`` in terms of the basis."""
+        col = self.inv[:, leave] / alpha[leave]
+        alpha[leave] -= 1.0
+        self.inv -= col[:, None] * alpha
+        self.work[leave] = enter
+
+
+def _master(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray, work=None):
+    """One :class:`_Master` over the cuts ``a, b``, solved from the working set
+    ``work`` if that is a dual feasible start, else cold: ``(y, bound, work, tau)``."""
+    master = _Master(a, b, lo, hi)
+    if work is not None:
+        master.restart(work)
+    y, bound, tau = master.solve()
+    return y, bound, master.work, tau
 
 
 def _lambda_max(gains, profile: RateProfile) -> float:
@@ -515,8 +567,8 @@ def cutting_plane(
     """Minimize the dual by Kelley's cutting-plane method; recover the mixture.
 
     Each iteration minimizes the affine cut model over the multiplier box
-    of :func:`_multiplier_box` (the master LP, solved by :func:`_master`),
-    then evaluates the true dual (via the exact inner solve, plus
+    of :func:`_multiplier_box` (the master LP, one :class:`_Master` for the
+    call), then evaluates the true dual (via the exact inner solve, plus
     ``_ROOT_SLACK`` for root error) at the master's minimizer to add a cut.
     Stops when the gap between the best evaluated dual value and the
     master's weak-duality lower bound, taken from its multipliers rather
@@ -529,8 +581,8 @@ def cutting_plane(
     fall in ``lam`` where exact cuts (``p <= 1``) rise, so the masters do not
     chase the lambda floor, near which the dual grows like ``mu log(1/lam)``.
 
-    Once the gap closes, one more master over its rows and the single-user
-    corners, warm from its working set, gives the mixture ``solution``.
+    Once the gap closes, the master solved once more with the single-user
+    corners appended gives the mixture ``solution``.
 
     ``seed_cuts`` warm-starts the affine model.  The dual function itself
     does not depend on the profile (only the multiplier constraint does),
@@ -547,27 +599,29 @@ def cutting_plane(
     box = z0, E, lo, hi = _multiplier_box(gains, profile)
     cuts = [] if seed_cuts is None else _as_cuts(seed_cuts)
     # row i minorizes the dual by (rates_i, 1 - powers_i) . (mu, lam): the fixed
-    # strategies first, so that a warm working set keeps its rows, then the cuts
+    # strategies first, then the cuts
     powers, rates = _strategies(gains, profile, cuts, ch)
+    master = _Master(*_cut_rows(powers, rates, box), lo, hi)
+    powers, rates = powers.tolist(), rates.tolist()
     best_upper = math.inf
     best_dv = None
 
     def add_cut(dv: DualVariables):
-        nonlocal powers, rates, best_upper, best_dv
+        nonlocal best_upper, best_dv
         (p1, p2), val = _exact_inner(_InnerProblem(gains, (dv.mu1, dv.mu2), (dv.lam1, dv.lam2)))
         r = RatePoint(*(_clip_rate(x) for x in _proper_rates(gains, p1, p2)))
         value = dv.lam1 + dv.lam2 + val
         cuts.append(Cut(dv=dv, p_star=(p1 * ch.p1, p2 * ch.p2), rates=r, value=value))
-        powers, rates = np.vstack([powers, (p1, p2)]), np.vstack([rates, r])
+        powers.append((p1, p2))
+        rates.append(r)
+        master.append(*_cut_rows([(p1, p2)], [r], box))
         if value + _ROOT_SLACK < best_upper:
             best_upper, best_dv = value + _ROOT_SLACK, dv
 
-    work = None
     for _ in range(_MAX_ITER):
-        model = np.hstack([rates, 1 - powers])
-        y, t_model, work, _ = _master(model @ E, model @ z0, lo, hi, work)
+        y, t_model, _ = master.solve()
         if best_upper - t_model <= eps:
-            solution = _mixture(powers, rates, box, gains, ch, work)
+            solution = _mixture(master, powers, rates, box, gains, ch)
             return CuttingPlaneResult(best_upper, best_dv, cuts, solution)
         mu1, mu2, lam1, lam2 = (z0 + E @ y).tolist()
         add_cut(DualVariables(max(mu1, 0.0), max(mu2, 0.0), lam1, lam2))
@@ -576,21 +630,25 @@ def cutting_plane(
     )
 
 
-def _mixture(powers, rates, box, gains, ch, work=None) -> TimeSharingSolution:
-    """The mixture of largest common scaling over the master's strategies and
-    the single-user corners, in ``ch``'s units: the weights of one more
-    :func:`_master`, cold or from ``work``, which appended rows keep dual feasible."""
-    corners = np.array([(1.0, 0.0), (0.0, 1.0)])
-    powers = np.r_[powers, corners]
-    model = np.c_[np.r_[rates, np.transpose(_proper_rates(gains, *corners.T))], 1 - powers]
-    z0, E, lo, hi = box
-    tau = _master(model @ E, model @ z0, lo, hi, work)[3]
-    keep = tau > 0
-    tau = tau[keep] / tau[keep].sum()
-    powers = powers[keep] * [ch.p1, ch.p2]
-    entries = tuple((float(t), float(p1), float(p2)) for t, (p1, p2) in zip(tau, powers))
-    r1, r2 = tau @ model[keep, :2]
-    return TimeSharingSolution(entries=entries, rates=RatePoint(float(r1), float(r2)))
+def _cut_rows(powers, rates, box):
+    """The cut model's rows ``a . y + b = (rates, 1 - powers) . (z0 + E y)`` of
+    strategies of ``powers`` at unit budgets and their ``rates``, as ``a, b``."""
+    model = np.concatenate([rates, 1.0 - np.asarray(powers)], axis=1)
+    return model @ box[1], model @ box[0]
+
+
+def _mixture(master, powers, rates, box, gains, ch) -> TimeSharingSolution:
+    """The mixture of largest common scaling over the strategies of ``master``,
+    ``powers`` and ``rates`` in row order, and the single-user corners, in
+    ``ch``'s units: its weights once the corners' rows are appended."""
+    corners = [(1.0, 0.0), (0.0, 1.0)]
+    corner_rates = np.transpose(_proper_rates(gains, *np.transpose(corners))).tolist()
+    master.append(*_cut_rows(corners, corner_rates, box))
+    powers, rates = powers + corners, rates + corner_rates
+    tau = sorted(master.solve()[2].items())
+    entries = tuple((t, float(powers[i][0] * ch.p1), float(powers[i][1] * ch.p2)) for i, t in tau)
+    r1, r2 = (sum(t * rates[i][k] for i, t in tau) for k in (0, 1))
+    return TimeSharingSolution(entries=entries, rates=RatePoint(r1, r2))
 
 
 def primal_recovery(
@@ -601,7 +659,7 @@ def primal_recovery(
     Maximizing the common scaling over mixtures of the fixed pairs, the
     inner maximizers and the single-user corners, which let a single-user
     profile collapse to one full-power strategy, is the LP dual of the
-    master, so one cold :func:`_master` gives a mixture of at most four: over
+    master, so one cold :class:`_Master` gives a mixture of at most four: over
     a :func:`cutting_plane` call's cuts, that call's ``solution``, whose
     scaling is at least its dual bound minus ``eps``.  The cuts must come
     from :func:`cutting_plane` on the same channel; their rates are reused.
@@ -612,5 +670,7 @@ def primal_recovery(
     if not cuts:
         raise ValidationError("no cuts to recover from")
     gains = _proper_gains(unit_budgets(ch))
-    strategies = _strategies(gains, profile, cuts, ch)
-    return _mixture(*strategies, _multiplier_box(gains, profile), gains, ch)
+    box = _multiplier_box(gains, profile)
+    powers, rates = _strategies(gains, profile, cuts, ch)
+    master = _Master(*_cut_rows(powers, rates, box), *box[2:])
+    return _mixture(master, powers.tolist(), rates.tolist(), box, gains, ch)

@@ -27,8 +27,8 @@ from tinregion.errors import ConvergenceError
 from tinregion.proper_pure import gamma_of_R
 from tinregion.rates import _proper_gains, _proper_rates
 from tinregion.timesharing import (
-    _SHIFTS, _SIGMAS, LAMBDA_FLOOR, _ROOT_SLACK, Cut, _InnerProblem, _exact_inner, _master,
-    _lambda_max, _resultant_roots,
+    _SHIFTS, _SIGMAS, LAMBDA_FLOOR, _ROOT_SLACK, Cut, _InnerProblem, _Master, _exact_inner,
+    _lambda_max, _master, _resultant_roots,
 )
 
 from conftest import (
@@ -862,26 +862,96 @@ class _Stop(Exception):
     pass
 
 
-def _masters(monkeypatch, run, first=False):
-    """The ``(a, b, lo, hi, work)`` of every master LP that ``run()`` solves,
-    as ``cutting_plane`` and ``primal_recovery`` pass them (``work`` is the
-    previous master's working set, ``None`` at a cold start), or of the
-    first one only, where ``run`` is stopped."""
+def _solves(monkeypatch, run, first=False):
+    """Every master LP that ``run()`` solves, as the ``_Master`` objects of
+    ``cutting_plane`` and ``primal_recovery`` hold it, or the first one only,
+    where ``run`` is stopped: ``((a, b, lo, hi, work), errors, final)``, with
+    ``a, b`` every cut appended so far, ``work`` the previous solve's working
+    set (``None`` at a cold start), ``errors`` the carried inverse's error
+    against a fresh inverse of the same basis after each pivot (max norm,
+    relative) and ``final`` the working set the solve ends with."""
     seen = []
+    append, solve, pivot = _Master.append, _Master.solve, _Master._pivot
 
-    def spy(a, b, lo, hi, work=None):
-        seen.append((a, b, lo, hi, work))
+    def spy_append(self, a, b):
+        vars(self).setdefault("appended", []).append((a, b))
+        append(self, a, b)
+
+    def spy_solve(self):
+        a, b = (np.concatenate(rows) for rows in zip(*self.appended))
+        work = None if self.work is None else self.work.copy()
+        seen.append(((a, b, self.lo, self.hi, work), [], None))
         if first:
             raise _Stop
-        return _master(a, b, lo, hi, work)
+        out = solve(self)
+        seen[-1] = (*seen[-1][:2], self.work.copy())
+        return out
+
+    def spy_pivot(self, *args):
+        pivot(self, *args)
+        fresh = np.linalg.inv(self.G[self.work])
+        seen[-1][1].append(np.abs(self.inv - fresh).max() / np.abs(fresh).max())
 
     with monkeypatch.context() as m:
-        m.setattr(timesharing, "_master", spy)
+        m.setattr(_Master, "append", spy_append)
+        m.setattr(_Master, "solve", spy_solve)
+        m.setattr(_Master, "_pivot", spy_pivot)
         try:
             run()
         except _Stop:
             pass
     return seen
+
+
+def _masters(monkeypatch, run, first=False):
+    """The ``(a, b, lo, hi, work)`` of every master LP that ``run()`` solves
+    (:func:`_solves`), or of the first one only, where ``run`` is stopped."""
+    return [args for args, _, _ in _solves(monkeypatch, run, first)]
+
+
+@pytest.fixture(scope="module")
+def sweep_points(fig1, fig2, fig3):
+    """Each ``cutting_plane`` call of the fig1-3 21-beta sweeps at eps 2e-2
+    and 1e-3, as ``(ch, profile, solves)`` with its solves from
+    :func:`_solves`: the first cold, the others warm, the last its recovery."""
+    points = []
+
+    def call(ch, profile, eps, seed_cuts=None):
+        res = []
+        solves = _solves(m, lambda: res.append(
+            cutting_plane(ch, profile, eps=eps, seed_cuts=seed_cuts)))
+        points.append((ch, profile, solves))
+        return res[0]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(region, "cutting_plane", call)
+        for ch, eps in itertools.product((fig1, fig2, fig3), (2e-2, 1e-3)):
+            sweep_region(ch, "proper-timesharing", np.linspace(0, 1, 21), eps=eps)
+    assert len(points) == 126
+    return points
+
+
+def _carried_start(before, after):
+    """The final working set of the last cutting-plane master of the point
+    ``before``, its rows renumbered as the rows of the first master of the
+    next point ``after`` of a sweep, which holds the same cuts after fixed
+    strategies of its own profile; ``None`` where a fixed row has no copy."""
+    (ch, profile, solves), (_, next_profile, next_solves) = before, after
+    unit = _at_unit_budgets(ch)
+    fixed = fixed_strategies(unit, profile)
+    next_fixed = fixed_strategies(unit, next_profile)
+    d = len(solves[0][0][2])
+    start = []
+    for i in solves[-2][2].tolist():  # the last solve is the recovery
+        if 2 * d <= i < 2 * d + len(fixed):
+            if fixed[i - 2 * d] not in next_fixed:
+                return None
+            i = 2 * d + next_fixed.index(fixed[i - 2 * d])
+        elif i >= 2 * d:
+            i += len(next_fixed) - len(fixed)
+        start.append(i)
+    assert len(next_solves[0][0][1]) == len(solves[-2][0][1]) - len(fixed) + len(next_fixed)
+    return start
 
 
 def _random_cuts(rng, ch, n, low=0.0, high=3.0):
@@ -1068,6 +1138,76 @@ class TestMaster:
                 model = np.max(a @ y + b)
                 assert np.all(lo <= y) and np.all(y <= hi)
                 assert bound <= model + 1e-15 * (1 + abs(model))
+
+    def test_degenerate_vertex(self):
+        # the three cuts of test_pivot_cap_raises_typed and nine more through
+        # their optimal vertex, y = (1/6, 1/6) at 1/3, each twice: a
+        # degenerate optimum, solved within the pivot cap from the cold start
+        a = np.r_[[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                  np.random.default_rng(3).uniform(-2.0, 2.0, (9, 2))]
+        b = 1 / 3 - a @ [1 / 6, 1 / 6]
+        y = _check_master(np.repeat(a, 2, axis=0), np.repeat(b, 2), np.zeros(2), np.ones(2))
+        assert np.allclose(y, 1 / 6, rtol=1e-12)
+
+    @pytest.mark.parametrize("start", [[2, 3, 4], [0, 0, 4], [0, 1]],
+                             ids=["negative-multipliers", "singular", "not-square"])
+    def test_start_that_is_not_dual_feasible(self, start):
+        # test_pivot_cap_raises_typed's cuts from a start that is no dual
+        # feasible basis: the upper box rows with the first cut, whose slope
+        # points to the lower ones, have multipliers -1; a row held twice, or
+        # too few rows, make no basis.  Each solves from the cold start
+        a = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        b, lo, hi = np.array([0.0, 0.5, 0.5]), np.zeros(2), np.ones(2)
+        y = _check_master(a, b, lo, hi, start)
+        assert np.allclose(y, 1 / 6, rtol=1e-14)
+
+    def test_carried_working_sets(self, sweep_points):
+        # each two-user point's first master started from the previous
+        # point's final working set (ROADMAP item 16's route B): most such
+        # starts are not dual feasible, and solve from the cold start
+        checked = infeasible = 0
+        for k in range(len(sweep_points) - 1):
+            before, after = sweep_points[k], sweep_points[k + 1]
+            if k % 21 == 20 or 0 in [p.rho1 * p.rho2 for p in (before[1], after[1])]:
+                continue  # a new sweep, or a single-user profile with two variables
+            start = _carried_start(before, after)
+            if start is None:
+                continue
+            a, b, lo, hi, _ = after[2][0][0]
+            master = _Master(a, b, lo, hi)
+            master.restart(start)
+            infeasible += master.work is None
+            _check_master(a, b, lo, hi, start)
+            checked += 1
+        assert checked >= 100 and infeasible >= checked // 2, (checked, infeasible)
+
+    def test_appended_rows_are_bitwise(self, sweep_points):
+        # an object built one cut at a time holds bitwise the rows of one
+        # built from all its cuts at once
+        for _, _, solves in sweep_points[::25]:
+            a, b, lo, hi, _ = solves[-1][0]
+            whole, grown = _Master(a, b, lo, hi), _Master(a[:1], b[:1], lo, hi)
+            for k in range(1, len(b)):
+                grown.append(a[k:k + 1], b[k:k + 1])
+            for rows in ("G", "h", "absG"):
+                assert np.array_equal(getattr(whole, rows), getattr(grown, rows))
+
+    def test_carried_inverse(self, sweep_points):
+        # after every pivot the rank-one updated inverse is within 1e-8 of a
+        # fresh inverse of the same basis
+        errors = [e for _, _, solves in sweep_points for _, errs, _ in solves for e in errs]
+        assert len(errors) > 1000
+        assert max(errors) <= 1e-8
+
+    def test_cold_pivots(self, sweep_points):
+        # the most violated row enters: Bland's rule took a median 16
+        # pivots on these cold masters, and up to 42
+        pivots = []
+        for _, _, solves in sweep_points:
+            args, errors, _ = solves[0]
+            assert args[4] is None
+            pivots.append(len(errors))
+        assert np.median(pivots) <= 9 and max(pivots) <= 20, pivots
 
 
 class TestCuttingPlane:
